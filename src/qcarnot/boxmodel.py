@@ -19,10 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, StateError
+from .errors import DomainError, ScaleError, StateError
 
 # Tolerance on |sum(weights) - 1| accepted at construction.
 NORMALIZATION_TOL = 1e-12
+
+# Decimal exponent range that energies, forces and their intermediates must
+# keep; the margin to binary64's limits covers the sums and ratios formed
+# from them downstream.
+_SCALE_EXPONENT_LIMIT = 300.0
 
 
 def _check_level(n) -> int:
@@ -35,6 +40,14 @@ def _check_width(L, name: str = "L") -> float:
     L = float(L)
     if not math.isfinite(L) or L <= 0.0:
         raise DomainError(f"{name} must be positive and finite, got {L!r}")
+    return L
+
+
+def _check_widths(L) -> np.ndarray:
+    """Array form of :func:`_check_width`: a float64 array of positive finite widths."""
+    L = np.asarray(L, dtype=np.float64)
+    if not (np.isfinite(L) & (L > 0.0)).all():
+        raise DomainError(f"L must be positive and finite, got {L!r}")
     return L
 
 
@@ -53,6 +66,33 @@ class WellParams:
 
 
 DEFAULT_PARAMS = WellParams()
+
+
+def check_energy_scale(params: WellParams, top_level, L_min, L_max) -> None:
+    """Raise :class:`ScaleError` unless levels ``1..top_level`` at widths in
+    ``[L_min, L_max]`` keep energies, forces and their intermediate products
+    within ``1e-300 .. 1e300``.
+
+    Every such quantity is a monomial in ``hbar, mass, n, L``, so checking
+    its decimal exponent at the corners of the range covers the interior.
+    """
+    lg_m = math.log10(params.mass)
+    lg_num = [2.0 * math.log10(math.pi * params.hbar * n) for n in (1, top_level)]
+    # (pi hbar n)^2, and the adiabatic invariant E * L^2 = (pi hbar n)^2 / (2 m).
+    exponents = [lg_m, *lg_num, *(math.log10(0.5) + lg - lg_m for lg in lg_num)]
+    for L in (L_min, L_max):
+        lg_L = math.log10(L)
+        lg_mL2 = lg_m + 2.0 * lg_L
+        lg_mL3 = lg_m + 3.0 * lg_L
+        exponents += [3.0 * lg_L, lg_mL2, lg_mL3]
+        for lg in lg_num:
+            exponents += [math.log10(0.5) + lg - lg_mL2, lg - lg_mL3]
+    if max(abs(e) for e in exponents) > _SCALE_EXPONENT_LIMIT:
+        raise ScaleError(
+            f"energy scale out of range: hbar={params.hbar!r}, mass={params.mass!r}, "
+            f"levels 1..{top_level}, widths {L_min!r}..{L_max!r} give magnitudes beyond "
+            f"1e{-_SCALE_EXPONENT_LIMIT:g}..1e{_SCALE_EXPONENT_LIMIT:g}"
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,6 +205,12 @@ def expectation_energy(state: MixedState, L, params: WellParams = DEFAULT_PARAMS
     return 0.5 * (math.pi * params.hbar) ** 2 * _level_square_sum(state) / (params.mass * L * L)
 
 
+def _force_from_square_sum(square_sum, L, params: WellParams = DEFAULT_PARAMS):
+    """Wall force ``pi^2 hbar^2 s / (m L^3)`` for the weighted level-square sum
+    ``s = sum(w_n n^2)``; elementwise on arrays, unvalidated."""
+    return (math.pi * params.hbar) ** 2 * square_sum / (params.mass * L ** 3)
+
+
 def wall_force(state: MixedState, L, params: WellParams = DEFAULT_PARAMS) -> float:
     """Force on the moving wall at frozen populations, ``-dE/dL``.
 
@@ -172,7 +218,7 @@ def wall_force(state: MixedState, L, params: WellParams = DEFAULT_PARAMS) -> flo
     rounding, since both are the same weighted sum of ``n^2``.
     """
     L = _check_width(L)
-    return (math.pi * params.hbar) ** 2 * _level_square_sum(state) / (params.mass * L ** 3)
+    return _force_from_square_sum(_level_square_sum(state), L, params)
 
 
 def entropy(state: MixedState) -> float:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxmodel import DEFAULT_PARAMS, MixedState, WellParams, eigenenergy
+from .boxmodel import DEFAULT_PARAMS, MixedState, WellParams, check_energy_scale, eigenenergy
 from .errors import CycleGeometryError, DomainError, EngineError
 from .processes import (
     ProcessSample,
@@ -58,10 +58,6 @@ class CarnotSpec:
                 f"top_level*L1={self.top_level * self.L1!r}"
             )
 
-    @property
-    def is_degenerate(self) -> bool:
-        return self.L3 == self.top_level * self.L1
-
 
 @dataclass(frozen=True)
 class Cycle:
@@ -93,9 +89,14 @@ class CycleReport:
 
 
 def build_carnot_cycle(spec: CarnotSpec) -> Cycle:
-    """Assemble and close-check the four strokes for ``spec``."""
+    """Assemble and close-check the four strokes for ``spec``.
+
+    Raises :class:`ScaleError` first if the spec's energies or forces would
+    leave binary64 range anywhere on the cycle.
+    """
     n = spec.top_level
     L1, L3, p = spec.L1, spec.L3, spec.params
+    check_energy_scale(p, n, L1, L3)
     L2 = n * L1
     L4 = L3 / n
     e_hot = eigenenergy(1, L1, p)

@@ -21,6 +21,10 @@ class CycleGeometryError(DomainError):
     """Cycle endpoints would produce a self-intersecting (negative-work) cycle."""
 
 
+class ScaleError(EngineError):
+    """Energies or forces of the inputs would over- or underflow binary64."""
+
+
 class QuadratureError(EngineError):
     """Adaptive quadrature could not meet its tolerance within the subdivision budget.
 

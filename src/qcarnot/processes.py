@@ -31,12 +31,15 @@ from .boxmodel import (
     MixedState,
     WellParams,
     _check_width,
+    _check_widths,
+    _level_square_sum,
     eigenenergy,
     entropy,
     expectation_energy,
+    _force_from_square_sum,
     wall_force,
 )
-from .errors import DomainError, IsothermRangeError, QuadratureError
+from .errors import DomainError, IsothermRangeError, QuadratureError, ScaleError
 
 # Relative mismatch tolerated between a declared fixed energy and the
 # ground-state energy at the declared base width.
@@ -78,7 +81,6 @@ class Stroke:
     conserved: float
     params: WellParams
     base_scale: float | None = None
-    level_window: tuple[int, ...] = ()
 
     def state_at(self, L) -> MixedState:
         if self.kind is StrokeKind.ADIABATIC:
@@ -86,8 +88,24 @@ class Stroke:
             return self.state_start
         return isothermal_state_at(self.conserved, L, self.base_scale, self.params)
 
-    def force_at(self, L) -> float:
-        return wall_force(self.state_at(L), L, self.params)
+    def force_at(self, L):
+        """Population-weighted wall force at width ``L``, elementwise on arrays.
+
+        Builds no :class:`MixedState`: the adiabat's level-square sum is fixed,
+        and the isotherm's comes from :func:`isothermal_populations`.  Returns
+        a float for scalar ``L`` and an ndarray otherwise.
+        """
+        if self.kind is StrokeKind.ADIABATIC:
+            x = _check_widths(L)
+            square_sum = _level_square_sum(self.state_start)
+        else:
+            k, w_upper = isothermal_populations(self.conserved, L, self.base_scale, self.params)
+            x = np.asarray(L, dtype=np.float64)
+            square_sum = (1.0 - w_upper) * (k * k) + w_upper * ((k + 1.0) * (k + 1.0))
+        force = _force_from_square_sum(square_sum, x, self.params)
+        if force.size and not (force.min() > 0.0 and force.max() < math.inf):
+            raise ScaleError(f"wall force over- or underflows binary64 at widths {L!r}")
+        return float(force) if force.ndim == 0 else force
 
     def energy_at(self, L) -> float:
         return expectation_energy(self.state_at(L), L, self.params)
@@ -109,14 +127,16 @@ def adiabatic_stroke(state: MixedState, L_from, L_to,
     )
 
 
-def isothermal_state_at(e_fixed, L, base_scale, params: WellParams = DEFAULT_PARAMS) -> MixedState:
-    """Staircase state holding mean energy ``e_fixed`` at width ``L``.
+def isothermal_populations(e_fixed, L, base_scale, params: WellParams = DEFAULT_PARAMS):
+    """Staircase populations holding mean energy ``e_fixed`` at widths ``L``.
 
+    Returns ``(k, w_upper)``, float arrays shaped like ``L``: only levels
+    ``k`` and ``k + 1`` are populated, with ``w_upper`` on ``k + 1``.
     ``e_fixed`` must equal the ground-state energy at ``base_scale``.  Raises
-    :class:`IsothermRangeError` for ``L < base_scale``, where the required
-    populations would turn negative.
+    :class:`IsothermRangeError` if any width lies below ``base_scale``, where
+    the required populations would turn negative.
     """
-    L = _check_width(L)
+    L = _check_widths(L)
     base_scale = _check_width(base_scale, "base_scale")
     e_fixed = float(e_fixed)
     ground = eigenenergy(1, base_scale, params)
@@ -126,13 +146,26 @@ def isothermal_state_at(e_fixed, L, base_scale, params: WellParams = DEFAULT_PAR
             f"{ground!r} at base width {base_scale!r}"
         )
     ratio = L / base_scale
-    if ratio < 1.0 - 1e-12:
+    if (ratio < 1.0 - 1e-12).any():
         raise IsothermRangeError(
             f"width {L!r} lies below the isotherm validity window starting at {base_scale!r}"
         )
-    ratio = max(ratio, 1.0)
-    k = int(ratio)
-    w_upper = (ratio * ratio - k * k) / (2 * k + 1)
+    ratio = np.maximum(ratio, 1.0)
+    k = np.floor(ratio)
+    return k, (ratio * ratio - k * k) / (2.0 * k + 1.0)
+
+
+def isothermal_state_at(e_fixed, L, base_scale, params: WellParams = DEFAULT_PARAMS) -> MixedState:
+    """Staircase state holding mean energy ``e_fixed`` at width ``L``.
+
+    The populations come from :func:`isothermal_populations`, whose checks
+    and errors apply.
+    """
+    return _staircase_state(*isothermal_populations(e_fixed, _check_width(L), base_scale, params))
+
+
+def _staircase_state(k, w_upper) -> MixedState:
+    k, w_upper = int(k), float(w_upper)
     if w_upper == 0.0:
         return MixedState.pure(k)
     return MixedState.from_pairs([(k, 1.0 - w_upper), (k + 1, w_upper)])
@@ -146,9 +179,7 @@ def isothermal_stroke(e_fixed, L_from, L_to, base_scale,
     population path.
     """
     state_from = isothermal_state_at(e_fixed, L_from, base_scale, params)
-    state_to = isothermal_state_at(e_fixed, L_to, base_scale, params)
-    lo = int(min(state_from.levels[0], state_to.levels[0]))
-    hi = int(max(state_from.levels[-1], state_to.levels[-1]))
+    isothermal_populations(e_fixed, L_to, base_scale, params)  # L_to in the window
     return Stroke(
         kind=StrokeKind.ISOTHERMAL,
         L_start=float(L_from),
@@ -157,7 +188,6 @@ def isothermal_stroke(e_fixed, L_from, L_to, base_scale,
         conserved=float(e_fixed),
         params=params,
         base_scale=float(base_scale),
-        level_window=tuple(range(lo, hi + 1)),
     )
 
 
@@ -186,8 +216,8 @@ def stroke_work_quadrature(stroke: Stroke, rel_tol: float = 1e-10) -> float:
         raise DomainError(f"rel_tol must lie in (0, 1e-4], got {rel_tol!r}")
     if stroke.L_start == stroke.L_end:
         return 0.0
-    # Integrate at a quarter of the requested tolerance so the accumulated
-    # estimate clears rel_tol * |value| with margin.
+    # Integrate at a quarter of the requested tolerance, which the estimate
+    # meets relative to the refined value, so the gate below holds with margin.
     value, estimate = quadrature.integrate(
         stroke.force_at, stroke.L_start, stroke.L_end, rel_tol=rel_tol / 4.0
     )
@@ -204,10 +234,16 @@ def sample_stroke(stroke: Stroke, count: int, stroke_index: int = 1) -> list[Pro
     """``count`` records at uniformly spaced widths, endpoints included."""
     if isinstance(count, bool) or int(count) != count or count < 2:
         raise DomainError(f"count must be an integer >= 2, got {count!r}")
+    widths = np.linspace(stroke.L_start, stroke.L_end, int(count))
+    if stroke.kind is StrokeKind.ADIABATIC:
+        states = [stroke.state_start] * widths.size
+    else:
+        populations = isothermal_populations(
+            stroke.conserved, widths, stroke.base_scale, stroke.params
+        )
+        states = [_staircase_state(k, w) for k, w in zip(*populations)]
     samples = []
-    for L in np.linspace(stroke.L_start, stroke.L_end, int(count)):
-        L = float(L)
-        state = stroke.state_at(L)
+    for L, state in zip(widths.tolist(), states):
         samples.append(
             ProcessSample(
                 stroke_index=stroke_index,

@@ -201,6 +201,18 @@ class TestSimulate:
         assert cmd_simulate(spec_path, blocker / "sub") == 2
         assert "cannot write" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", [
+        "[well]\nhbar = 1e160\n" + MINIMAL,
+        "[cycle]\ntop_level = 2\nL1 = 1e-170\nL3 = 4e-170\n",
+    ], ids=["overflow", "underflow"])
+    def test_extreme_energy_scale_exits_2(self, text, tmp_path, capsys):
+        path = tmp_path / "extreme.spec"
+        path.write_text(text)
+        assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: energy scale out of range")
+        assert not (tmp_path / "out").exists()
+
     def test_byte_identical_reruns(self, spec_path, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         cmd_simulate(spec_path, out1)

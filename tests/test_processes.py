@@ -9,6 +9,7 @@ from qcarnot import (
     DomainError,
     IsothermRangeError,
     MixedState,
+    ScaleError,
     adiabatic_stroke,
     eigenenergy,
     entropy,
@@ -18,6 +19,7 @@ from qcarnot import (
     sample_stroke,
     stroke_work,
     stroke_work_quadrature,
+    wall_force,
 )
 from strategies import mixed_states
 
@@ -138,9 +140,54 @@ class TestIsothermalStroke:
         stroke = isothermal_stroke(E_GROUND, 1.5, 1.5, 1.0)
         assert stroke_work(stroke) == 0.0
 
-    def test_level_window_spans_touched_levels(self):
-        stroke = isothermal_stroke(E_GROUND, 1.0, 3.4, 1.0)
-        assert stroke.level_window == (1, 2, 3, 4)
+
+class TestForceArrayPath:
+    STROKES = (
+        isothermal_stroke(E_GROUND, 1.0, 5.0, 1.0),
+        isothermal_stroke(eigenenergy(1, 0.7), 3.1, 0.7, 0.7),
+        adiabatic_stroke(MixedState.from_pairs({1: 0.25, 3: 0.5, 7: 0.25}), 0.8, 4.0),
+        adiabatic_stroke(MixedState.pure(4), 2.0, 0.5),
+    )
+
+    @pytest.mark.parametrize("stroke", STROKES, ids=lambda s: s.kind.value)
+    def test_array_matches_scalar_calls(self, stroke):
+        lo, hi = sorted((stroke.L_start, stroke.L_end))
+        base = stroke.base_scale or lo
+        # Exact integer multiples of the base width are pure staircase states.
+        widths = np.concatenate((np.linspace(lo, hi, 37), base * np.arange(1.0, 5.0)))
+        widths = widths[(widths >= lo) & (widths <= hi)]
+        forces = stroke.force_at(widths)
+        assert isinstance(forces, np.ndarray) and forces.shape == widths.shape
+        for L, F in zip(widths.tolist(), forces.tolist()):
+            scalar = stroke.force_at(L)
+            assert isinstance(scalar, float)
+            assert F == pytest.approx(scalar, rel=1e-15)
+            assert F == pytest.approx(wall_force(stroke.state_at(L), L), rel=1e-15)
+
+    def test_window_edge(self):
+        stroke = isothermal_stroke(E_GROUND, 1.0, 3.0, 1.0)
+        inside = np.array([1.0 - 5e-13, 2.0])
+        assert stroke.force_at(inside).tolist() == pytest.approx(
+            [math.pi ** 2, math.pi ** 2 / 2], rel=1e-11
+        )
+        with pytest.raises(IsothermRangeError):
+            stroke.force_at(np.array([1.5, 1.0 - 1e-11]))
+        with pytest.raises(IsothermRangeError):
+            stroke.force_at(1.0 - 1e-11)
+
+    def test_invalid_widths_rejected(self):
+        stroke = adiabatic_stroke(MixedState.pure(1), 1.0, 2.0)
+        for bad in (np.array([1.0, 0.0]), np.array([np.nan]), -1.0, math.inf):
+            with pytest.raises(DomainError):
+                stroke.force_at(bad)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflow_raises_instead_of_inf(self):
+        stroke = adiabatic_stroke(MixedState.pure(1), 1e-103, 2e-103)
+        with pytest.raises(ScaleError):
+            stroke.force_at(np.array([1e-103, 2e-103]))
+        with pytest.raises(ScaleError):
+            stroke.force_at(1e-103)
 
 
 class TestStrokeWork:

@@ -51,18 +51,34 @@ def _check_widths(L) -> np.ndarray:
     return L
 
 
+def _check_positive_real(value, name: str) -> float:
+    """``value`` as a float, if it is a positive finite Python or numpy real.
+
+    Unlike :func:`_check_width` this checks the type: bools, strings and
+    other objects that merely convert to a float are rejected.
+    """
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float, np.integer, np.floating))
+        or not (math.isfinite(value) and value > 0)
+    ):
+        raise DomainError(f"{name} must be positive and finite, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class WellParams:
-    """Physical constants fixing the energy scale hbar^2 / (mass * length^2)."""
+    """Physical constants fixing the energy scale hbar^2 / (mass * length^2).
+
+    Both are stored as Python floats, whichever real type they are given as.
+    """
 
     hbar: float = 1.0
     mass: float = 1.0
 
     def __post_init__(self):
         for name in ("hbar", "mass"):
-            value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
-                raise DomainError(f"{name} must be positive and finite, got {value!r}")
+            object.__setattr__(self, name, _check_positive_real(getattr(self, name), name))
 
 
 DEFAULT_PARAMS = WellParams()
@@ -202,13 +218,20 @@ def _level_square_sum(state: MixedState) -> float:
 def expectation_energy(state: MixedState, L, params: WellParams = DEFAULT_PARAMS) -> float:
     """Population-weighted mean energy of ``state`` at width ``L``."""
     L = _check_width(L)
-    return 0.5 * (math.pi * params.hbar) ** 2 * _level_square_sum(state) / (params.mass * L * L)
+    return _energy_from_square_sum(_level_square_sum(state), L, params)
 
 
-def _force_from_square_sum(square_sum, L, params: WellParams = DEFAULT_PARAMS):
-    """Wall force ``pi^2 hbar^2 s / (m L^3)`` for the weighted level-square sum
-    ``s = sum(w_n n^2)``; elementwise on arrays, unvalidated."""
-    return (math.pi * params.hbar) ** 2 * square_sum / (params.mass * L ** 3)
+def _energy_from_square_sum(square_sum, L, params: WellParams = DEFAULT_PARAMS):
+    """Mean energy ``pi^2 hbar^2 s / (2 m L^2)`` for the weighted level-square
+    sum ``s = sum(w_n n^2)``; elementwise on arrays, unvalidated."""
+    return 0.5 * (math.pi * params.hbar) ** 2 * square_sum / (params.mass * L * L)
+
+
+def _force_from_square_sum(square_sum, L_cubed, params: WellParams = DEFAULT_PARAMS):
+    """Wall force ``pi^2 hbar^2 s / (m L^3)`` from ``s`` as above and ``L_cubed
+    = L^3``; elementwise on arrays, unvalidated.  The caller takes the cube, as
+    Python's float ``**`` and numpy's array ``**`` can round it differently."""
+    return (math.pi * params.hbar) ** 2 * square_sum / (params.mass * L_cubed)
 
 
 def wall_force(state: MixedState, L, params: WellParams = DEFAULT_PARAMS) -> float:
@@ -218,7 +241,7 @@ def wall_force(state: MixedState, L, params: WellParams = DEFAULT_PARAMS) -> flo
     rounding, since both are the same weighted sum of ``n^2``.
     """
     L = _check_width(L)
-    return _force_from_square_sum(_level_square_sum(state), L, params)
+    return _force_from_square_sum(_level_square_sum(state), L ** 3, params)
 
 
 def entropy(state: MixedState) -> float:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import re
 import sys
@@ -41,12 +42,15 @@ from .errors import (
     TruncationError,
     VerificationError,
 )
-from .processes import ProcessSample
+from .processes import SampleTable
 from .sudden import verify_energy_identity
 
 SAMPLES_HEADER = "stroke_index,stroke_kind,L,force,energy,entropy,populations"
 REPORT_HEADER = "W,Q_H,Q_C,eta,eta_closed_form,quadrature_discrepancy"
 SWEEP_HEADER = "L3,W,Q_H,eta,eta_closed_form"
+
+# Sample rows formatted per write, which bounds the text held at once.
+_CSV_BLOCK_ROWS = 1024
 
 _INT_RE = re.compile(r"[+-]?\d+$")
 
@@ -240,24 +244,38 @@ def render_spec(spec: SpecFile) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _sample_row(sample: ProcessSample) -> str:
-    populations = ";".join(f"{n}:{format_float(w)}" for n, w in sample.populations)
-    return ",".join(
-        (
-            str(sample.stroke_index),
-            sample.stroke_kind,
-            format_float(sample.L),
-            format_float(sample.force),
-            format_float(sample.energy),
-            format_float(sample.entropy),
-            populations,
-        )
-    )
+def _sample_lines(samples: SampleTable, start: int, stop: int) -> list[str]:
+    """CSV lines for rows ``start:stop`` of ``samples``.
+
+    Rows are grouped by their number of populated levels, so each group
+    shares one ``%``-format; ``"%.17g" % x`` gives the same text as
+    :func:`format_float`.
+    """
+    scalars = [
+        getattr(samples, name)[start:stop]
+        for name in ("stroke_index", "stroke_kind", "L", "force", "energy", "entropy")
+    ]
+    levels, weights = samples.levels[start:stop], samples.weights[start:stop]
+    support = np.count_nonzero(levels, axis=1)
+    lines = [""] * support.size
+    for size in set(support.tolist()):
+        rows = np.flatnonzero(support == size)
+        columns = [c[rows] for c in scalars]
+        for j in range(size):
+            columns += [levels[rows, j], weights[rows, j]]
+        row_format = "%d,%s,%.17g,%.17g,%.17g,%.17g," + ";".join(["%d:%.17g"] * size)
+        for i, values in zip(rows.tolist(), zip(*(c.tolist() for c in columns))):
+            lines[i] = row_format % values
+    return lines
 
 
-def write_samples_csv(path, samples) -> None:
-    body = "\n".join([SAMPLES_HEADER, *(_sample_row(s) for s in samples)]) + "\n"
-    Path(path).write_text(body, newline="\n")
+def write_samples_csv(path, samples: SampleTable) -> None:
+    """Write ``samples`` with one line per row, formatted from its columns
+    ``_CSV_BLOCK_ROWS`` rows at a time."""
+    with open(path, "w", newline="\n") as out:
+        out.write(SAMPLES_HEADER + "\n")
+        for start in range(0, len(samples), _CSV_BLOCK_ROWS):
+            out.write("\n".join(_sample_lines(samples, start, start + _CSV_BLOCK_ROWS)) + "\n")
 
 
 def write_report_csv(path, report: CycleReport) -> None:
@@ -385,7 +403,9 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _build_parser() -> _Parser:
+@functools.cache
+def _parser() -> _Parser:
+    """The command-line parser, built on first use and reused by later calls."""
     parser = _Parser(prog="qcarnot", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -409,7 +429,7 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:

@@ -11,15 +11,21 @@ reversible bound ``1 - E_cold / E_hot``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .boxmodel import DEFAULT_PARAMS, MixedState, WellParams, check_energy_scale, eigenenergy
+from .boxmodel import (
+    DEFAULT_PARAMS,
+    MixedState,
+    WellParams,
+    _check_positive_real,
+    check_energy_scale,
+    eigenenergy,
+)
 from .errors import CycleGeometryError, DomainError, EngineError
 from .processes import (
-    ProcessSample,
+    SampleTable,
     Stroke,
     adiabatic_stroke,
     isothermal_stroke,
@@ -33,7 +39,8 @@ from .processes import (
 class CarnotSpec:
     """Geometry of one cycle: level reached on the hot isotherm and the two
     extreme widths.  ``L3 == top_level * L1`` is the degenerate zero-work
-    boundary; anything smaller is rejected."""
+    boundary; anything smaller is rejected.  The widths are stored as Python
+    floats, whichever real type they are given as."""
 
     top_level: int
     L1: float
@@ -45,9 +52,7 @@ class CarnotSpec:
         if isinstance(self.top_level, bool) or int(self.top_level) != self.top_level or self.top_level < 2:
             raise DomainError(f"top_level must be an integer >= 2, got {self.top_level!r}")
         for name in ("L1", "L3"):
-            value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
-                raise DomainError(f"{name} must be positive and finite, got {value!r}")
+            object.__setattr__(self, name, _check_positive_real(getattr(self, name), name))
         if int(self.samples_per_stroke) != self.samples_per_stroke or self.samples_per_stroke < 2:
             raise DomainError(
                 f"samples_per_stroke must be an integer >= 2, got {self.samples_per_stroke!r}"
@@ -131,24 +136,30 @@ def evaluate_cycle(cycle: Cycle, rel_tol: float = 1e-10) -> CycleReport:
     )
 
 
-def sample_cycle(cycle: Cycle, samples_per_stroke: int | None = None) -> list[ProcessSample]:
-    """Concatenated per-stroke samples tracing the closed force-width loop."""
+def sample_cycle(cycle: Cycle, samples_per_stroke: int | None = None) -> SampleTable:
+    """One :class:`SampleTable` tracing the closed force-width loop, strokes
+    in order and told apart by the ``stroke_index``/``stroke_kind`` columns."""
     count = cycle.spec.samples_per_stroke if samples_per_stroke is None else samples_per_stroke
-    samples: list[ProcessSample] = []
-    for index, stroke in enumerate(cycle.strokes, start=1):
-        samples.extend(sample_stroke(stroke, count, stroke_index=index))
-    return samples
+    return SampleTable.concatenate([
+        sample_stroke(stroke, count, stroke_index=index)
+        for index, stroke in enumerate(cycle.strokes, start=1)
+    ])
 
 
-def polyline_work(samples: list[ProcessSample]) -> float:
+def polyline_work(samples) -> float:
     """Signed area enclosed by the sampled force-width polyline.
 
+    ``samples`` is a :class:`SampleTable`, whose ``L`` and ``force`` columns
+    are read directly, or any sequence of rows with ``.L`` and ``.force``.
     Trapezoid rule around the closed loop; equals the shoelace area of the
     polygon and converges to the cycle work at second order in the sample
     count.  Reversed traversal flips the sign.
     """
-    L = np.array([s.L for s in samples])
-    F = np.array([s.force for s in samples])
+    if isinstance(samples, SampleTable):
+        L, F = samples.L, samples.force
+    else:
+        L = np.array([s.L for s in samples])
+        F = np.array([s.force for s in samples])
     L_next = np.roll(L, -1)
     F_next = np.roll(F, -1)
     return 0.5 * float(np.sum((F + F_next) * (L_next - L)))

@@ -20,6 +20,8 @@ the path is continuous; work, heat and efficiency are path-independent.
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -32,12 +34,12 @@ from .boxmodel import (
     WellParams,
     _check_width,
     _check_widths,
+    _energy_from_square_sum,
+    _force_from_square_sum,
     _level_square_sum,
     eigenenergy,
     entropy,
     expectation_energy,
-    _force_from_square_sum,
-    wall_force,
 )
 from .errors import DomainError, IsothermRangeError, QuadratureError, ScaleError
 
@@ -62,6 +64,62 @@ class ProcessSample:
     energy: float
     entropy: float
     populations: tuple[tuple[int, float], ...]
+
+
+@dataclass(frozen=True, eq=False)
+class SampleTable(Sequence):
+    """Samples as columns: one array per :class:`ProcessSample` field.
+
+    Row ``i`` holds the populations ``levels[i, j]: weights[i, j]``,
+    left-aligned and padded with level 0.  Indexing, iteration and
+    ``reversed`` give :class:`ProcessSample` rows.  The arrays are marked
+    read-only.
+    """
+
+    stroke_index: np.ndarray
+    stroke_kind: np.ndarray
+    L: np.ndarray
+    force: np.ndarray
+    energy: np.ndarray
+    entropy: np.ndarray
+    levels: np.ndarray
+    weights: np.ndarray
+
+    def __post_init__(self):
+        for column in vars(self).values():
+            column.setflags(write=False)
+
+    def __len__(self) -> int:
+        return self.L.size
+
+    def __getitem__(self, i) -> ProcessSample:
+        i = range(len(self))[operator.index(i)]
+        return ProcessSample(
+            stroke_index=int(self.stroke_index[i]),
+            stroke_kind=str(self.stroke_kind[i]),
+            L=float(self.L[i]),
+            force=float(self.force[i]),
+            energy=float(self.energy[i]),
+            entropy=float(self.entropy[i]),
+            populations=tuple(
+                (n, w) for n, w in zip(self.levels[i].tolist(), self.weights[i].tolist()) if n
+            ),
+        )
+
+    @classmethod
+    def concatenate(cls, tables) -> "SampleTable":
+        """Rows of ``tables`` in order, population columns padded to the widest."""
+        width = max(t.levels.shape[1] for t in tables)
+
+        def padded(a):
+            return np.hstack([a, np.zeros((len(a), width - a.shape[1]), a.dtype)])
+
+        return cls(
+            *(np.concatenate([getattr(t, name) for t in tables])
+              for name in ("stroke_index", "stroke_kind", "L", "force", "energy", "entropy")),
+            levels=np.concatenate([padded(t.levels) for t in tables]),
+            weights=np.concatenate([padded(t.weights) for t in tables]),
+        )
 
 
 @dataclass(frozen=True)
@@ -102,7 +160,7 @@ class Stroke:
             k, w_upper = isothermal_populations(self.conserved, L, self.base_scale, self.params)
             x = np.asarray(L, dtype=np.float64)
             square_sum = (1.0 - w_upper) * (k * k) + w_upper * ((k + 1.0) * (k + 1.0))
-        force = _force_from_square_sum(square_sum, x, self.params)
+        force = _force_from_square_sum(square_sum, x ** 3, self.params)
         if force.size and not (force.min() > 0.0 and force.max() < math.inf):
             raise ScaleError(f"wall force over- or underflows binary64 at widths {L!r}")
         return float(force) if force.ndim == 0 else force
@@ -230,29 +288,44 @@ def stroke_work_quadrature(stroke: Stroke, rel_tol: float = 1e-10) -> float:
     return value
 
 
-def sample_stroke(stroke: Stroke, count: int, stroke_index: int = 1) -> list[ProcessSample]:
-    """``count`` records at uniformly spaced widths, endpoints included."""
+def sample_stroke(stroke: Stroke, count: int, stroke_index: int = 1) -> SampleTable:
+    """Column table of ``count`` samples at uniformly spaced widths, endpoints included.
+
+    Builds no :class:`MixedState`.  An adiabat's fixed state is broadcast over
+    all rows; an isotherm's populations come from one
+    :func:`isothermal_populations` call, as levels ``k, k + 1`` (``k`` alone
+    where the state is pure).  Every value equals, bit for bit, what
+    ``wall_force``, ``expectation_energy``, ``entropy`` and ``.populations``
+    give for ``stroke.state_at(L)``.
+    """
     if isinstance(count, bool) or int(count) != count or count < 2:
         raise DomainError(f"count must be an integer >= 2, got {count!r}")
     widths = np.linspace(stroke.L_start, stroke.L_end, int(count))
     if stroke.kind is StrokeKind.ADIABATIC:
-        states = [stroke.state_start] * widths.size
+        state = stroke.state_start
+        levels = np.broadcast_to(state.levels, (widths.size, state.support_size))
+        weights = np.broadcast_to(state.weights, levels.shape)
+        square_sum = _level_square_sum(state)
+        row_entropy = np.full(widths.size, entropy(state))
     else:
-        populations = isothermal_populations(
+        k, w_upper = isothermal_populations(
             stroke.conserved, widths, stroke.base_scale, stroke.params
         )
-        states = [_staircase_state(k, w) for k, w in zip(*populations)]
-    samples = []
-    for L, state in zip(widths.tolist(), states):
-        samples.append(
-            ProcessSample(
-                stroke_index=stroke_index,
-                stroke_kind=stroke.kind.value,
-                L=L,
-                force=wall_force(state, L, stroke.params),
-                energy=expectation_energy(state, L, stroke.params),
-                entropy=entropy(state),
-                populations=state.populations,
-            )
-        )
-    return samples
+        levels = np.stack([k, np.where(w_upper == 0.0, 0.0, k + 1.0)], axis=1).astype(np.int64)
+        weights = np.stack([1.0 - w_upper, w_upper], axis=1)
+        n = levels.astype(np.float64)
+        # A stacked matmul takes each row's dot product through the same BLAS
+        # call as np.dot in _level_square_sum; elementwise sums can round apart.
+        square_sum = (weights[:, None, :] @ (n * n)[:, :, None])[:, 0, 0]
+        row_entropy = -(weights * np.log(np.where(weights > 0.0, weights, 1.0))).sum(axis=1) + 0.0
+    cubes = np.array([L ** 3 for L in widths.tolist()])  # Python's pow, as in wall_force
+    return SampleTable(
+        stroke_index=np.full(widths.size, stroke_index),
+        stroke_kind=np.full(widths.size, stroke.kind.value),
+        L=widths,
+        force=_force_from_square_sum(square_sum, cubes, stroke.params),
+        energy=_energy_from_square_sum(square_sum, widths, stroke.params),
+        entropy=row_entropy,
+        levels=levels,
+        weights=weights,
+    )

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -195,3 +196,18 @@ class TestWellParams:
     def test_rejects_nonpositive_constants(self, kwargs):
         with pytest.raises(DomainError):
             WellParams(**kwargs)
+
+    @pytest.mark.parametrize("value", [np.float32(1.5), np.float64(1.5), np.int64(2), 2, 1.5])
+    def test_accepts_python_and_numpy_reals(self, value):
+        p = WellParams(hbar=value, mass=value)
+        assert type(p.hbar) is float and type(p.mass) is float
+        assert p == WellParams(float(value), float(value))
+
+    @pytest.mark.parametrize("bad", [
+        True, np.bool_(True), math.nan, np.float32("nan"), math.inf, np.float64(-np.inf),
+        0, -1.0, np.float32(-2.0), "1.0", None,
+    ])
+    @pytest.mark.parametrize("name", ["hbar", "mass"])
+    def test_rejects_bools_nonfinite_nonpositive_and_non_numbers(self, name, bad):
+        with pytest.raises(DomainError, match=name):
+            WellParams(**{name: bad})

@@ -1,10 +1,25 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcarnot import SpecFormatError, parse_spec, render_spec
+import qcarnot
+from qcarnot import (
+    MixedState,
+    SampleTable,
+    SpecFormatError,
+    adiabatic_stroke,
+    eigenenergy,
+    isothermal_stroke,
+    parse_spec,
+    render_spec,
+    sample_stroke,
+)
 from qcarnot.cli import (
     REPORT_HEADER,
     SAMPLES_HEADER,
@@ -17,6 +32,7 @@ from qcarnot.cli import (
     cmd_verify_identity,
     format_float,
     main,
+    write_samples_csv,
 )
 from qcarnot.boxmodel import WellParams
 
@@ -221,6 +237,29 @@ class TestSimulate:
         assert (out1 / "report.csv").read_bytes() == (out2 / "report.csv").read_bytes()
 
 
+class TestSamplesCsv:
+    def test_matches_per_row_formatting(self, tmp_path):
+        # Strokes of 1, 2 and 5 populated levels, over more rows than one write block.
+        params = WellParams(1.3, 0.8)
+        state = MixedState([1, 3, 4, 7, 9], [0.1, 0.2, 0.3, 0.15, 0.25])
+        table = SampleTable.concatenate([
+            sample_stroke(isothermal_stroke(eigenenergy(1, 0.5, params), 0.5, 2.0, 0.5, params), 701),
+            sample_stroke(adiabatic_stroke(state, 2.0, 3.1, params), 650, stroke_index=2),
+            sample_stroke(adiabatic_stroke(MixedState.pure(4), 3.1, 2.2, params), 9, stroke_index=3),
+        ])
+        expected = [SAMPLES_HEADER] + [
+            ",".join([
+                str(s.stroke_index),
+                s.stroke_kind,
+                *(format_float(x) for x in (s.L, s.force, s.energy, s.entropy)),
+                ";".join(f"{n}:{format_float(w)}" for n, w in s.populations),
+            ])
+            for s in table
+        ]
+        write_samples_csv(tmp_path / "samples.csv", table)
+        assert (tmp_path / "samples.csv").read_bytes() == ("\n".join(expected) + "\n").encode()
+
+
 class TestVerifyIdentityCommand:
     def test_success(self, capsys):
         assert cmd_verify_identity(1, 2.0, 1e-6) == 0
@@ -293,3 +332,41 @@ class TestMain:
 
     def test_unknown_command_exits_1(self):
         assert main(["explode"]) == 1
+
+
+def run_fresh_process(argv):
+    """``python -m qcarnot argv`` in a new interpreter: (exit code, stdout, stderr)."""
+    src = str(Path(qcarnot.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "qcarnot", *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+class TestRepeatedMain:
+    def test_each_call_matches_a_fresh_process(self, spec_path, tmp_path, capsys):
+        def commands(out):
+            return [
+                ["simulate", str(spec_path), "--out", str(out / "sim1")],
+                ["verify-identity", "--n", "1", "--alpha", "2.0", "--tol", "1e-6"],
+                ["verify-identity", "--n", "x", "--alpha", "2", "--tol", "1e-6"],
+                ["sweep", str(spec_path), "--l3-from", "2.5", "--l3-to", "6.0",
+                 "--steps", "3", "--out", str(out / "sweep.csv")],
+                ["explode"],
+                ["simulate", str(spec_path), "--out", str(out / "sim2")],
+            ]
+
+        in_process, fresh = tmp_path / "in_process", tmp_path / "fresh"
+        codes = []
+        for argv, fresh_argv in zip(commands(in_process), commands(fresh)):
+            code = main(argv)
+            out, err = capsys.readouterr()
+            codes.append(code)
+            assert (code, out, err) == run_fresh_process(fresh_argv)
+        assert codes == [0, 0, 1, 0, 1, 0]
+        written = sorted(p.relative_to(in_process) for p in in_process.rglob("*.csv"))
+        assert written == sorted(p.relative_to(fresh) for p in fresh.rglob("*.csv"))
+        assert len(written) == 5
+        for name in written:
+            assert (in_process / name).read_bytes() == (fresh / name).read_bytes()

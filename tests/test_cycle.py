@@ -9,6 +9,9 @@ import oracles
 from qcarnot import (
     CarnotSpec,
     CycleGeometryError,
+    DomainError,
+    ProcessSample,
+    SampleTable,
     build_carnot_cycle,
     evaluate_cycle,
     polyline_work,
@@ -50,6 +53,22 @@ class TestBuild:
             CarnotSpec(top_level=2, L1=-1.0, L3=4.0)
         with pytest.raises(Exception):
             CarnotSpec(top_level=2, L1=1.0, L3=4.0, samples_per_stroke=1)
+
+    @pytest.mark.parametrize("L1", [np.float32(1.0), np.float64(1.0), np.int64(1), 1])
+    def test_numpy_and_int_widths_accepted(self, L1):
+        spec = CarnotSpec(2, L1, 4.0)
+        assert type(spec.L1) is float and spec.L1 == 1.0
+        assert evaluate_cycle(build_carnot_cycle(spec)) == evaluate_cycle(build_carnot_cycle(FLAGSHIP))
+
+    @pytest.mark.parametrize("bad", [
+        True, np.bool_(True), math.nan, np.float32("nan"), math.inf, np.float64(-np.inf),
+        0.0, -1.0, np.float32(-2.0), "1.0", None,
+    ])
+    @pytest.mark.parametrize("name", ["L1", "L3"])
+    def test_width_rejections(self, name, bad):
+        widths = {"L1": 1.0, "L3": 4.0, name: bad}
+        with pytest.raises(DomainError, match=name):
+            CarnotSpec(2, **widths)
 
     def test_closure(self):
         c = build_carnot_cycle(CarnotSpec(4, 0.7, 5.3))
@@ -156,3 +175,33 @@ class TestSampleCycle:
     def test_refrigerator_orientation_on_degenerate_is_zero(self):
         c = build_carnot_cycle(CarnotSpec(2, 1.0, 2.0))
         assert polyline_work(sample_cycle(c, 64)) == pytest.approx(0.0, abs=1e-12)
+
+
+class TestSampleTableProtocol:
+    def test_sequence_of_rows(self):
+        table = sample_cycle(build_carnot_cycle(CarnotSpec(3, 1.0, 6.0)), 16)
+        assert isinstance(table, SampleTable)
+        assert len(table) == 64
+        rows = list(table)
+        assert len(rows) == 64 and all(isinstance(r, ProcessSample) for r in rows)
+        assert table[-1] == rows[-1] and table[-64] == rows[0]
+        for i in range(7):
+            assert table[8 * (i + 1)] == rows[8 * (i + 1)]
+        assert [r.stroke_index for r in rows] == [i for i in (1, 2, 3, 4) for _ in range(16)]
+        assert [r.stroke_kind for r in rows[::16]] == [
+            "isothermal", "adiabatic", "isothermal", "adiabatic"
+        ]
+        assert list(reversed(table)) == rows[::-1]
+        for bad in (64, -65):
+            with pytest.raises(IndexError):
+                table[bad]
+
+    def test_polyline_work_reads_columns_like_rows(self):
+        table = sample_cycle(build_carnot_cycle(FLAGSHIP), 64)
+        assert polyline_work(table) == polyline_work(list(table))
+
+    def test_reversed_table_flips_area_sign(self):
+        table = sample_cycle(build_carnot_cycle(FLAGSHIP), 64)
+        assert polyline_work(list(reversed(table))) == pytest.approx(
+            -polyline_work(table), rel=1e-12
+        )

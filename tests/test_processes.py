@@ -9,7 +9,9 @@ from qcarnot import (
     DomainError,
     IsothermRangeError,
     MixedState,
+    SampleTable,
     ScaleError,
+    WellParams,
     adiabatic_stroke,
     eigenenergy,
     entropy,
@@ -21,6 +23,7 @@ from qcarnot import (
     stroke_work_quadrature,
     wall_force,
 )
+from qcarnot.cli import write_samples_csv
 from strategies import mixed_states
 
 E_GROUND = math.pi ** 2 / 2
@@ -277,3 +280,67 @@ class TestSampleStroke:
         stroke = adiabatic_stroke(MixedState.pure(1), 1.0, 2.0)
         with pytest.raises(DomainError):
             sample_stroke(stroke, 1)
+
+
+def random_params(rng):
+    return WellParams(hbar=10 ** rng.uniform(-0.5, 0.5), mass=10 ** rng.uniform(-0.5, 0.5))
+
+
+def per_row_samples(stroke, count):
+    """The per-row reference: a validated state at each width, then the scalar observables."""
+    rows = []
+    for L in np.linspace(stroke.L_start, stroke.L_end, count).tolist():
+        state = stroke.state_at(L)
+        rows.append((
+            L,
+            wall_force(state, L, stroke.params),
+            expectation_energy(state, L, stroke.params),
+            entropy(state),
+            state.populations,
+        ))
+    return rows
+
+
+def assert_rows_bitwise(stroke, count):
+    table = sample_stroke(stroke, count, stroke_index=3)
+    assert isinstance(table, SampleTable) and len(table) == count
+    for row, expected in zip(table, per_row_samples(stroke, count), strict=True):
+        assert (row.stroke_index, row.stroke_kind) == (3, stroke.kind.value)
+        assert (row.L, row.force, row.energy, row.entropy, row.populations) == expected
+
+
+class TestSampleTableBitwise:
+    def test_random_isotherms(self):
+        rng = np.random.default_rng(31)
+        for _ in range(40):
+            params = random_params(rng)
+            base = rng.uniform(0.3, 3.0)
+            a, b = rng.uniform(base, 7.0 * base, size=2)
+            stroke = isothermal_stroke(eigenenergy(1, base, params), a, b, base, params)
+            assert_rows_bitwise(stroke, int(rng.integers(2, 400)))
+
+    def test_random_adiabats_over_one_to_six_levels(self):
+        rng = np.random.default_rng(32)
+        for support in [1, 2, 3, 4, 5, 6] * 6:
+            levels = np.sort(rng.choice(np.arange(1, 13), size=support, replace=False))
+            weights = rng.random(support) + 0.01
+            state = MixedState(levels, weights / weights.sum())
+            a, b = rng.uniform(0.3, 5.0, size=2)
+            stroke = adiabatic_stroke(state, a, b, random_params(rng))
+            assert_rows_bitwise(stroke, int(rng.integers(2, 400)))
+
+    @pytest.mark.parametrize("L_from, L_to", [(0.5, 3.0), (3.0, 0.5)])
+    def test_exact_multiples_of_base_are_pure(self, L_from, L_to, tmp_path):
+        # Steps of base/2 from base = 0.5 hit every multiple k*base exactly.
+        stroke = isothermal_stroke(eigenenergy(1, 0.5), L_from, L_to, 0.5)
+        assert_rows_bitwise(stroke, 11)
+        table = sample_stroke(stroke, 11)
+        write_samples_csv(tmp_path / "s.csv", table)
+        lines = (tmp_path / "s.csv").read_text().splitlines()[1:]
+        for row, line in zip(table, lines, strict=True):
+            k, fraction = divmod(row.L, 0.5)
+            if fraction == 0.0:
+                assert row.populations == ((int(k), 1.0),)
+                assert line.split(",")[-1] == f"{int(k)}:1"
+            else:
+                assert len(row.populations) == 2

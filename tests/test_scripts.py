@@ -1,0 +1,40 @@
+"""Smoke tests: each script in scripts/ runs end to end in a new interpreter."""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import qcarnot
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def run_script(name, *args):
+    src = str(Path(qcarnot.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, str(SCRIPTS / name), *map(str, args)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+def test_two_state_engine(tmp_path):
+    done = run_script("two_state_engine.py", "--samples", 64, "--out", tmp_path)
+    assert done.returncode == 0, done.stderr
+    eta = float(re.search(r"^eta = (\S+)", done.stdout, re.MULTILINE).group(1))
+    assert eta == pytest.approx(0.75, abs=1e-12)
+    assert (tmp_path / "samples.csv").read_text().count("\n") == 1 + 4 * 64
+    assert (tmp_path / "report.csv").read_text().count("\n") == 2
+
+
+def test_area_convergence_is_second_order():
+    done = run_script("area_convergence.py", "--doublings", 3)
+    assert done.returncode == 0, done.stderr
+    rows = [line.split() for line in done.stdout.splitlines()[2:]]
+    assert [int(row[0]) for row in rows] == [64, 128, 256]
+    orders = [float(row[2]) for row in rows[1:]]
+    assert orders == pytest.approx([2.0, 2.0], abs=0.05)

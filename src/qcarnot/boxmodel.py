@@ -24,46 +24,64 @@ from .errors import DomainError, ScaleError, StateError
 # Tolerance on |sum(weights) - 1| accepted at construction.
 NORMALIZATION_TOL = 1e-12
 
+# Largest level index: levels are stored as int64.
+_MAX_LEVEL = 2 ** 63 - 1
+
 # Decimal exponent range that energies, forces and their intermediates must
 # keep; the margin to binary64's limits covers the sums and ratios formed
 # from them downstream.
 _SCALE_EXPONENT_LIMIT = 300.0
 
 
-def _check_level(n) -> int:
-    if isinstance(n, bool) or int(n) != n or n < 1:
-        raise DomainError(f"level index must be a positive integer, got {n!r}")
-    return int(n)
-
-
-def _check_width(L, name: str = "L") -> float:
-    L = float(L)
-    if not math.isfinite(L) or L <= 0.0:
-        raise DomainError(f"{name} must be positive and finite, got {L!r}")
-    return L
-
-
-def _check_widths(L) -> np.ndarray:
-    """Array form of :func:`_check_width`: a float64 array of positive finite widths."""
-    L = np.asarray(L, dtype=np.float64)
-    if not (np.isfinite(L) & (L > 0.0)).all():
-        raise DomainError(f"L must be positive and finite, got {L!r}")
-    return L
-
-
 def _check_positive_real(value, name: str) -> float:
     """``value`` as a float, if it is a positive finite Python or numpy real.
 
-    Unlike :func:`_check_width` this checks the type: bools, strings and
-    other objects that merely convert to a float are rejected.
+    The type is checked: bools, strings and other objects that merely
+    convert to a float are rejected.
     """
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, (int, float, np.integer, np.floating))
-        or not (math.isfinite(value) and value > 0)
-    ):
+    x = math.nan
+    if not isinstance(value, bool) and isinstance(value, (int, float, np.integer, np.floating)):
+        try:
+            x = float(value)
+        except OverflowError:
+            x = math.inf
+    if not (math.isfinite(x) and x > 0.0):
         raise DomainError(f"{name} must be positive and finite, got {value!r}")
-    return float(value)
+    return x
+
+
+def _check_positive_int(value, name: str) -> int:
+    """``value`` as an int, if it is a Python or numpy integer, or an integral
+    float, of at least 1.  Bools, strings and other objects are rejected."""
+    integral = isinstance(value, (int, np.integer)) or (
+        isinstance(value, (float, np.floating))
+        and math.isfinite(value)
+        and float(value).is_integer()
+    )
+    if isinstance(value, bool) or not integral or value < 1:
+        raise DomainError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
+
+
+def _check_level(n) -> int:
+    """``n`` as an int, if it is a positive integer that fits the int64
+    arrays of :class:`MixedState`."""
+    n = _check_positive_int(n, "level index")
+    if n > _MAX_LEVEL:
+        raise DomainError(f"level index must be below 2**63, got {n!r}")
+    return n
+
+
+def _check_widths(L) -> np.ndarray:
+    """Array form of :func:`_check_positive_real`: a float64 array of positive
+    finite widths from real (not bool or string) input."""
+    L = np.asarray(L)
+    if L.dtype.kind not in "iuf":
+        raise DomainError(f"L must be real, got {L!r}")
+    L = L.astype(np.float64, copy=False)
+    if not (np.isfinite(L) & (L > 0.0)).all():
+        raise DomainError(f"L must be positive and finite, got {L!r}")
+    return L
 
 
 @dataclass(frozen=True)
@@ -196,14 +214,14 @@ class MixedState:
 def eigenenergy(n, L, params: WellParams = DEFAULT_PARAMS) -> float:
     """Energy of level ``n`` in a box of width ``L``: pi^2 hbar^2 n^2 / (2 m L^2)."""
     n = _check_level(n)
-    L = _check_width(L)
+    L = _check_positive_real(L, "L")
     return 0.5 * (math.pi * params.hbar * n) ** 2 / (params.mass * L * L)
 
 
 def eigenfunction_value(n, L, x) -> float:
     """Value of the normalized mode ``n`` at position ``x`` in ``[0, L]``."""
     n = _check_level(n)
-    L = _check_width(L)
+    L = _check_positive_real(L, "L")
     x = float(x)
     if not 0.0 <= x <= L:
         raise DomainError(f"x must lie in [0, {L}], got {x!r}")
@@ -217,7 +235,7 @@ def _level_square_sum(state: MixedState) -> float:
 
 def expectation_energy(state: MixedState, L, params: WellParams = DEFAULT_PARAMS) -> float:
     """Population-weighted mean energy of ``state`` at width ``L``."""
-    L = _check_width(L)
+    L = _check_positive_real(L, "L")
     return _energy_from_square_sum(_level_square_sum(state), L, params)
 
 
@@ -240,7 +258,7 @@ def wall_force(state: MixedState, L, params: WellParams = DEFAULT_PARAMS) -> flo
     Satisfies ``wall_force(s, L) * L == 2 * expectation_energy(s, L)`` up to
     rounding, since both are the same weighted sum of ``n^2``.
     """
-    L = _check_width(L)
+    L = _check_positive_real(L, "L")
     return _force_from_square_sum(_level_square_sum(state), L ** 3, params)
 
 

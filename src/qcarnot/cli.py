@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .boxmodel import WellParams
+from .boxmodel import _MAX_LEVEL, WellParams
 from .cycle import CarnotSpec, CycleReport, build_carnot_cycle, evaluate_cycle, sample_cycle
 from .errors import (
     DomainError,
@@ -187,8 +187,8 @@ def parse_spec(text: str) -> SpecFile:
     L1, L1_line = _take_number(entries, "cycle", "L1")
     L3, L3_line = _take_number(entries, "cycle", "L3")
     samples, samples_line = _take_number(entries, "cycle", "samples_per_stroke", 256)
-    if top_level < 2:
-        raise SpecFormatError(f"top_level must be at least 2, got {top_level}", top_line)
+    if not 2 <= top_level <= _MAX_LEVEL:
+        raise SpecFormatError(f"top_level must lie in [2, 2**63), got {top_level}", top_line)
     _require_positive(L1, L1_line, "L1")
     _require_positive(L3, L3_line, "L3")
     if samples < 2:
@@ -309,8 +309,8 @@ def _fail(message: str, code: int) -> int:
 
 def _load_spec(spec_path) -> SpecFile:
     try:
-        text = Path(spec_path).read_text()
-    except OSError as exc:
+        text = Path(spec_path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise SpecFormatError(f"cannot read spec file {spec_path!r}: {exc}") from exc
     return parse_spec(text)
 

@@ -17,8 +17,10 @@ import numpy as np
 
 from .boxmodel import (
     DEFAULT_PARAMS,
+    _MAX_LEVEL,
     MixedState,
     WellParams,
+    _check_positive_int,
     _check_positive_real,
     check_energy_scale,
     eigenenergy,
@@ -49,11 +51,11 @@ class CarnotSpec:
     samples_per_stroke: int = 256
 
     def __post_init__(self):
-        if isinstance(self.top_level, bool) or int(self.top_level) != self.top_level or self.top_level < 2:
-            raise DomainError(f"top_level must be an integer >= 2, got {self.top_level!r}")
+        if not 2 <= _check_positive_int(self.top_level, "top_level") <= _MAX_LEVEL:
+            raise DomainError(f"top_level must be an integer in [2, 2**63), got {self.top_level!r}")
         for name in ("L1", "L3"):
             object.__setattr__(self, name, _check_positive_real(getattr(self, name), name))
-        if int(self.samples_per_stroke) != self.samples_per_stroke or self.samples_per_stroke < 2:
+        if _check_positive_int(self.samples_per_stroke, "samples_per_stroke") < 2:
             raise DomainError(
                 f"samples_per_stroke must be an integer >= 2, got {self.samples_per_stroke!r}"
             )

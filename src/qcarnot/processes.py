@@ -32,7 +32,7 @@ from .boxmodel import (
     DEFAULT_PARAMS,
     MixedState,
     WellParams,
-    _check_width,
+    _check_positive_real,
     _check_widths,
     _energy_from_square_sum,
     _force_from_square_sum,
@@ -142,7 +142,7 @@ class Stroke:
 
     def state_at(self, L) -> MixedState:
         if self.kind is StrokeKind.ADIABATIC:
-            _check_width(L)
+            _check_positive_real(L, "L")
             return self.state_start
         return isothermal_state_at(self.conserved, L, self.base_scale, self.params)
 
@@ -172,8 +172,8 @@ class Stroke:
 def adiabatic_stroke(state: MixedState, L_from, L_to,
                      params: WellParams = DEFAULT_PARAMS) -> Stroke:
     """Stroke at frozen populations from width ``L_from`` to ``L_to``."""
-    L_from = _check_width(L_from, "L_from")
-    L_to = _check_width(L_to, "L_to")
+    L_from = _check_positive_real(L_from, "L_from")
+    L_to = _check_positive_real(L_to, "L_to")
     e_start = expectation_energy(state, L_from, params)
     return Stroke(
         kind=StrokeKind.ADIABATIC,
@@ -195,7 +195,7 @@ def isothermal_populations(e_fixed, L, base_scale, params: WellParams = DEFAULT_
     the required populations would turn negative.
     """
     L = _check_widths(L)
-    base_scale = _check_width(base_scale, "base_scale")
+    base_scale = _check_positive_real(base_scale, "base_scale")
     e_fixed = float(e_fixed)
     ground = eigenenergy(1, base_scale, params)
     if not math.isfinite(e_fixed) or abs(e_fixed - ground) > _ENERGY_MATCH_RTOL * ground:
@@ -219,7 +219,8 @@ def isothermal_state_at(e_fixed, L, base_scale, params: WellParams = DEFAULT_PAR
     The populations come from :func:`isothermal_populations`, whose checks
     and errors apply.
     """
-    return _staircase_state(*isothermal_populations(e_fixed, _check_width(L), base_scale, params))
+    L = _check_positive_real(L, "L")
+    return _staircase_state(*isothermal_populations(e_fixed, L, base_scale, params))
 
 
 def _staircase_state(k, w_upper) -> MixedState:

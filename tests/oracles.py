@@ -2,9 +2,10 @@
 
 Everything here deliberately avoids the library code paths it is used to
 check: overlaps come from composite Gauss-Legendre integration of the raw
-sine modes, series values from direct partial sums with summation-by-parts
-tail bounds, forces from central differences, and loop areas from the
-cross-product shoelace formula.
+sine modes, series values from direct partial sums (in the original
+``sin(m pi / alpha)`` form, not the library's sinc kernel) with
+summation-by-parts tail bounds, forces from central differences, and loop
+areas from the cross-product shoelace formula.
 """
 
 import math
@@ -58,6 +59,19 @@ def cosine_partial_sum(x, u, tol, max_terms=4_000_000):
     m = np.arange(1, terms + 1, dtype=np.float64)
     value = float(np.sum(np.cos(m * x) / (m * m - u * u)))
     return value, swing / ((terms + 1.0) ** 2 - u * u)
+
+
+def identity_partial_sum(n, alpha, terms):
+    """``sum_{m <= terms} 4 alpha m^2 sin^2(m pi/alpha) / (pi^2 (m^2 - alpha^2 n^2)^2)``.
+
+    The original form of the energy-identity series, every term added with
+    ``math.fsum``.  It loses accuracy next to the resonance ``m = alpha n``,
+    so callers keep ``alpha n`` away from integers.
+    """
+    m = np.arange(1, terms + 1, dtype=np.float64)
+    s = np.sin(m * (math.pi / alpha))
+    d = m * m - (alpha * n) ** 2
+    return math.fsum((4.0 * alpha * m * m * s * s / (math.pi ** 2 * d * d)).tolist())
 
 
 def central_difference(f, x, h):

@@ -43,6 +43,15 @@ class TestEigenenergy:
         with pytest.raises(DomainError):
             eigenenergy(n, L)
 
+    @pytest.mark.parametrize("n,L", [(1, True), (1, "2"), (True, 1.0), ("1", 1.0), (1, None)])
+    def test_rejects_bad_types(self, n, L):
+        with pytest.raises(DomainError):
+            eigenenergy(n, L)
+
+    def test_accepts_numpy_scalars(self):
+        assert eigenenergy(np.int64(2), np.float64(2.0)) == eigenenergy(2, 2.0)
+        assert eigenenergy(2, np.float32(0.5)) == eigenenergy(2, 0.5)
+
     @given(n=st.integers(1, 20), L=widths(), lam=st.floats(0.1, 10.0))
     def test_width_scaling(self, n, L, lam):
         assert eigenenergy(n, lam * L) == pytest.approx(eigenenergy(n, L) / lam ** 2, rel=1e-12)

@@ -1,7 +1,9 @@
+import io
 import math
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -370,3 +372,123 @@ class TestRepeatedMain:
         assert len(written) == 5
         for name in written:
             assert (in_process / name).read_bytes() == (fresh / name).read_bytes()
+
+
+# Value text for the exit-code fuzz.  Keys and flags take any text,
+# extremes included, except that samples_per_stroke, --steps and
+# --max-terms set how long a command runs and how much memory it takes, so
+# their numbers stay small; any other text is allowed for them too.
+_TEXT = st.text(
+    alphabet=st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
+    max_size=8,
+)
+_EXTREMES = st.sampled_from([
+    "0", "-0", "-1", "1", "1.0000000001", "1e308", "1e-308", "5e-324", "1e400", "-1e400",
+    "nan", "inf", "-inf", "0x10", "1_0", "1e", "", " ", "carnot", "10" * 40,
+])
+_NOT_DIGITS = _EXTREMES.filter(lambda t: not t.strip("-").isdigit())
+_REAL = st.one_of(_EXTREMES, st.floats().map(repr), _TEXT)
+_LEVEL = st.one_of(st.integers(-3, 10 ** 400).map(str), _EXTREMES)
+_SMALL_INT = st.one_of(st.integers(-3, 40).map(str), _NOT_DIGITS)
+_BUDGET = st.one_of(st.integers(-3, 10 ** 6).map(str), st.integers(2 ** 53, 10 ** 40).map(str),
+                    _NOT_DIGITS)
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi).map(repr)
+
+
+def _mostly(valid, other):
+    """``valid`` three times in four, else ``other``."""
+    return st.integers(0, 3).flatmap(lambda k: other if k == 0 else valid)
+
+
+_STRAY = _mostly(st.just([]), st.lists(
+    st.sampled_from(["--bogus", "--n", "x", "--", "-h", "--alpha=2", "extra"]),
+    min_size=1, max_size=2,
+))
+
+
+@st.composite
+def spec_documents(draw):
+    """Spec file bytes: a valid document with a few entries replaced by
+    arbitrary or extreme text or dropped, junk lines, and now and then bytes
+    that are not UTF-8."""
+    top_level, L1 = draw(st.integers(2, 12)), draw(st.floats(0.1, 10.0))
+    entries = [
+        ("well", "hbar", _floats(0.3, 3.0), _REAL),
+        ("well", "mass", _floats(0.3, 3.0), _REAL),
+        ("cycle", "type", st.just("carnot"), _TEXT),
+        ("cycle", "top_level", st.just(str(top_level)), _LEVEL),
+        ("cycle", "L1", st.just(repr(L1)), _REAL),
+        ("cycle", "L3", st.floats(1.0, 4.0).map(lambda r: repr(r * top_level * L1)), _REAL),
+        ("cycle", "samples_per_stroke", st.integers(2, 64).map(str), _SMALL_INT),
+        ("sudden", "n", st.integers(1, 5).map(str), _LEVEL),
+        ("sudden", "alpha", _floats(1.05, 4.0), _REAL),
+        ("sudden", "tol", _floats(1e-8, 1e-4), _REAL),
+    ]
+    changed = draw(st.sets(st.integers(0, len(entries) - 1), max_size=3))
+    with_sudden = draw(st.booleans())
+    lines, section = [], None
+    for i, (name, key, valid, other) in enumerate(entries):
+        if name == "sudden" and not with_sudden:
+            break
+        if name != section:
+            lines.append(f"[{name}]")
+            section = name
+        if i not in changed:
+            lines.append(f"{key} = {draw(valid)}")
+        elif draw(st.integers(0, 4)):
+            lines.append(f"{key} = {draw(other)}")
+    for _ in range(draw(st.integers(0, 3)) // 2):
+        lines.insert(draw(st.integers(0, len(lines))), draw(_TEXT))
+    data = ("\n".join(lines) + "\n").encode("utf-8")
+    if draw(st.integers(0, 19)) == 0:
+        data += b"\xff\xfe"
+    return data
+
+
+def _run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's --help
+            code = exc.code
+    return code, err.getvalue()
+
+
+class TestExitCodeContract:
+    """Any spec text and flags: exit 0, 1 or 2; on failure one ``error:``
+    line; never a traceback (an exception escaping ``main`` fails the test)."""
+
+    @staticmethod
+    def check(code, err):
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == (0 if code == 0 else 1), err
+
+    @given(document=spec_documents(), sweep=st.booleans(),
+           l3=st.tuples(_mostly(_floats(1.0, 200.0), _REAL), _mostly(_floats(1.0, 200.0), _REAL)),
+           steps=_mostly(st.integers(2, 4).map(str), _SMALL_INT), stray=_STRAY)
+    @settings(max_examples=150, deadline=None)
+    def test_spec_commands(self, tmp_path_factory, document, sweep, l3, steps, stray):
+        work = tmp_path_factory.mktemp("fuzz", numbered=True)
+        spec = work / "c.spec"
+        spec.write_bytes(document)
+        if sweep:
+            argv = ["sweep", str(spec), "--l3-from", l3[0], "--l3-to", l3[1],
+                    "--steps", steps, "--out", str(work / "sweep.csv")]
+        else:
+            argv = ["simulate", str(spec), "--out", str(work / "out")]
+        self.check(*_run_main(argv + stray))
+
+    @given(n=_mostly(st.integers(1, 8).map(str), _LEVEL),
+           alpha=_mostly(_floats(1.01, 5.0), _REAL),
+           tol=_mostly(_floats(1e-7, 1e-4), _REAL),
+           budget=_mostly(st.integers(64, 10 ** 6).map(str), _BUDGET), stray=_STRAY)
+    @settings(max_examples=300, deadline=None)
+    def test_verify_identity_flags(self, n, alpha, tol, budget, stray):
+        argv = ["verify-identity", "--n", n, "--alpha", alpha, "--tol", tol, "--max-terms", budget]
+        self.check(*_run_main(argv + stray))

@@ -70,6 +70,14 @@ class TestBuild:
         with pytest.raises(DomainError, match=name):
             CarnotSpec(2, **widths)
 
+    @pytest.mark.parametrize("top_level, samples", [
+        (2 ** 63, 256), pytest.param(10 ** 400, 256, id="10**400-256"), (True, 256),
+        ("2", 256), (2.5, 256), (2, True), (2, "256"), (2, 10.5),
+    ])
+    def test_count_rejections(self, top_level, samples):
+        with pytest.raises(DomainError):
+            CarnotSpec(top_level, 1.0, 1e300, samples_per_stroke=samples)
+
     def test_closure(self):
         c = build_carnot_cycle(CarnotSpec(4, 0.7, 5.3))
         final = c.strokes[3].state_at(c.spec.L1)

@@ -104,6 +104,11 @@ class TestAdiabaticStroke:
         for L in (2.5, 1.7, 1.0):
             assert stroke.force_at(L) == pytest.approx(math.pi ** 2 / L ** 3, rel=1e-13)
 
+    @pytest.mark.parametrize("L_from, L_to", [("2", True), (True, 2.0), (2.0, "1"), (None, 1.0)])
+    def test_rejects_bad_width_types(self, L_from, L_to):
+        with pytest.raises(DomainError):
+            adiabatic_stroke(MixedState.pure(1), L_from, L_to)
+
     def test_zero_length_work(self):
         stroke = adiabatic_stroke(MixedState.pure(1), 1.3, 1.3)
         assert stroke_work(stroke) == 0.0
@@ -180,7 +185,8 @@ class TestForceArrayPath:
 
     def test_invalid_widths_rejected(self):
         stroke = adiabatic_stroke(MixedState.pure(1), 1.0, 2.0)
-        for bad in (np.array([1.0, 0.0]), np.array([np.nan]), -1.0, math.inf):
+        for bad in (np.array([1.0, 0.0]), np.array([np.nan]), -1.0, math.inf, True, "2",
+                    np.array(["2"]), np.array([True])):
             with pytest.raises(DomainError):
                 stroke.force_at(bad)
 

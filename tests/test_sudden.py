@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from qcarnot import sudden
 from qcarnot import (
     DomainError,
     MixedState,
@@ -63,6 +64,62 @@ class TestOverlapCoefficient:
         assert float(squares.sum()) == pytest.approx(1.0, abs=1e-7)
 
 
+class TestSquareKernel:
+    """The block kernel behind every series of squared overlaps."""
+
+    @pytest.mark.parametrize("alpha", [1.3, 2.0, 2.5, 3.7, 2.0 + 1e-11])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_matches_scalar_overlap(self, alpha, n):
+        # The grid holds exact resonances (alpha = 2, m = 2n, e.g. n = 3,
+        # m = 6) and near ones (alpha = 2 + 1e-11).  Where m / alpha lies
+        # within 1e-6 of an integer away from the resonance, sin(m pi / alpha)
+        # is rounding-level in both forms and only its smallness is compared.
+        row = level_overlap_squares(n, alpha, 40)
+        for m in range(1, 41):
+            reference = overlap_coefficient(n, m, alpha) ** 2
+            if abs(m / alpha - round(m / alpha)) < 1e-6 and abs(m - alpha * n) >= 1.0:
+                assert row[m - 1] <= 1e-20 and reference <= 1e-20
+            else:
+                assert row[m - 1] == pytest.approx(reference, rel=1e-9)
+
+    def test_exact_resonance(self):
+        assert level_overlap_squares(3, 2.0, 6)[5] == pytest.approx(0.5, rel=1e-15)
+
+    def test_resonance_at_block_edges(self):
+        # A resonance on the last index of a block, and one whose two
+        # near-resonant indices straddle two blocks.
+        edge = sudden._BLOCK
+        for n, alpha in ((edge // 2, 2.0), (edge // 2, (edge + 0.5) / (edge // 2))):
+            row = level_overlap_squares(n, alpha, edge + 3)
+            for m in range(edge - 2, edge + 4):
+                assert row[m - 1] == pytest.approx(
+                    overlap_coefficient(n, m, alpha) ** 2, rel=1e-9, abs=1e-20
+                )
+
+    @pytest.mark.parametrize(
+        "pairs, alpha",
+        [({1: 0.25, 4: 0.75}, 1.8), ({1: 0.5, 3: 0.5}, 2.0), ({2: 0.1, 3: 0.2, 9: 0.7}, 3.7)],
+    )
+    def test_mixture_matches_weighted_levels(self, pairs, alpha):
+        out, report = post_expansion_distribution(MixedState.from_pairs(pairs), alpha, 1e-5)
+        terms = report.terms_used
+        assert terms > sudden._BLOCK
+        expected = sum(w * level_overlap_squares(n, alpha, terms) for n, w in pairs.items())
+        raw = np.zeros(terms)
+        raw[out.levels - 1] = out.weights * report.achieved_sum
+        np.testing.assert_allclose(raw, expected, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize(
+        "n, alpha",
+        [(1, 2.3), (2, 1.37), (3, 3.71), (5, 1.05), (4, 2.61), (7, 1.45)],
+    )
+    def test_identity_sum_matches_original_form(self, n, alpha):
+        assert abs(alpha * n - round(alpha * n)) >= 0.1
+        assert sudden._identity_partial_sum(n, alpha, 100_000) == pytest.approx(
+            oracles.identity_partial_sum(n, alpha, 100_000), abs=1e-13
+        )
+
+
 class TestPostExpansionDistribution:
     def test_pure_ground_doubling(self):
         out, report = post_expansion_distribution(MixedState.pure(1), 2.0, 1e-6)
@@ -116,6 +173,30 @@ class TestPostExpansionDistribution:
         with pytest.raises(TruncationError):
             post_expansion_distribution(MixedState.pure(1), 2.0, 1e-6, term_budget=500)
 
+    @pytest.mark.parametrize(
+        "alpha, tail_tol, term_budget",
+        [
+            (True, 1e-6, 10_000_000),
+            ("2", 1e-6, 10_000_000),
+            (2.0, "1e-6", 10_000_000),
+            (2.0, True, 10_000_000),
+            (2.0, 1e-6, True),
+            (2.0, 1e-6, "10000000"),
+            (2.0, 1e-6, 1e6 + 0.5),
+            (2.0, 1e-6, 2 ** 60),
+        ],
+    )
+    def test_rejects_bad_argument_types(self, alpha, tail_tol, term_budget):
+        with pytest.raises(DomainError):
+            post_expansion_distribution(MixedState.pure(1), alpha, tail_tol, term_budget)
+
+    def test_accepts_numpy_scalars(self):
+        out, report = post_expansion_distribution(
+            MixedState.pure(1), np.float64(2.0), np.float32(1e-4), np.int64(10_000)
+        )
+        expected, _ = post_expansion_distribution(MixedState.pure(1), 2.0, float(np.float32(1e-4)))
+        assert out.populations == expected.populations
+
     @given(s=mixed_states(max_support=4, max_level=8), alpha=st.floats(1.2, 2.6))
     @settings(max_examples=15, deadline=None)
     def test_energy_conservation_property(self, s, alpha):
@@ -151,6 +232,31 @@ class TestVerifyEnergyIdentity:
     def test_budget_exhaustion(self):
         with pytest.raises(TruncationError):
             verify_energy_identity(1, 2.0, 1e-6, max_terms=1000)
+
+    @pytest.mark.parametrize(
+        "n, alpha, tol, max_terms",
+        [
+            (1, "2", "1e-6", 100_000_000),
+            (1, True, 1e-6, 100_000_000),
+            (1, 2.0, "1e-6", 100_000_000),
+            (1, 2.0, True, 100_000_000),
+            (True, 2.0, 1e-6, 100_000_000),
+            ("1", 2.0, 1e-6, 100_000_000),
+            (2 ** 63, 2.0, 1e-6, 100_000_000),
+            (1, 2.0, 1e-6, True),
+            (1, 2.0, 1e-6, "1000000"),
+            (1, 2.0, 1e-6, 2 ** 53 + 1),
+            (1, float("nan"), 1e-6, 100_000_000),
+        ],
+    )
+    def test_rejects_bad_argument_types(self, n, alpha, tol, max_terms):
+        with pytest.raises(DomainError):
+            verify_energy_identity(n, alpha, tol, max_terms=max_terms)
+
+    @pytest.mark.parametrize("n, alpha", [(1, 1e308), (2 ** 62, 2.0)])
+    def test_cutoff_beyond_budget_is_a_truncation_error(self, n, alpha):
+        with pytest.raises(TruncationError, match="minimum cutoff"):
+            verify_energy_identity(n, alpha, 1e-6)
 
     def test_report_fields(self):
         report = verify_energy_identity(3, 1.25, 1e-5)

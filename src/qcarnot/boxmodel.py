@@ -143,19 +143,19 @@ class MixedState:
     weights: np.ndarray
 
     def __post_init__(self):
-        levels = np.asarray(self.levels, dtype=np.int64).copy()
-        weights = np.asarray(self.weights, dtype=np.float64).copy()
+        levels = np.array(self.levels, dtype=np.int64)
+        weights = np.array(self.weights, dtype=np.float64)
         if levels.ndim != 1 or weights.ndim != 1 or levels.shape != weights.shape:
             raise StateError("levels and weights must be 1-D sequences of equal length")
         if levels.size == 0:
             raise StateError("a state needs at least one populated level")
-        if np.any(levels < 1):
+        if levels.min() < 1:
             raise StateError("levels must be positive integers")
-        if levels.size > 1 and np.any(np.diff(levels) <= 0):
+        if (levels[1:] <= levels[:-1]).any():
             raise StateError("levels must be distinct and sorted ascending")
         if not np.all(np.isfinite(weights)):
             raise StateError("weights must be finite")
-        if np.any(weights < 0.0):
+        if weights.min() < 0.0:
             raise StateError("weights must be nonnegative")
         total = float(weights.sum())
         if abs(total - 1.0) > NORMALIZATION_TOL:

@@ -31,8 +31,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .boxmodel import _MAX_LEVEL, WellParams
-from .cycle import CarnotSpec, CycleReport, build_carnot_cycle, evaluate_cycle, sample_cycle
+from .boxmodel import WellParams
+from .cycle import (
+    MAX_TOP_LEVEL,
+    CarnotSpec,
+    CycleReport,
+    build_carnot_cycle,
+    evaluate_cycle,
+    sample_cycle,
+)
 from .errors import (
     DomainError,
     EngineError,
@@ -187,8 +194,8 @@ def parse_spec(text: str) -> SpecFile:
     L1, L1_line = _take_number(entries, "cycle", "L1")
     L3, L3_line = _take_number(entries, "cycle", "L3")
     samples, samples_line = _take_number(entries, "cycle", "samples_per_stroke", 256)
-    if not 2 <= top_level <= _MAX_LEVEL:
-        raise SpecFormatError(f"top_level must lie in [2, 2**63), got {top_level}", top_line)
+    if not 2 <= top_level <= MAX_TOP_LEVEL:
+        raise SpecFormatError(f"top_level must lie in [2, 2**63 - 513], got {top_level}", top_line)
     _require_positive(L1, L1_line, "L1")
     _require_positive(L3, L3_line, "L3")
     if samples < 2:

@@ -17,7 +17,6 @@ import numpy as np
 
 from .boxmodel import (
     DEFAULT_PARAMS,
-    _MAX_LEVEL,
     MixedState,
     WellParams,
     _check_positive_int,
@@ -36,6 +35,13 @@ from .processes import (
     stroke_work_quadrature,
 )
 
+# Largest top_level.  The width ratios L2/L1 and L3/L4 that the isotherms
+# turn into levels round to float(top_level) or one binary64 step away, and
+# the level must fit an int64.  float(top_level) is 2**63 from 2**63 - 512
+# on; the step below, 2**63 - 1024 = 2**63 (1 - 2**-53), never rounds up
+# when divided into a width and back, or multiplied and divided out again.
+MAX_TOP_LEVEL = 2 ** 63 - 513
+
 
 @dataclass(frozen=True)
 class CarnotSpec:
@@ -51,8 +57,10 @@ class CarnotSpec:
     samples_per_stroke: int = 256
 
     def __post_init__(self):
-        if not 2 <= _check_positive_int(self.top_level, "top_level") <= _MAX_LEVEL:
-            raise DomainError(f"top_level must be an integer in [2, 2**63), got {self.top_level!r}")
+        if not 2 <= _check_positive_int(self.top_level, "top_level") <= MAX_TOP_LEVEL:
+            raise DomainError(
+                f"top_level must be an integer in [2, 2**63 - 513], got {self.top_level!r}"
+            )
         for name in ("L1", "L3"):
             object.__setattr__(self, name, _check_positive_real(getattr(self, name), name))
         if _check_positive_int(self.samples_per_stroke, "samples_per_stroke") < 2:

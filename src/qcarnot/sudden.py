@@ -6,14 +6,19 @@ re-expand in the new basis.  The overlap of old level ``n`` with new level
 
     b(m, n) = 2 n alpha^(3/2) (-1)^n sin(m pi / alpha) / (pi (m^2 - alpha^2 n^2)),
 
-which :func:`overlap_coefficient` evaluates through the equivalent
-cancellation-free rewrite
+which :func:`overlap_coefficient` evaluates, for ``m`` within one of the
+resonance ``m = alpha n``, through the equivalent cancellation-free rewrite
 
     b(m, n) = 2 n sqrt(alpha) * sinc((m - alpha n) / alpha) / (m + alpha n),
 
 using ``sinc(x) = sin(pi x)/(pi x)``.  The rewrite is exact for every
-``m, n`` and continuous through the resonance ``m = alpha n``, where it
-yields the limit ``1 / sqrt(alpha)``.
+``m, n`` and continuous through the resonance, where it yields the limit
+``1 / sqrt(alpha)``.  Farther out it uses the closed form with
+``sin(m pi / alpha) = (-1)^k sin(pi r / alpha)`` on the exactly reduced
+``m = k alpha + r``, ``|r| <= alpha / 2``.  That keeps full relative
+accuracy where ``m / alpha`` is close to an integer; the sinc of an
+argument close to a nonzero integer does not, because ``pi x`` is rounded
+first.
 
 Mean energy is conserved by the jump: for every level ``n`` and ratio
 ``alpha > 1`` the energy-weighted squares satisfy
@@ -26,13 +31,30 @@ Whole series of squares go through one block kernel.  With ``a = alpha n``,
 
 and the energy-weighted term is the same with ``m`` in place of ``a`` in
 the numerator.  The sine factor does not depend on ``n``, so the kernel
-takes one sine per index ``m``, on the reduced argument
-``r = m - alpha * rint(m / alpha)`` (``sin^2`` has period ``pi``), and every
-level adds only its rational factor.  The denominator keeps ``m - a`` as a
-factor, so there is no cancellation near ``m = a``; the one or two ``m``
-within one of ``a`` (the exact resonance among them, where the quotient is
-0/0) take the sinc form above instead.  Indices run in blocks that fit a
-per-core L2 cache, with preallocated buffers, and block sums are added with
+computes it once per index ``m`` and every level adds only its rational
+factor.  It calls no transcendental function per index: with
+``theta = pi / alpha``, each call tabulates ``sin(theta i)`` and
+``cos(theta i)`` for the offsets ``i`` within a block, each block starting
+at ``s`` takes ``sin(theta s)`` and ``cos(theta s)`` once, and
+
+    sin(theta (s + i)) = sin(theta s) cos(theta i) + cos(theta s) sin(theta i)
+
+costs two multiplies and an add.  Both arguments are reduced modulo
+``alpha``, the period of ``sin^2(theta m)``: the block start exactly, with
+:func:`math.fmod`, the offsets to within an ulp.  Each reduction by ``k
+alpha`` flips the sign of its sine and cosine by ``(-1)^k``, which the
+square removes.  Each sine is then off by less than about 1e-15 in absolute
+terms for every ``m``, and the error does not grow from block to block; a
+sine of ``m - alpha * rint(m / alpha)`` reduced in binary64 is off by up to
+about ``m * 1e-16``.  The error is
+absolute, not relative, so where ``sin(pi m / alpha)`` is itself at
+rounding level only its smallness counts; at the ``m`` that ``alpha * k``
+rounds to for an integer ``k`` the factor is set to exactly 0
+(:func:`_exact_zero_step`).  The denominator keeps ``m - a`` as a factor,
+so there is no cancellation near ``m = a``; the one or two ``m`` within one
+of ``a`` (the exact resonance among them, where the quotient is 0/0) take
+the sinc form above instead.  Indices run in blocks that fit a per-core L2
+cache, with preallocated buffers, and block sums are added with
 :func:`math.fsum`.
 
 :func:`verify_energy_identity` certifies the identity numerically: it sums
@@ -54,8 +76,9 @@ import numpy as np
 from .boxmodel import MixedState, _check_level, _check_positive_int, _check_positive_real
 from .errors import DomainError, TruncationError, VerificationError
 
-# Indices per block of the series kernel: its six float64 buffers of this
-# length (768 KiB) stay in a per-core L2 cache.
+# Indices per block of the series kernel: its five float64 buffers and two
+# sine and cosine tables of this length (896 KiB) stay in a per-core L2
+# cache.  The table's argument reduction needs _BLOCK <= 2**14.
 _BLOCK = 1 << 14
 
 # Largest term budget: series indices are float64, exact up to 2**53.
@@ -110,8 +133,44 @@ def overlap_coefficient(n, m, alpha) -> float:
     if alpha == 1.0:
         return 1.0 if m == n else 0.0
     a = alpha * n
-    gap = m - a
-    return 2.0 * n * math.sqrt(alpha) * float(np.sinc(gap / alpha)) / (m + a)
+    if abs(m - a) < 1.0:
+        return 2.0 * n * math.sqrt(alpha) * float(np.sinc((m - a) / alpha)) / (m + a)
+    # Away from resonance, the closed form on the exactly reduced argument:
+    # m = k alpha + r with |r| <= alpha / 2, sin(pi m / alpha) = (-1)^k sin(pi r / alpha).
+    r = math.fmod(m, alpha)
+    if r > 0.5 * alpha:
+        r -= alpha
+    k = round((m - r) / alpha)
+    sign = -1.0 if (n + k) % 2 else 1.0
+    # Dividing twice keeps (m - a) (m + a) from overflowing for huge alpha.
+    return sign * 2.0 * math.sqrt(alpha) / math.pi * math.sin(math.pi * r / alpha) * (
+        a / (m - a) / (m + a)
+    )
+
+
+def _exact_zero_step(alpha: float, terms: int) -> tuple[int, int, bool] | None:
+    """The indices ``m <= terms`` whose sine factor is set to exactly 0.
+
+    They are the ``m`` that ``alpha * k`` rounds to in binary64 for an
+    integer ``k``, where the reduced argument ``m - alpha k`` rounds to 0 and
+    ``sin(pi m / alpha)`` is 0 or at rounding level (every second ``m`` at
+    ``alpha = 2``, every thirteenth at ``alpha = 2.6``).  With ``p / q`` the
+    first continued-fraction convergent of ``alpha`` with ``|alpha q - p| <=
+    p 2**-53``, they are multiples ``m = j p`` with ``k = j q``; by
+    Legendre's theorem no other ``m`` qualifies while ``terms**2 < 2**52
+    alpha``.  Returns ``(p, q, every)``, where ``every`` tells that all
+    multiples qualify (``|alpha q - p| < p 2**-54``), or ``None``.
+    """
+    num, den = alpha.as_integer_ratio()
+    p0, q0, p, q = 1, 0, num // den, 1
+    x, y = den, num % den
+    while p <= terms:
+        gap = abs(num * q - p * den)
+        if gap * 2 ** 53 <= p * den:  # always once p / q is alpha itself
+            return p, q, gap * 2 ** 54 < p * den
+        a, (x, y) = x // y, (y, x % y)
+        p0, q0, p, q = p, q, a * p + p0, a * q + q0
+    return None
 
 
 def _square_series(alpha: float, terms: int, levels, weights=None, out=None) -> float:
@@ -137,22 +196,48 @@ def _square_series(alpha: float, terms: int, levels, weights=None, out=None) -> 
                 factor = (m / a) ** 2 if energy else float(w)
                 sinc = float(np.sinc((m - a) / alpha))
                 near.append((m, j, factor * 4.0 * n * n * alpha * sinc * sinc / (m + a) ** 2))
+    zeros = _exact_zero_step(alpha, terms)
 
-    offsets = np.arange(_BLOCK, dtype=np.float64)
-    m_buf, sine_buf, acc_buf, d_buf, e_buf = (np.empty(_BLOCK) for _ in range(5))
+    # sin(theta i) and cos(theta i) for the offsets i in a block, on arguments
+    # reduced to r = i - alpha k in [-alpha/2, alpha/2] with k = rint(i / alpha).
+    # With alpha split into a 39-bit head and a tail, k < 2**14 times the head
+    # and its difference from i are exact, so r is off by an ulp at most.
+    theta = math.pi / alpha
+    unit = math.ldexp(1.0, math.frexp(alpha)[1] - 39)
+    head = math.floor(alpha / unit) * unit
+    width = min(_BLOCK, terms)
+    m_buf = np.arange(width, dtype=np.float64)
+    turns = np.rint(m_buf / alpha)
+    phase = m_buf - turns * head
+    phase -= turns * (alpha - head)
+    phase *= theta
+    sin_tab, cos_tab = np.sin(phase), np.cos(phase)
+    del turns, phase
+    m_buf += 1.0
+    sine_buf, acc_buf, d_buf, e_buf = (np.empty(width) for _ in range(4))
     block_sums = []
     for start in range(1, terms + 1, _BLOCK):
         size = min(_BLOCK, terms + 1 - start)
         m, sine, acc, d, e = (b[:size] for b in (m_buf, sine_buf, acc_buf, d_buf, e_buf))
-        np.add(offsets[:size], float(start), out=m)
-        # sin^2(pi m / alpha) on the reduced argument r = m - alpha rint(m / alpha).
-        np.multiply(m, 1.0 / alpha, out=sine)
-        np.rint(sine, out=sine)
-        np.multiply(sine, alpha, out=sine)
-        np.subtract(m, sine, out=sine)
-        np.multiply(sine, math.pi / alpha, out=sine)
-        np.sin(sine, out=sine)
+        if start > 1:
+            m += _BLOCK
+        # sin(theta (start + i)) = sin(theta s) cos(theta i) + cos(theta s) sin(theta i)
+        # up to sign, with start reduced exactly to s like the table's offsets.
+        s = math.fmod(start, alpha)
+        if s > 0.5 * alpha:
+            s -= alpha
+        np.multiply(cos_tab[:size], math.sin(theta * s), out=sine)
+        np.multiply(sin_tab[:size], math.cos(theta * s), out=d)
+        np.add(sine, d, out=sine)
         np.square(sine, out=sine)
+        if zeros is not None:
+            p, turns, every = zeros
+            first = -start % p
+            if every:
+                sine[first::p] = 0.0
+            else:  # only the multiples j p that alpha * j q rounds to
+                candidates = m[first::p]
+                sine[first::p][alpha * (candidates / p * turns) == candidates] = 0.0
         hits = [(m_near - start, j, term) for m_near, j, term in near
                 if start <= m_near < start + size]
         for j, (a, q) in enumerate(zip(poles, numerators)):
@@ -335,11 +420,16 @@ def post_expansion_distribution(state: MixedState, alpha, tail_tol,
     achieved = _square_series(
         alpha, terms, state.levels.tolist(), weights.tolist(), out=new_weights
     )
-    keep = new_weights > 0.0
-    out = MixedState(
-        np.arange(1, terms + 1, dtype=np.int64)[keep],
-        new_weights[keep] / achieved,
-    )
+    np.divide(new_weights, achieved, out=new_weights)
+    # Levels whose sine factor is exactly 0 carry no population and are dropped.
+    if np.count_nonzero(new_weights) == terms:
+        new_levels = np.arange(1, terms + 1, dtype=np.int64)
+    else:
+        keep = new_weights > 0.0
+        new_levels = np.flatnonzero(keep)
+        new_levels += 1
+        new_weights = new_weights[keep]
+    out = MixedState(new_levels, new_weights)
     return out, TruncationReport(
         terms_used=terms, tail_bound=bound_at(terms), achieved_sum=achieved
     )

@@ -74,6 +74,28 @@ def identity_partial_sum(n, alpha, terms):
     return math.fsum((4.0 * alpha * m * m * s * s / (math.pi ** 2 * d * d)).tolist())
 
 
+def overlap_square_terms(alpha, m_values, levels, weights=None):
+    """Series terms at the indices ``m_values`` in the original form.
+
+    With ``weights``, term ``m`` is ``sum_n w_n 4 alpha^3 n^2 sin^2(m pi/alpha)
+    / (pi^2 (m^2 - alpha^2 n^2)^2)``; without, the energy-weighted identity
+    term ``sum_n 4 alpha m^2 sin^2(m pi/alpha) / (pi^2 (m^2 - alpha^2 n^2)^2)``.
+    One ``math.sin(m * pi / alpha)`` per index, terms added with
+    ``math.fsum``.  Exact resonances ``m = alpha n`` give 0/0, so callers
+    leave out the ``m`` within one of ``alpha n``.
+    """
+    out = []
+    for m in m_values:
+        s = math.sin(m * math.pi / alpha)
+        parts = []
+        for j, n in enumerate(levels):
+            d = m * m - (alpha * n) ** 2
+            numerator = m * m / alpha ** 2 if weights is None else weights[j] * n * n
+            parts.append(4.0 * alpha ** 3 * numerator * s * s / (math.pi ** 2 * d * d))
+        out.append(math.fsum(parts))
+    return np.array(out)
+
+
 def central_difference(f, x, h):
     return (f(x + h) - f(x - h)) / (2.0 * h)
 

@@ -122,6 +122,29 @@ class TestMixedState:
         with pytest.raises(ValueError):
             s.weights[0] = 0.5
 
+    def test_constructor_copies_its_arrays(self):
+        levels, weights = np.array([1, 2]), np.array([0.25, 0.75])
+        s = MixedState(levels, weights)
+        levels[0], weights[0] = 7, 0.5
+        assert s.populations == ((1, 0.25), (2, 0.75))
+
+    @pytest.mark.parametrize("levels, weights, message", [
+        ([], [], "at least one"),
+        ([0, 1], [0.5, 0.5], "positive integers"),
+        ([2, 1], [0.5, 0.5], "sorted ascending"),
+        ([1, 1], [0.5, 0.5], "distinct"),
+        ([1, 2], [math.nan, 1.0], "finite"),
+        ([1, 2], [-1.0, math.nan], "finite"),
+        ([1, 2], [math.inf, -math.inf], "finite"),
+        ([1, 2, 3], [1e308, 1e308, -1.0], "nonnegative"),
+        ([1, 2], [-0.5, 1.5], "nonnegative"),
+        ([1, 2], [0.5, 0.4], "sum to 1"),
+        ([1, 2, 3], [1e308, 1e308, 1.0], "sum to 1"),
+    ])
+    def test_constructor_checks_in_order(self, levels, weights, message):
+        with pytest.raises(StateError, match=message):
+            MixedState(np.array(levels, dtype=np.int64), np.array(weights))
+
 
 class TestExpectationEnergy:
     def test_pure_reduces_to_eigenenergy(self):

@@ -37,6 +37,7 @@ from qcarnot.cli import (
     write_samples_csv,
 )
 from qcarnot.boxmodel import WellParams
+from qcarnot.cycle import MAX_TOP_LEVEL
 
 MINIMAL = "[cycle]\ntop_level = 2\nL1 = 1\nL3 = 4\n"
 
@@ -230,6 +231,27 @@ class TestSimulate:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: energy scale out of range")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("top_level", [MAX_TOP_LEVEL + 1, 2 ** 63 - 1])
+    def test_top_level_beyond_largest_exits_1(self, top_level, tmp_path):
+        path = tmp_path / "huge.spec"
+        path.write_text(f"[cycle]\ntop_level = {top_level}\nL1 = 1\nL3 = 2e19\n")
+        code, err = _run_main(["simulate", str(path), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert err.splitlines() == [
+            f"error: {path}: line 2: top_level must lie in [2, 2**63 - 513], got {top_level}"
+        ]
+
+    def test_largest_top_level_passes_spec_checks(self, tmp_path):
+        text = f"[cycle]\ntop_level = {MAX_TOP_LEVEL}\nL1 = 1\nL3 = 2e19\nsamples_per_stroke = 4\n"
+        assert parse_spec(text).cycle.top_level == MAX_TOP_LEVEL
+        path = tmp_path / "huge.spec"
+        path.write_text(text)
+        code, err = _run_main(["simulate", str(path), "--out", str(tmp_path / "out")])
+        # The cycle is built; at this scale its quadrature cross-check may
+        # still miss the 1e-10 gate (exit 2), a limit apart from the spec's.
+        assert code in (0, 2)
+        assert "top_level" not in err
 
     def test_byte_identical_reruns(self, spec_path, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

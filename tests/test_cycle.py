@@ -18,6 +18,7 @@ from qcarnot import (
     sample_cycle,
     stroke_work,
 )
+from qcarnot.cycle import MAX_TOP_LEVEL
 
 FLAGSHIP = CarnotSpec(top_level=2, L1=1.0, L3=4.0)
 
@@ -77,6 +78,23 @@ class TestBuild:
     def test_count_rejections(self, top_level, samples):
         with pytest.raises(DomainError):
             CarnotSpec(top_level, 1.0, 1e300, samples_per_stroke=samples)
+
+    def test_largest_top_level_builds(self):
+        # float(MAX_TOP_LEVEL) is 2**63 - 1024, the largest binary64 value
+        # below 2**63; the width ratio that picks the cold isotherm's top level
+        # rounds to it or one step below, never up to 2**63.
+        assert MAX_TOP_LEVEL == 2 ** 63 - 513
+        assert float(MAX_TOP_LEVEL) == 2.0 ** 63 - 1024 and float(MAX_TOP_LEVEL + 1) == 2.0 ** 63
+        rng = np.random.default_rng(11)
+        for L1, ratio in zip(10.0 ** rng.uniform(-3, 3, 200), rng.uniform(1.0, 4.0, 200)):
+            c = build_carnot_cycle(CarnotSpec(MAX_TOP_LEVEL, L1, MAX_TOP_LEVEL * L1 * ratio))
+            (level, _), = c.strokes[2].state_start.populations
+            assert level in (2 ** 63 - 2048, 2 ** 63 - 1024)
+
+    @pytest.mark.parametrize("top_level", [MAX_TOP_LEVEL + 1, 2 ** 63 - 1])
+    def test_top_level_beyond_largest_rejected(self, top_level):
+        with pytest.raises(DomainError, match=r"top_level must be an integer in \[2, 2\*\*63 - 513\]"):
+            CarnotSpec(top_level, 1.0, 1e300)
 
     def test_closure(self):
         c = build_carnot_cycle(CarnotSpec(4, 0.7, 5.3))

@@ -20,6 +20,17 @@ from qcarnot import (
 )
 from strategies import mixed_states
 
+_BLOCK = sudden._BLOCK
+
+
+def _overlap_mpmath(n, m, alpha):
+    """``b(m, n)`` in the original closed form, at 50 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        a = mpmath.mpf(alpha)
+        return float(2 * n * a ** 1.5 * (-1) ** n * mpmath.sin(m * mpmath.pi / a)
+                     / (mpmath.pi * (m * m - a * a * n * n)))
+
 
 class TestOverlapCoefficient:
     def test_ground_to_ground_doubling(self):
@@ -41,6 +52,24 @@ class TestOverlapCoefficient:
         alpha = 2.0 + 1e-11
         assert overlap_coefficient(1, 2, alpha) == pytest.approx(
             1 / math.sqrt(2.0), rel=1e-9
+        )
+
+    @pytest.mark.parametrize("n, m, ratio", [(1, 4, 2), (1, 7, 3), (2, 13, 5), (3, 40, 4), (5, 9, 1)])
+    @pytest.mark.parametrize("offset", [1e-6, -1e-6, 1e-9, -1e-9, 1e-11, -1e-11])
+    def test_near_integer_ratio_matches_mpmath(self, n, m, ratio, offset):
+        # m / alpha lies within |offset| of an integer other than n, where
+        # sin(m pi / alpha) is small and must keep its relative accuracy.
+        alpha = m / (ratio + offset)
+        assert abs(m - alpha * n) >= 1.0
+        assert overlap_coefficient(n, m, alpha) == pytest.approx(
+            _overlap_mpmath(n, m, alpha), rel=1e-12, abs=0
+        )
+
+    @pytest.mark.parametrize("n, m, alpha", [(3, 5, 1e200), (1, 2, 1e160), (2, 7, 3e5)])
+    def test_large_ratio_matches_mpmath(self, n, m, alpha):
+        # alpha^2 n^2 overflows binary64 in the first two cases.
+        assert overlap_coefficient(n, m, alpha) == pytest.approx(
+            _overlap_mpmath(n, m, alpha), rel=1e-12, abs=0
         )
 
     def test_matches_integration_small_grid(self):
@@ -73,7 +102,8 @@ class TestSquareKernel:
         # The grid holds exact resonances (alpha = 2, m = 2n, e.g. n = 3,
         # m = 6) and near ones (alpha = 2 + 1e-11).  Where m / alpha lies
         # within 1e-6 of an integer away from the resonance, sin(m pi / alpha)
-        # is rounding-level in both forms and only its smallness is compared.
+        # is at rounding level in the kernel, which is accurate in absolute
+        # terms only, so only its smallness is compared.
         row = level_overlap_squares(n, alpha, 40)
         for m in range(1, 41):
             reference = overlap_coefficient(n, m, alpha) ** 2
@@ -109,6 +139,71 @@ class TestSquareKernel:
         raw[out.levels - 1] = out.weights * report.achieved_sum
         np.testing.assert_allclose(raw, expected, rtol=0, atol=1e-15)
 
+    KERNEL_ALPHAS = [1.05, 1.3, 2.03, 2.6 + 1e-9, 3.7, 10.0]
+
+    @pytest.mark.parametrize("alpha", KERNEL_ALPHAS)
+    @pytest.mark.parametrize("levels, weights", [([2], None), ([1, 3, 4], [0.2, 0.5, 0.3])])
+    def test_terms_match_original_form(self, alpha, levels, weights):
+        # Three whole blocks and five indices of a fourth, with every block
+        # edge; the m within one of a resonance take the sinc form and are
+        # compared elsewhere.
+        terms = 3 * sudden._BLOCK + 5
+        row = np.empty(terms)
+        sudden._square_series(alpha, terms, levels, weights, out=row)
+        m = np.arange(1, terms + 1)
+        far = (np.abs(m[:, None] - alpha * np.array(levels)) >= 1.0).all(axis=1)
+        expected = oracles.overlap_square_terms(alpha, m[far].tolist(), levels, weights)
+        np.testing.assert_allclose(row[far], expected, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("alpha", KERNEL_ALPHAS)
+    def test_terms_near_four_million_match_original_form(self, alpha):
+        # Indices around the block edge at 245 * _BLOCK = 4014080.
+        edge = 245 * sudden._BLOCK
+        levels, weights = [1, 3, 4], [0.2, 0.5, 0.3]
+        row = np.empty(edge + 6)
+        sudden._square_series(alpha, edge + 6, levels, weights, out=row)
+        m = list(range(edge - 6, edge + 7))
+        expected = oracles.overlap_square_terms(alpha, m, levels, weights)
+        np.testing.assert_allclose(row[edge - 7:], expected, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("alpha, levels, weights, m_values", [
+        (1.05, [1], None, [1, 2, 3, _BLOCK, _BLOCK + 1, 3 * _BLOCK, 245 * _BLOCK + 1]),
+        (1.3, [2, 5], [0.4, 0.6], [2, 3, 6, 7, _BLOCK - 1, 2 * _BLOCK + 1, 245 * _BLOCK]),
+        (2.6 + 1e-9, [3], [1.0], [7, 8, 9, _BLOCK - 1, 2 * _BLOCK + 1, 245 * _BLOCK]),
+        (3.7, [2], None, [1, 7, 8, _BLOCK, 3 * _BLOCK + 2, 245 * _BLOCK - 1]),
+        (10.0, [1, 3], [0.5, 0.5], [9, 11, 29, 30, 31, _BLOCK + 1, 245 * _BLOCK + 3]),
+    ])
+    def test_terms_match_mpmath(self, alpha, levels, weights, m_values):
+        # 50-digit values of the original form, resonant indices included.
+        mpmath = pytest.importorskip("mpmath")
+        row = np.empty(max(m_values))
+        sudden._square_series(alpha, row.size, levels, weights, out=row)
+        with mpmath.workdps(50):
+            a = mpmath.mpf(alpha)
+            for m in m_values:
+                exact = 0
+                for j, n in enumerate(levels):
+                    factor = m * m / (a * n) ** 2 if weights is None else weights[j]
+                    if m == alpha * n:
+                        exact += factor / a
+                    else:
+                        exact += factor * (4 * n * n * a ** 3 * mpmath.sin(m * mpmath.pi / a) ** 2
+                                           / (mpmath.pi ** 2 * (m * m - a * a * n * n) ** 2))
+                assert row[m - 1] == pytest.approx(float(exact), rel=1e-14, abs=0), m
+
+    @pytest.mark.parametrize("alpha", [2.0, 2.5, 2.6, 3.0, 1.05, 3.03, 10 / 3, 2.6 + 1e-9, 3.7])
+    def test_exact_zeros_follow_rounding_rule(self, alpha):
+        # A term is exactly 0 where alpha * k rounds to m for an integer k:
+        # every m = 2j at alpha = 2, every 13j at 2.6 (5 * 2.6 rounds to 13),
+        # some of the 303j at 3.03, none at 3.7 in this range.
+        terms = 3 * sudden._BLOCK + 5
+        row = level_overlap_squares(1, alpha, terms)
+        m = np.arange(1.0, terms + 1.0)
+        rule = (alpha * np.rint(m / alpha) == m) & (np.abs(m - alpha) >= 1.0)
+        np.testing.assert_array_equal(row == 0.0, rule)
+        if alpha == 3.03:
+            assert 0 < rule.sum() < terms // 303
+
     @pytest.mark.parametrize(
         "n, alpha",
         [(1, 2.3), (2, 1.37), (3, 3.71), (5, 1.05), (4, 2.61), (7, 1.45)],
@@ -126,6 +221,21 @@ class TestPostExpansionDistribution:
         raw = dict(zip(out.levels.tolist(), (out.weights * report.achieved_sum).tolist()))
         assert raw[1] == pytest.approx(32 / (9 * math.pi ** 2), rel=1e-13)
         assert raw[2] == pytest.approx(0.5, abs=1e-15)
+
+    @pytest.mark.parametrize("alpha, support, terms, tail", [
+        (2.0, 202644, 405286, 9.999993450798416e-07),
+        (2.5, 405286, 506607, 9.999999401437427e-07),
+        (2.6, 486344, 526872, 9.999985279854885e-07),
+        (3.0, 405287, 607929, 9.99998777094468e-07),
+    ])
+    def test_exact_zeros_pinned(self, alpha, support, terms, tail):
+        # Levels whose sine factor is exactly 0 are dropped: every second at
+        # alpha = 2 (the resonant m = 2 stays), every fifth at 2.5, every
+        # thirteenth at 2.6, every third at 3.
+        out, report = post_expansion_distribution(MixedState.pure(1), alpha, 1e-6)
+        assert out.levels.size == support
+        assert report.terms_used == terms
+        assert report.tail_bound == pytest.approx(tail, rel=1e-14, abs=0)
 
     def test_identity_ratio_returns_input(self):
         s = MixedState.from_pairs({1: 0.5, 3: 0.5})

@@ -1,10 +1,12 @@
 """Command-line front end: spec files in, CSV data and reports out.
 
 Spec file grammar: lines are ``[section]`` headers or ``key = value``; ``#``
-starts a comment; sections are ``well``, ``cycle``, ``sudden``.  Values are
+starts a comment; sections are ``well`` (``hbar``, ``mass``) and ``cycle``
+(``type``, ``top_level``, ``L1``, ``L3``, ``samples_per_stroke``).  Values are
 decimal numbers or bare integers, except ``type`` which takes the identifier
-``carnot``.  Duplicate keys or sections, unknown keys, and constraint
-violations are rejected with line-numbered diagnostics.
+``carnot``.  :func:`parse_spec` returns the :class:`CarnotSpec`; duplicate keys
+or sections, unknown keys, and values that :class:`WellParams` or
+:class:`CarnotSpec` reject are reported with line-numbered diagnostics.
 
 Commands::
 
@@ -23,17 +25,14 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import math
 import re
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .boxmodel import WellParams
 from .cycle import (
-    MAX_TOP_LEVEL,
     CarnotSpec,
     CycleReport,
     build_carnot_cycle,
@@ -43,14 +42,12 @@ from .cycle import (
 from .errors import (
     DomainError,
     EngineError,
-    QuadratureError,
     SpecFormatError,
     StateError,
-    TruncationError,
     VerificationError,
 )
 from .processes import SampleTable
-from .sudden import verify_energy_identity
+from .sudden import TruncationReport, verify_energy_identity
 
 SAMPLES_HEADER = "stroke_index,stroke_kind,L,force,energy,entropy,populations"
 REPORT_HEADER = "W,Q_H,Q_C,eta,eta_closed_form,quadrature_discrepancy"
@@ -61,54 +58,23 @@ _CSV_BLOCK_ROWS = 1024
 
 _INT_RE = re.compile(r"[+-]?\d+$")
 
+# Keys of each section; no key belongs to two sections.
 _SECTION_KEYS = {
     "well": ("hbar", "mass"),
     "cycle": ("type", "top_level", "L1", "L3", "samples_per_stroke"),
-    "sudden": ("n", "alpha", "tol"),
 }
-_INT_KEYS = {"top_level", "samples_per_stroke", "n"}
-
-
-@dataclass(frozen=True)
-class CycleSection:
-    top_level: int
-    L1: float
-    L3: float
-    type: str = "carnot"
-    samples_per_stroke: int = 256
-
-
-@dataclass(frozen=True)
-class SuddenSection:
-    n: int
-    alpha: float
-    tol: float = 1e-6
-
-
-@dataclass(frozen=True)
-class SpecFile:
-    well: WellParams
-    cycle: CycleSection
-    sudden: SuddenSection | None = None
-
-    def to_carnot_spec(self) -> CarnotSpec:
-        return CarnotSpec(
-            top_level=self.cycle.top_level,
-            L1=self.cycle.L1,
-            L3=self.cycle.L3,
-            params=self.well,
-            samples_per_stroke=self.cycle.samples_per_stroke,
-        )
+_INT_KEYS = {"top_level", "samples_per_stroke"}
 
 
 def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _scan(text: str) -> dict[str, dict[str, tuple[int, str]]]:
-    """Tokenize the spec text into ``{section: {key: (line, raw value)}}``."""
-    entries: dict[str, dict[str, tuple[int, str]]] = {}
-    section_lines: dict[str, int] = {}
+def _scan(text: str) -> tuple[dict[str, int], dict[str, tuple[int, str]]]:
+    """Tokenize the spec text into the line of each section header and
+    ``{key: (line, raw value)}``."""
+    sections: dict[str, int] = {}
+    entries: dict[str, tuple[int, str]] = {}
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -120,15 +86,15 @@ def _scan(text: str) -> dict[str, dict[str, tuple[int, str]]]:
             name = line[1:-1].strip()
             if name not in _SECTION_KEYS:
                 raise SpecFormatError(
-                    f"unknown section '[{name}]' (expected one of: well, cycle, sudden)", lineno
+                    f"unknown section '[{name}]' (expected one of: {', '.join(_SECTION_KEYS)})",
+                    lineno,
                 )
-            if name in section_lines:
+            if name in sections:
                 raise SpecFormatError(
-                    f"duplicate section '[{name}]' (first at line {section_lines[name]})", lineno
+                    f"duplicate section '[{name}]' (first at line {sections[name]})", lineno
                 )
-            section_lines[name] = lineno
+            sections[name] = lineno
             section = name
-            entries[name] = {}
             continue
         if "=" not in line:
             raise SpecFormatError(f"expected 'key = value', got {line!r}", lineno)
@@ -139,115 +105,68 @@ def _scan(text: str) -> dict[str, dict[str, tuple[int, str]]]:
             raise SpecFormatError(f"key {key!r} appears before any section header", lineno)
         if key not in _SECTION_KEYS[section]:
             raise SpecFormatError(f"unknown key {key!r} in [{section}]", lineno)
-        if key in entries[section]:
-            first = entries[section][key][0]
+        if key in entries:
+            first = entries[key][0]
             raise SpecFormatError(f"duplicate key {key!r} (first at line {first})", lineno)
         if not value:
             raise SpecFormatError(f"missing value for key {key!r}", lineno)
-        entries[section][key] = (lineno, value)
-    return entries
+        entries[key] = (lineno, value)
+    return sections, entries
 
 
-def _take_number(entries, section, key, default=None):
-    if key not in entries.get(section, {}):
-        return default, None
-    lineno, raw = entries[section][key]
-    if key in _INT_KEYS:
-        if not _INT_RE.fullmatch(raw):
-            raise SpecFormatError(f"{key} must be a bare integer, got {raw!r}", lineno)
-        return int(raw), lineno
+def _number(key: str, raw: str, lineno: int) -> int | float:
+    """``raw`` as the value of ``key``: a bare integer for the integer keys,
+    else a decimal number."""
     try:
-        value = float(raw)
-    except ValueError:
-        raise SpecFormatError(f"{key} must be a decimal number, got {raw!r}", lineno) from None
-    if not math.isfinite(value):
-        raise SpecFormatError(f"{key} must be finite, got {raw!r}", lineno)
-    return value, lineno
+        if key not in _INT_KEYS:
+            return float(raw)
+        if _INT_RE.fullmatch(raw):
+            return int(raw)
+    except ValueError:  # not a number, or an integer of more than 4300 digits
+        pass
+    kind = "a bare integer" if key in _INT_KEYS else "a decimal number"
+    raise SpecFormatError(f"{key} must be {kind}, got {raw!r}", lineno)
 
 
-def _require_positive(value, lineno, key):
-    if value <= 0:
-        raise SpecFormatError(f"{key} must be positive, got {value!r}", lineno)
+def parse_spec(text: str) -> CarnotSpec:
+    """The cycle a spec document describes; raises :class:`SpecFormatError`.
 
-
-def parse_spec(text: str) -> SpecFile:
-    """Parse and validate a spec document; raises :class:`SpecFormatError`."""
-    entries = _scan(text)
-
-    hbar, hbar_line = _take_number(entries, "well", "hbar", 1.0)
-    mass, mass_line = _take_number(entries, "well", "mass", 1.0)
-    _require_positive(hbar, hbar_line, "hbar")
-    _require_positive(mass, mass_line, "mass")
-    well = WellParams(hbar=hbar, mass=mass)
-
-    if "cycle" not in entries:
+    The parser checks only the syntax.  :class:`WellParams` and
+    :class:`CarnotSpec` check the values; each of their errors starts with
+    the name of a field and is reported at the line of that key.
+    """
+    sections, entries = _scan(text)
+    if "cycle" not in sections:
         raise SpecFormatError("missing required section '[cycle]'")
-    cycle_line = min(line for line, _ in entries["cycle"].values()) if entries["cycle"] else None
-    if "type" in entries["cycle"]:
-        type_line, type_raw = entries["cycle"]["type"]
-        if type_raw != "carnot":
-            raise SpecFormatError(f"type must be 'carnot', got {type_raw!r}", type_line)
+    type_line, type_raw = entries.pop("type", (None, "carnot"))
+    if type_raw != "carnot":
+        raise SpecFormatError(f"type must be 'carnot', got {type_raw!r}", type_line)
     for key in ("top_level", "L1", "L3"):
-        if key not in entries["cycle"]:
-            raise SpecFormatError(f"missing required key {key!r} in [cycle]", cycle_line)
-    top_level, top_line = _take_number(entries, "cycle", "top_level")
-    L1, L1_line = _take_number(entries, "cycle", "L1")
-    L3, L3_line = _take_number(entries, "cycle", "L3")
-    samples, samples_line = _take_number(entries, "cycle", "samples_per_stroke", 256)
-    if not 2 <= top_level <= MAX_TOP_LEVEL:
-        raise SpecFormatError(f"top_level must lie in [2, 2**63 - 513], got {top_level}", top_line)
-    _require_positive(L1, L1_line, "L1")
-    _require_positive(L3, L3_line, "L3")
-    if samples < 2:
-        raise SpecFormatError(f"samples_per_stroke must be at least 2, got {samples}", samples_line)
-    if L3 < top_level * L1:
-        raise SpecFormatError(
-            f"L3 must exceed top_level*L1: got L3={L3!r}, top_level*L1={top_level * L1!r}",
-            L3_line,
-        )
-    cycle = CycleSection(top_level=top_level, L1=L1, L3=L3, samples_per_stroke=samples)
-
-    sudden = None
-    if "sudden" in entries:
-        for key in ("n", "alpha"):
-            if key not in entries["sudden"]:
-                raise SpecFormatError(f"missing required key {key!r} in [sudden]")
-        n, n_line = _take_number(entries, "sudden", "n")
-        alpha, alpha_line = _take_number(entries, "sudden", "alpha")
-        tol, tol_line = _take_number(entries, "sudden", "tol", 1e-6)
-        if n < 1:
-            raise SpecFormatError(f"n must be a positive integer, got {n}", n_line)
-        if alpha <= 1.0:
-            raise SpecFormatError(f"alpha must exceed 1, got {alpha!r}", alpha_line)
-        if not (0.0 < tol <= 1e-4):
-            raise SpecFormatError(f"tol must lie in (0, 1e-4], got {tol!r}", tol_line)
-        sudden = SuddenSection(n=n, alpha=alpha, tol=tol)
-
-    return SpecFile(well=well, cycle=cycle, sudden=sudden)
+        if key not in entries:
+            raise SpecFormatError(f"missing required key {key!r} in [cycle]", sections["cycle"])
+    values = {key: _number(key, raw, lineno) for key, (lineno, raw) in entries.items()}
+    try:
+        well = {key: values.pop(key) for key in _SECTION_KEYS["well"] if key in values}
+        return CarnotSpec(params=WellParams(**well), **values)
+    except DomainError as exc:
+        field = str(exc).split(" ", 1)[0]
+        raise SpecFormatError(str(exc), entries[field][0] if field in entries else None) from exc
 
 
-def render_spec(spec: SpecFile) -> str:
+def render_spec(spec: CarnotSpec) -> str:
     """Canonical text for ``spec``; ``parse_spec(render_spec(s)) == s``."""
     lines = [
         "[well]",
-        f"hbar = {format_float(spec.well.hbar)}",
-        f"mass = {format_float(spec.well.mass)}",
+        f"hbar = {format_float(spec.params.hbar)}",
+        f"mass = {format_float(spec.params.mass)}",
         "",
         "[cycle]",
-        f"type = {spec.cycle.type}",
-        f"top_level = {spec.cycle.top_level}",
-        f"L1 = {format_float(spec.cycle.L1)}",
-        f"L3 = {format_float(spec.cycle.L3)}",
-        f"samples_per_stroke = {spec.cycle.samples_per_stroke}",
+        "type = carnot",
+        f"top_level = {spec.top_level}",
+        f"L1 = {format_float(spec.L1)}",
+        f"L3 = {format_float(spec.L3)}",
+        f"samples_per_stroke = {spec.samples_per_stroke}",
     ]
-    if spec.sudden is not None:
-        lines += [
-            "",
-            "[sudden]",
-            f"n = {spec.sudden.n}",
-            f"alpha = {format_float(spec.sudden.alpha)}",
-            f"tol = {format_float(spec.sudden.tol)}",
-        ]
     return "\n".join(lines) + "\n"
 
 
@@ -285,28 +204,25 @@ def write_samples_csv(path, samples: SampleTable) -> None:
             out.write("\n".join(_sample_lines(samples, start, start + _CSV_BLOCK_ROWS)) + "\n")
 
 
+def _report_fields(report: CycleReport) -> list[tuple[str, str]]:
+    """(column, formatted value) for each column of ``REPORT_HEADER``."""
+    return [(name, format_float(getattr(report, name))) for name in REPORT_HEADER.split(",")]
+
+
 def write_report_csv(path, report: CycleReport) -> None:
-    row = ",".join(
-        format_float(v)
-        for v in (
-            report.W,
-            report.Q_H,
-            report.Q_C,
-            report.eta,
-            report.eta_closed_form,
-            report.quadrature_discrepancy,
-        )
-    )
+    row = ",".join(value for _, value in _report_fields(report))
     Path(path).write_text(REPORT_HEADER + "\n" + row + "\n", newline="\n")
 
 
 def _print_report(report: CycleReport) -> None:
-    print(f"W = {format_float(report.W)}")
-    print(f"Q_H = {format_float(report.Q_H)}")
-    print(f"Q_C = {format_float(report.Q_C)}")
-    print(f"eta = {format_float(report.eta)}")
-    print(f"eta_closed_form = {format_float(report.eta_closed_form)}")
-    print(f"quadrature_discrepancy = {format_float(report.quadrature_discrepancy)}")
+    for name, value in _report_fields(report):
+        print(f"{name} = {value}")
+
+
+def _print_identity(report: TruncationReport, file=None) -> None:
+    print(f"achieved_sum = {format_float(report.achieved_sum)}", file=file)
+    print(f"terms_used = {report.terms_used}", file=file)
+    print(f"tail_bound = {format_float(report.tail_bound)}", file=file)
 
 
 def _fail(message: str, code: int) -> int:
@@ -314,91 +230,82 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _load_spec(spec_path) -> SpecFile:
+# Exit code of each failure a command raises, looked up along the exception's
+# MRO.  A spec file that cannot be read raises SpecFormatError, so an OSError
+# comes from writing the output.
+_EXIT_CODES = {
+    SpecFormatError: 1,
+    DomainError: 1,
+    StateError: 1,
+    VerificationError: 1,
+    EngineError: 2,
+    OSError: 2,
+}
+
+
+def _exit_code(command):
+    """``command`` returning exit code 0, or the code in ``_EXIT_CODES`` of
+    the failure it raises, which is written as one ``error:`` line."""
+
+    @functools.wraps(command)
+    def run(*args, **kwargs) -> int:
+        try:
+            command(*args, **kwargs)
+        except tuple(_EXIT_CODES) as exc:
+            if isinstance(exc, VerificationError):
+                _print_identity(exc.report, sys.stderr)
+            prefix = "cannot write output: " if isinstance(exc, OSError) else ""
+            code = next(_EXIT_CODES[c] for c in type(exc).__mro__ if c in _EXIT_CODES)
+            return _fail(f"{prefix}{exc}", code)
+        return 0
+
+    return run
+
+
+def _load_spec(spec_path) -> CarnotSpec:
+    """The spec in the file at ``spec_path``; a file that cannot be read or
+    parsed raises :class:`SpecFormatError` with a message naming the path."""
     try:
-        text = Path(spec_path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise SpecFormatError(f"cannot read spec file {spec_path!r}: {exc}") from exc
-    return parse_spec(text)
+        return parse_spec(Path(spec_path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, SpecFormatError) as exc:
+        raise SpecFormatError(f"{spec_path}: {exc}") from exc
 
 
-def cmd_simulate(spec_path, out_dir) -> int:
+@_exit_code
+def cmd_simulate(spec_path, out_dir):
     """Write samples.csv and report.csv for the cycle described by ``spec_path``."""
-    try:
-        spec = _load_spec(spec_path)
-        cycle = build_carnot_cycle(spec.to_carnot_spec())
-        report = evaluate_cycle(cycle)
-        samples = sample_cycle(cycle)
-    except (SpecFormatError, DomainError, StateError) as exc:
-        return _fail(f"{spec_path}: {exc}", 1)
-    except (QuadratureError, TruncationError, EngineError) as exc:
-        return _fail(str(exc), 2)
-    try:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        write_samples_csv(out / "samples.csv", samples)
-        write_report_csv(out / "report.csv", report)
-    except OSError as exc:
-        return _fail(f"cannot write to {out_dir!r}: {exc}", 2)
+    cycle = build_carnot_cycle(_load_spec(spec_path))
+    report = evaluate_cycle(cycle)
+    samples = sample_cycle(cycle)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    write_samples_csv(out / "samples.csv", samples)
+    write_report_csv(out / "report.csv", report)
     _print_report(report)
-    return 0
 
 
-def cmd_verify_identity(n, alpha, tol, max_terms: int = 100_000_000) -> int:
+@_exit_code
+def cmd_verify_identity(n, alpha, tol, max_terms: int = 100_000_000):
     """Certify the post-expansion energy-conservation sum for one (n, alpha)."""
-    try:
-        report = verify_energy_identity(n, alpha, tol, max_terms=max_terms)
-    except (DomainError, StateError) as exc:
-        return _fail(str(exc), 1)
-    except VerificationError as exc:
-        r = exc.report
-        print(f"achieved_sum = {format_float(r.achieved_sum)}", file=sys.stderr)
-        print(f"terms_used = {r.terms_used}", file=sys.stderr)
-        print(f"tail_bound = {format_float(r.tail_bound)}", file=sys.stderr)
-        return _fail(f"residual {format_float(r.achieved_sum - 1.0)} exceeds tol", 1)
-    except TruncationError as exc:
-        return _fail(str(exc), 2)
-    print(f"achieved_sum = {format_float(report.achieved_sum)}")
-    print(f"terms_used = {report.terms_used}")
-    print(f"tail_bound = {format_float(report.tail_bound)}")
-    return 0
+    _print_identity(verify_energy_identity(n, alpha, tol, max_terms=max_terms))
 
 
-def cmd_sweep(spec_path, l3_from, l3_to, steps, out_path) -> int:
+@_exit_code
+def cmd_sweep(spec_path, l3_from, l3_to, steps, out_path):
     """Efficiency curve over a range of L3 values, one CSV row per step."""
-    try:
-        spec = _load_spec(spec_path)
-        base = spec.to_carnot_spec()
-        if int(steps) != steps or steps < 2:
-            raise DomainError(f"steps must be an integer >= 2, got {steps!r}")
-        floor = base.top_level * base.L1
-        if not l3_from > floor:
-            raise DomainError(f"l3-from must exceed top_level*L1 = {floor!r}, got {l3_from!r}")
-        rows = []
-        for L3 in np.linspace(l3_from, l3_to, int(steps)):
-            report = evaluate_cycle(
-                build_carnot_cycle(dataclasses.replace(base, L3=float(L3)))
-            )
-            rows.append(
-                ",".join(
-                    (
-                        format_float(L3),
-                        format_float(report.W),
-                        format_float(report.Q_H),
-                        format_float(report.eta),
-                        format_float(report.eta_closed_form),
-                    )
-                )
-            )
-    except (SpecFormatError, DomainError, StateError) as exc:
-        return _fail(f"{spec_path}: {exc}", 1)
-    except (QuadratureError, TruncationError, EngineError) as exc:
-        return _fail(str(exc), 2)
-    try:
-        Path(out_path).write_text("\n".join([SWEEP_HEADER, *rows]) + "\n", newline="\n")
-    except OSError as exc:
-        return _fail(f"cannot write to {out_path!r}: {exc}", 2)
-    return 0
+    base = _load_spec(spec_path)
+    if int(steps) != steps or steps < 2:
+        raise DomainError(f"steps must be an integer >= 2, got {steps!r}")
+    floor = base.top_level * base.L1
+    if not l3_from > floor:
+        raise DomainError(f"l3-from must exceed top_level*L1 = {floor!r}, got {l3_from!r}")
+    rows = []
+    for L3 in np.linspace(l3_from, l3_to, int(steps)):
+        report = evaluate_cycle(build_carnot_cycle(dataclasses.replace(base, L3=float(L3))))
+        rows.append(",".join(
+            format_float(v) for v in (L3, report.W, report.Q_H, report.eta, report.eta_closed_form)
+        ))
+    Path(out_path).write_text("\n".join([SWEEP_HEADER, *rows]) + "\n", newline="\n")
 
 
 class _UsageError(Exception):

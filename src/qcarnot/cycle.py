@@ -42,6 +42,10 @@ from .processes import (
 # when divided into a width and back, or multiplied and divided out again.
 MAX_TOP_LEVEL = 2 ** 63 - 513
 
+# Largest samples_per_stroke: four strokes of 2**20 rows already make a
+# samples.csv of several hundred MB.
+MAX_SAMPLES_PER_STROKE = 2 ** 20
+
 
 @dataclass(frozen=True)
 class CarnotSpec:
@@ -63,9 +67,11 @@ class CarnotSpec:
             )
         for name in ("L1", "L3"):
             object.__setattr__(self, name, _check_positive_real(getattr(self, name), name))
-        if _check_positive_int(self.samples_per_stroke, "samples_per_stroke") < 2:
+        samples = _check_positive_int(self.samples_per_stroke, "samples_per_stroke")
+        if not 2 <= samples <= MAX_SAMPLES_PER_STROKE:
             raise DomainError(
-                f"samples_per_stroke must be an integer >= 2, got {self.samples_per_stroke!r}"
+                "samples_per_stroke must be an integer in [2, 2**20], "
+                f"got {self.samples_per_stroke!r}"
             )
         if self.L3 < self.top_level * self.L1:
             raise CycleGeometryError(

@@ -133,6 +133,8 @@ def overlap_coefficient(n, m, alpha) -> float:
     if alpha == 1.0:
         return 1.0 if m == n else 0.0
     a = alpha * n
+    if a == math.inf:  # |b| <= 2 m sqrt(n) / a^(3/2) underflows to 0
+        return 0.0
     if abs(m - a) < 1.0:
         return 2.0 * n * math.sqrt(alpha) * float(np.sinc((m - a) / alpha)) / (m + a)
     # Away from resonance, the closed form on the exactly reduced argument:
@@ -268,13 +270,14 @@ def level_overlap_squares(n, alpha, m_count: int) -> np.ndarray:
     n = _check_level(n)
     alpha = _check_alpha(alpha)
     m_count = _check_positive_int(m_count, "m_count")
+    row = np.zeros(m_count)
     if alpha == 1.0:
-        row = np.zeros(m_count)
         if n <= m_count:
             row[n - 1] = 1.0
-        return row
-    row = np.empty(m_count)
-    _square_series(alpha, m_count, [n], [1.0], out=row)
+    # From a = alpha n = 2**512 on, b(m, n)^2 <= 16 m^2 n / a^3 underflows to 0
+    # for every m < 2**53, and the kernel's (m - a) (m + a) would overflow.
+    elif alpha * n < 2.0 ** 512:
+        _square_series(alpha, m_count, [n], [1.0], out=row)
     return row
 
 

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qcarnot
+from qcarnot import cli
 from qcarnot import (
     MixedState,
     SampleTable,
@@ -26,9 +27,6 @@ from qcarnot.cli import (
     REPORT_HEADER,
     SAMPLES_HEADER,
     SWEEP_HEADER,
-    SpecFile,
-    CycleSection,
-    SuddenSection,
     cmd_simulate,
     cmd_sweep,
     cmd_verify_identity,
@@ -37,7 +35,9 @@ from qcarnot.cli import (
     write_samples_csv,
 )
 from qcarnot.boxmodel import WellParams
-from qcarnot.cycle import MAX_TOP_LEVEL
+from qcarnot.cycle import MAX_SAMPLES_PER_STROKE, MAX_TOP_LEVEL, CarnotSpec
+from qcarnot.errors import VerificationError
+from qcarnot.sudden import TruncationReport
 
 MINIMAL = "[cycle]\ntop_level = 2\nL1 = 1\nL3 = 4\n"
 
@@ -45,22 +45,19 @@ MINIMAL = "[cycle]\ntop_level = 2\nL1 = 1\nL3 = 4\n"
 class TestParseSpec:
     def test_minimal_defaults(self):
         spec = parse_spec(MINIMAL)
-        assert spec.well == WellParams(1.0, 1.0)
-        assert spec.cycle.type == "carnot"
-        assert spec.cycle.samples_per_stroke == 256
-        assert spec.sudden is None
+        assert spec == CarnotSpec(top_level=2, L1=1.0, L3=4.0)
+        assert spec.params == WellParams(1.0, 1.0)
+        assert spec.samples_per_stroke == 256
 
     def test_full_document(self):
         text = (
             "# demo\n[well]\nhbar = 2\nmass = 0.5\n"
             "[cycle]\ntype = carnot\ntop_level = 3\nL1 = 0.5\nL3 = 2.5\n"
             "samples_per_stroke = 16\n"
-            "[sudden]\nn = 2\nalpha = 1.5\ntol = 1e-6\n"
         )
         spec = parse_spec(text)
-        assert spec.well == WellParams(2.0, 0.5)
-        assert spec.cycle.top_level == 3
-        assert spec.sudden == SuddenSection(n=2, alpha=1.5, tol=1e-6)
+        assert spec.params == WellParams(2.0, 0.5)
+        assert spec.top_level == 3
 
     def test_geometry_constraint(self):
         with pytest.raises(SpecFormatError, match="L3 must exceed top_level"):
@@ -107,7 +104,7 @@ class TestParseSpec:
             parse_spec("[well]\nhbar = 0\n" + MINIMAL)
         with pytest.raises(SpecFormatError, match="L1 must be a decimal number"):
             parse_spec("[cycle]\ntop_level = 2\nL1 = abc\nL3 = 4\n")
-        with pytest.raises(SpecFormatError, match="must be finite"):
+        with pytest.raises(SpecFormatError, match="must be positive and finite"):
             parse_spec("[cycle]\ntop_level = 2\nL1 = inf\nL3 = 4\n")
 
     def test_missing_cycle_section(self):
@@ -118,13 +115,27 @@ class TestParseSpec:
         with pytest.raises(SpecFormatError, match="missing required key 'L3'"):
             parse_spec("[cycle]\ntop_level = 2\nL1 = 1\n")
 
-    def test_sudden_validation(self):
-        with pytest.raises(SpecFormatError, match="alpha must exceed 1"):
-            parse_spec(MINIMAL + "[sudden]\nn = 1\nalpha = 1\n")
-
     def test_comments_and_blank_lines_ignored(self):
         spec = parse_spec("# header\n\n[cycle]  # trailing\ntop_level = 2 # two\nL1 = 1\nL3 = 4\n")
-        assert spec.cycle.top_level == 2
+        assert spec.top_level == 2
+
+    @pytest.mark.parametrize("key, bad", [
+        ("hbar", "0"), ("hbar", "nan"), ("mass", "-1"), ("mass", "1e400"),
+        ("top_level", "1"), ("top_level", "-2"), ("top_level", str(MAX_TOP_LEVEL + 1)),
+        ("L1", "0"), ("L1", "inf"), ("L3", "-4"), ("L3", "1.5"),
+        ("samples_per_stroke", "1"), ("samples_per_stroke", str(MAX_SAMPLES_PER_STROKE + 1)),
+    ])
+    def test_value_errors_carry_the_key_line(self, key, bad):
+        # L3 = 1.5 is below top_level*L1 = 2, the geometry check.
+        values = {"hbar": "1", "mass": "1", "top_level": "2", "L1": "1", "L3": "4",
+                  "samples_per_stroke": "8", key: bad}
+        lines = ["# every key on its own line", "[well]", "hbar", "mass", "", "[cycle]",
+                 "type = carnot", "top_level", "L1", "L3", "samples_per_stroke"]
+        text = "\n".join(f"{k} = {values[k]}" if k in values else k for k in lines)
+        with pytest.raises(SpecFormatError) as info:
+            parse_spec(text)
+        assert info.value.line == lines.index(key) + 1
+        assert str(info.value).startswith(f"line {info.value.line}: {key} must ")
 
 
 class TestRenderRoundTrip:
@@ -139,24 +150,23 @@ class TestRenderRoundTrip:
         L1=st.floats(0.1, 2.0),
         ratio=st.floats(1.0, 5.0),
         samples=st.integers(2, 4096),
-        with_sudden=st.booleans(),
-        n=st.integers(1, 9),
-        alpha=st.floats(1.01, 5.0),
-        tol=st.floats(1e-9, 1e-4),
     )
     @settings(max_examples=60)
-    def test_round_trip_randomized(self, hbar, mass, top_level, L1, ratio,
-                                   samples, with_sudden, n, alpha, tol):
-        sudden = SuddenSection(n=n, alpha=alpha, tol=tol) if with_sudden else None
-        spec = SpecFile(
-            well=WellParams(hbar, mass),
-            cycle=CycleSection(
-                top_level=top_level, L1=L1, L3=top_level * L1 * ratio,
-                samples_per_stroke=samples,
-            ),
-            sudden=sudden,
+    def test_round_trip_randomized(self, hbar, mass, top_level, L1, ratio, samples):
+        spec = CarnotSpec(
+            top_level=top_level, L1=L1, L3=top_level * L1 * ratio,
+            params=WellParams(hbar, mass), samples_per_stroke=samples,
         )
         assert parse_spec(render_spec(spec)) == spec
+
+    def test_shipped_spec_files(self, tmp_path):
+        paths = sorted((Path(__file__).resolve().parents[1] / "specs").glob("*.spec"))
+        assert paths
+        for path in paths:
+            spec = parse_spec(path.read_text(encoding="utf-8"))
+            assert parse_spec(render_spec(spec)) == spec
+            code, err = _run_main(["simulate", str(path), "--out", str(tmp_path / path.stem)])
+            assert (code, err) == (0, ""), path.name
 
 
 class TestFormatFloat:
@@ -239,12 +249,34 @@ class TestSimulate:
         code, err = _run_main(["simulate", str(path), "--out", str(tmp_path / "out")])
         assert code == 1
         assert err.splitlines() == [
-            f"error: {path}: line 2: top_level must lie in [2, 2**63 - 513], got {top_level}"
+            f"error: {path}: line 2: top_level must be an integer in [2, 2**63 - 513], "
+            f"got {top_level}"
         ]
+
+    @pytest.mark.parametrize("samples", [MAX_SAMPLES_PER_STROKE + 1, 10 ** 18])
+    def test_samples_beyond_cap_exits_1(self, samples, tmp_path):
+        path = tmp_path / "dense.spec"
+        path.write_text(MINIMAL + f"samples_per_stroke = {samples}\n")
+        code, err = _run_main(["simulate", str(path), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert err.splitlines() == [
+            f"error: {path}: line 5: samples_per_stroke must be an integer in [2, 2**20], "
+            f"got {samples}"
+        ]
+        assert not (tmp_path / "out").exists()
+
+    def test_integer_past_the_digit_limit_exits_1(self, tmp_path):
+        # int() refuses decimal strings of more than 4300 digits.
+        path = tmp_path / "digits.spec"
+        path.write_text(f"[cycle]\ntop_level = {'1' * 5000}\nL1 = 1\nL3 = 4\n")
+        code, err = _run_main(["simulate", str(path), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: {path}: line 2: top_level must be a bare integer")
 
     def test_largest_top_level_passes_spec_checks(self, tmp_path):
         text = f"[cycle]\ntop_level = {MAX_TOP_LEVEL}\nL1 = 1\nL3 = 2e19\nsamples_per_stroke = 4\n"
-        assert parse_spec(text).cycle.top_level == MAX_TOP_LEVEL
+        assert parse_spec(text).top_level == MAX_TOP_LEVEL
         path = tmp_path / "huge.spec"
         path.write_text(text)
         code, err = _run_main(["simulate", str(path), "--out", str(tmp_path / "out")])
@@ -304,6 +336,21 @@ class TestVerifyIdentityCommand:
 
     def test_budget_exhaustion_exits_2(self, capsys):
         assert cmd_verify_identity(1, 2.0, 1e-6, max_terms=100) == 2
+
+    def test_failed_verification_reports_on_stderr(self, monkeypatch, capsys):
+        report = TruncationReport(terms_used=64, tail_bound=1e-7, achieved_sum=0.5)
+
+        def fail(*args, **kwargs):
+            raise VerificationError("partial sum 0.5 misses 1", report=report)
+
+        monkeypatch.setattr(cli, "verify_energy_identity", fail)
+        assert cmd_verify_identity(1, 2.0, 1e-6) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [
+            "achieved_sum = 0.5", "terms_used = 64", "tail_bound = 9.9999999999999995e-08",
+            "error: partial sum 0.5 misses 1",
+        ]
 
 
 class TestSweep:
@@ -445,16 +492,10 @@ def spec_documents(draw):
         ("cycle", "L1", st.just(repr(L1)), _REAL),
         ("cycle", "L3", st.floats(1.0, 4.0).map(lambda r: repr(r * top_level * L1)), _REAL),
         ("cycle", "samples_per_stroke", st.integers(2, 64).map(str), _SMALL_INT),
-        ("sudden", "n", st.integers(1, 5).map(str), _LEVEL),
-        ("sudden", "alpha", _floats(1.05, 4.0), _REAL),
-        ("sudden", "tol", _floats(1e-8, 1e-4), _REAL),
     ]
     changed = draw(st.sets(st.integers(0, len(entries) - 1), max_size=3))
-    with_sudden = draw(st.booleans())
     lines, section = [], None
     for i, (name, key, valid, other) in enumerate(entries):
-        if name == "sudden" and not with_sudden:
-            break
         if name != section:
             lines.append(f"[{name}]")
             section = name

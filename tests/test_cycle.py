@@ -18,7 +18,7 @@ from qcarnot import (
     sample_cycle,
     stroke_work,
 )
-from qcarnot.cycle import MAX_TOP_LEVEL
+from qcarnot.cycle import MAX_SAMPLES_PER_STROKE, MAX_TOP_LEVEL
 
 FLAGSHIP = CarnotSpec(top_level=2, L1=1.0, L3=4.0)
 
@@ -95,6 +95,14 @@ class TestBuild:
     def test_top_level_beyond_largest_rejected(self, top_level):
         with pytest.raises(DomainError, match=r"top_level must be an integer in \[2, 2\*\*63 - 513\]"):
             CarnotSpec(top_level, 1.0, 1e300)
+
+    def test_samples_per_stroke_cap(self):
+        # Both specs are built and rejected without sampling a stroke.
+        assert MAX_SAMPLES_PER_STROKE == 2 ** 20
+        assert CarnotSpec(2, 1.0, 4.0, samples_per_stroke=MAX_SAMPLES_PER_STROKE)
+        message = r"samples_per_stroke must be an integer in \[2, 2\*\*20\]"
+        with pytest.raises(DomainError, match=message):
+            CarnotSpec(2, 1.0, 4.0, samples_per_stroke=MAX_SAMPLES_PER_STROKE + 1)
 
     def test_closure(self):
         c = build_carnot_cycle(CarnotSpec(4, 0.7, 5.3))

@@ -65,9 +65,11 @@ class TestOverlapCoefficient:
             _overlap_mpmath(n, m, alpha), rel=1e-12, abs=0
         )
 
-    @pytest.mark.parametrize("n, m, alpha", [(3, 5, 1e200), (1, 2, 1e160), (2, 7, 3e5)])
+    @pytest.mark.parametrize("n, m, alpha",
+                             [(3, 5, 1e200), (1, 2, 1e160), (2, 7, 3e5), (2, 1, 1e308)])
     def test_large_ratio_matches_mpmath(self, n, m, alpha):
-        # alpha^2 n^2 overflows binary64 in the first two cases.
+        # alpha^2 n^2 overflows binary64 in the first two cases; in the last,
+        # alpha n does too and the value underflows to 0.
         assert overlap_coefficient(n, m, alpha) == pytest.approx(
             _overlap_mpmath(n, m, alpha), rel=1e-12, abs=0
         )
@@ -114,6 +116,18 @@ class TestSquareKernel:
 
     def test_exact_resonance(self):
         assert level_overlap_squares(3, 2.0, 6)[5] == pytest.approx(0.5, rel=1e-15)
+
+    @pytest.mark.parametrize("n, alpha", [(1, 1e308), (2, 1e308), (1, 2.0 ** 520)])
+    def test_huge_ratio_underflows_to_zero(self, n, alpha):
+        # alpha, alpha n or (m - alpha n)(m + alpha n) overflows binary64,
+        # while every square underflows.
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            a = mpmath.mpf(alpha)
+            exact = [float(4 * n * n * a ** 3 * mpmath.sin(m * mpmath.pi / a) ** 2
+                           / (mpmath.pi ** 2 * (m * m - a * a * n * n) ** 2)) for m in range(1, 5)]
+        assert exact == [0.0] * 4
+        assert level_overlap_squares(n, alpha, 4).tolist() == exact
 
     def test_resonance_at_block_edges(self):
         # A resonance on the last index of a block, and one whose two

@@ -33,8 +33,38 @@ _MAX_LEVEL = 2 ** 63 - 1
 _SCALE_EXPONENT_LIMIT = 300.0
 
 
-def _check_positive_real(value, name: str) -> float:
-    """``value`` as a float, if it is a positive finite Python or numpy real.
+def _bound_text(n: int) -> str:
+    """``n`` as ``2**k`` or ``2**k - d`` (``d <= 1024``) when it lies that
+    close below a power of two beyond ``2**16``, else in digits."""
+    k = (n + 1024).bit_length() - 1
+    if k <= 16 or n > 2 ** k:
+        return str(n)
+    return f"2**{k}" if n == 2 ** k else f"2**{k} - {2 ** k - n}"
+
+
+def _check_int(value, name: str, lo: int = 1, hi: int = _MAX_LEVEL) -> int:
+    """``value`` as an int, if it is a Python or numpy integer, or an integral
+    float, in ``[lo, hi]``.  Bools, strings and other objects are rejected.
+
+    The default range is that of a level index, which fits the int64 arrays
+    of :class:`MixedState`.
+    """
+    integral = isinstance(value, (int, np.integer)) or (
+        isinstance(value, (float, np.floating))
+        and math.isfinite(value)
+        and float(value).is_integer()
+    )
+    # int() first: numpy compares its scalars with large ints in binary64.
+    if isinstance(value, bool) or not integral or not lo <= int(value) <= hi:
+        raise DomainError(
+            f"{name} must be an integer in [{_bound_text(lo)}, {_bound_text(hi)}], got {value!r}"
+        )
+    return int(value)
+
+
+def _check_real(value, name: str, lo: float = 0.0, hi: float = math.inf) -> float:
+    """``value`` as a float, if it is a finite Python or numpy real with
+    ``lo < value <= hi``.
 
     The type is checked: bools, strings and other objects that merely
     convert to a float are rejected.
@@ -45,35 +75,19 @@ def _check_positive_real(value, name: str) -> float:
             x = float(value)
         except OverflowError:
             x = math.inf
-    if not (math.isfinite(x) and x > 0.0):
-        raise DomainError(f"{name} must be positive and finite, got {value!r}")
+    if not (math.isfinite(x) and lo < x <= hi):
+        if (lo, hi) == (0.0, math.inf):
+            rule = "be positive and finite"
+        elif (lo, hi) == (-math.inf, math.inf):
+            rule = "be finite"
+        else:
+            rule = f"lie in ({lo:g}, {hi:g}]"
+        raise DomainError(f"{name} must {rule}, got {value!r}")
     return x
 
 
-def _check_positive_int(value, name: str) -> int:
-    """``value`` as an int, if it is a Python or numpy integer, or an integral
-    float, of at least 1.  Bools, strings and other objects are rejected."""
-    integral = isinstance(value, (int, np.integer)) or (
-        isinstance(value, (float, np.floating))
-        and math.isfinite(value)
-        and float(value).is_integer()
-    )
-    if isinstance(value, bool) or not integral or value < 1:
-        raise DomainError(f"{name} must be a positive integer, got {value!r}")
-    return int(value)
-
-
-def _check_level(n) -> int:
-    """``n`` as an int, if it is a positive integer that fits the int64
-    arrays of :class:`MixedState`."""
-    n = _check_positive_int(n, "level index")
-    if n > _MAX_LEVEL:
-        raise DomainError(f"level index must be below 2**63, got {n!r}")
-    return n
-
-
 def _check_widths(L) -> np.ndarray:
-    """Array form of :func:`_check_positive_real`: a float64 array of positive
+    """Array form of :func:`_check_real`: a float64 array of positive
     finite widths from real (not bool or string) input."""
     L = np.asarray(L)
     if L.dtype.kind not in "iuf":
@@ -96,7 +110,7 @@ class WellParams:
 
     def __post_init__(self):
         for name in ("hbar", "mass"):
-            object.__setattr__(self, name, _check_positive_real(getattr(self, name), name))
+            object.__setattr__(self, name, _check_real(getattr(self, name), name))
 
 
 DEFAULT_PARAMS = WellParams()
@@ -170,28 +184,18 @@ class MixedState:
     @classmethod
     def pure(cls, n) -> "MixedState":
         """State fully concentrated on level ``n``."""
-        return cls(np.array([_check_level(n)]), np.array([1.0]))
+        return cls(np.array([_check_int(n, "n")]), np.array([1.0]))
 
     @classmethod
-    def from_pairs(cls, pairs, renormalize: bool = False) -> "MixedState":
-        """Build from ``{level: weight}`` or an iterable of ``(level, weight)`` pairs.
-
-        With ``renormalize=True`` the weights are divided by their sum; this is
-        the intended entry point for truncated series output whose raw sum
-        falls short of one.
-        """
+    def from_pairs(cls, pairs) -> "MixedState":
+        """Build from ``{level: weight}`` or an iterable of ``(level, weight)`` pairs."""
         if isinstance(pairs, dict):
             pairs = pairs.items()
-        items = sorted((_check_level(n), float(w)) for n, w in pairs)
+        items = sorted((_check_int(n, "level"), float(w)) for n, w in pairs)
         levels = np.array([n for n, _ in items], dtype=np.int64)
         weights = np.array([w for _, w in items], dtype=np.float64)
         if levels.size > 1 and np.any(np.diff(levels) == 0):
             raise StateError("duplicate level in population pairs")
-        if renormalize:
-            total = float(weights.sum())
-            if not (total > 0.0 and math.isfinite(total)):
-                raise StateError(f"cannot renormalize weights summing to {total!r}")
-            weights = weights / total
         return cls(levels, weights)
 
     @property
@@ -202,10 +206,6 @@ class MixedState:
     def support_size(self) -> int:
         return int(self.levels.size)
 
-    @property
-    def is_pure(self) -> bool:
-        return bool(np.count_nonzero(self.weights) == 1)
-
     def __repr__(self):
         body = ", ".join(f"{n}: {w:.6g}" for n, w in self.populations)
         return f"MixedState({{{body}}})"
@@ -213,16 +213,16 @@ class MixedState:
 
 def eigenenergy(n, L, params: WellParams = DEFAULT_PARAMS) -> float:
     """Energy of level ``n`` in a box of width ``L``: pi^2 hbar^2 n^2 / (2 m L^2)."""
-    n = _check_level(n)
-    L = _check_positive_real(L, "L")
+    n = _check_int(n, "n")
+    L = _check_real(L, "L")
     return 0.5 * (math.pi * params.hbar * n) ** 2 / (params.mass * L * L)
 
 
 def eigenfunction_value(n, L, x) -> float:
     """Value of the normalized mode ``n`` at position ``x`` in ``[0, L]``."""
-    n = _check_level(n)
-    L = _check_positive_real(L, "L")
-    x = float(x)
+    n = _check_int(n, "n")
+    L = _check_real(L, "L")
+    x = _check_real(x, "x", -math.inf)
     if not 0.0 <= x <= L:
         raise DomainError(f"x must lie in [0, {L}], got {x!r}")
     return math.sqrt(2.0 / L) * math.sin(n * math.pi * x / L)
@@ -235,7 +235,7 @@ def _level_square_sum(state: MixedState) -> float:
 
 def expectation_energy(state: MixedState, L, params: WellParams = DEFAULT_PARAMS) -> float:
     """Population-weighted mean energy of ``state`` at width ``L``."""
-    L = _check_positive_real(L, "L")
+    L = _check_real(L, "L")
     return _energy_from_square_sum(_level_square_sum(state), L, params)
 
 
@@ -258,7 +258,7 @@ def wall_force(state: MixedState, L, params: WellParams = DEFAULT_PARAMS) -> flo
     Satisfies ``wall_force(s, L) * L == 2 * expectation_energy(s, L)`` up to
     rounding, since both are the same weighted sum of ``n^2``.
     """
-    L = _check_positive_real(L, "L")
+    L = _check_real(L, "L")
     return _force_from_square_sum(_level_square_sum(state), L ** 3, params)
 
 

@@ -14,6 +14,10 @@ Commands::
     verify-identity --n <int> --alpha <float> --tol <float> [--max-terms <int>]
     sweep <spec> --l3-from <float> --l3-to <float> --steps <int> --out <file>
 
+``sweep`` takes ``--steps`` widths L3 evenly spaced from ``--l3-from`` to
+``--l3-to``; ``--steps`` is an integer in [2, 2**20], and every L3 must obey
+``L3 >= top_level*L1``, as in the spec's ``[cycle]``.
+
 Exit codes: 0 success, 1 input or verification failure, 2 runtime or
 numerical failure.  All floats are emitted with 17 significant digits, '.'
 decimal separator, and '\\n' line endings; identical inputs give
@@ -31,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .boxmodel import WellParams
+from .boxmodel import WellParams, _check_int
 from .cycle import (
     CarnotSpec,
     CycleReport,
@@ -55,6 +59,10 @@ SWEEP_HEADER = "L3,W,Q_H,eta,eta_closed_form"
 
 # Sample rows formatted per write, which bounds the text held at once.
 _CSV_BLOCK_ROWS = 1024
+
+# Largest sweep --steps: like the samples_per_stroke cap, it bounds the
+# output, here one CSV row and one cycle evaluation per step.
+MAX_SWEEP_STEPS = 2 ** 20
 
 _INT_RE = re.compile(r"[+-]?\d+$")
 
@@ -292,19 +300,17 @@ def cmd_verify_identity(n, alpha, tol, max_terms: int = 100_000_000):
 
 @_exit_code
 def cmd_sweep(spec_path, l3_from, l3_to, steps, out_path):
-    """Efficiency curve over a range of L3 values, one CSV row per step."""
+    """Efficiency curve over a range of L3 values, one CSV row per step; every
+    step's :class:`CarnotSpec` is built, and so checked, before any cycle runs."""
     base = _load_spec(spec_path)
-    if int(steps) != steps or steps < 2:
-        raise DomainError(f"steps must be an integer >= 2, got {steps!r}")
-    floor = base.top_level * base.L1
-    if not l3_from > floor:
-        raise DomainError(f"l3-from must exceed top_level*L1 = {floor!r}, got {l3_from!r}")
+    steps = _check_int(steps, "steps", 2, MAX_SWEEP_STEPS)
+    specs = [dataclasses.replace(base, L3=float(L3)) for L3 in np.linspace(l3_from, l3_to, steps)]
     rows = []
-    for L3 in np.linspace(l3_from, l3_to, int(steps)):
-        report = evaluate_cycle(build_carnot_cycle(dataclasses.replace(base, L3=float(L3))))
-        rows.append(",".join(
-            format_float(v) for v in (L3, report.W, report.Q_H, report.eta, report.eta_closed_form)
-        ))
+    for spec in specs:
+        report = evaluate_cycle(build_carnot_cycle(spec))
+        rows.append(",".join(format_float(v) for v in (
+            spec.L3, report.W, report.Q_H, report.eta, report.eta_closed_form
+        )))
     Path(out_path).write_text("\n".join([SWEEP_HEADER, *rows]) + "\n", newline="\n")
 
 

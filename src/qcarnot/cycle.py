@@ -19,13 +19,14 @@ from .boxmodel import (
     DEFAULT_PARAMS,
     MixedState,
     WellParams,
-    _check_positive_int,
-    _check_positive_real,
+    _check_int,
+    _check_real,
     check_energy_scale,
     eigenenergy,
 )
-from .errors import CycleGeometryError, DomainError, EngineError
+from .errors import CycleGeometryError, EngineError
 from .processes import (
+    MAX_SAMPLES_PER_STROKE,
     SampleTable,
     Stroke,
     adiabatic_stroke,
@@ -42,10 +43,6 @@ from .processes import (
 # when divided into a width and back, or multiplied and divided out again.
 MAX_TOP_LEVEL = 2 ** 63 - 513
 
-# Largest samples_per_stroke: four strokes of 2**20 rows already make a
-# samples.csv of several hundred MB.
-MAX_SAMPLES_PER_STROKE = 2 ** 20
-
 
 @dataclass(frozen=True)
 class CarnotSpec:
@@ -61,18 +58,10 @@ class CarnotSpec:
     samples_per_stroke: int = 256
 
     def __post_init__(self):
-        if not 2 <= _check_positive_int(self.top_level, "top_level") <= MAX_TOP_LEVEL:
-            raise DomainError(
-                f"top_level must be an integer in [2, 2**63 - 513], got {self.top_level!r}"
-            )
+        _check_int(self.top_level, "top_level", 2, MAX_TOP_LEVEL)
         for name in ("L1", "L3"):
-            object.__setattr__(self, name, _check_positive_real(getattr(self, name), name))
-        samples = _check_positive_int(self.samples_per_stroke, "samples_per_stroke")
-        if not 2 <= samples <= MAX_SAMPLES_PER_STROKE:
-            raise DomainError(
-                "samples_per_stroke must be an integer in [2, 2**20], "
-                f"got {self.samples_per_stroke!r}"
-            )
+            object.__setattr__(self, name, _check_real(getattr(self, name), name))
+        _check_int(self.samples_per_stroke, "samples_per_stroke", 2, MAX_SAMPLES_PER_STROKE)
         if self.L3 < self.top_level * self.L1:
             raise CycleGeometryError(
                 f"L3 must exceed top_level*L1: got L3={self.L3!r}, "
@@ -82,13 +71,11 @@ class CarnotSpec:
 
 @dataclass(frozen=True)
 class Cycle:
-    """Closed four-stroke sequence with its derived geometry."""
+    """Closed four-stroke sequence and the fixed energies of its two isotherms."""
 
     strokes: tuple[Stroke, Stroke, Stroke, Stroke]
     e_hot: float
     e_cold: float
-    L2: float
-    L4: float
     spec: CarnotSpec
 
 
@@ -131,7 +118,7 @@ def build_carnot_cycle(spec: CarnotSpec) -> Cycle:
     closing_state = strokes[3].state_at(L1)
     if closing_state.populations != strokes[0].state_start.populations or strokes[3].L_end != L1:
         raise EngineError("cycle failed to close onto its initial state")
-    return Cycle(strokes=strokes, e_hot=e_hot, e_cold=e_cold, L2=L2, L4=L4, spec=spec)
+    return Cycle(strokes=strokes, e_hot=e_hot, e_cold=e_cold, spec=spec)
 
 
 def evaluate_cycle(cycle: Cycle, rel_tol: float = 1e-10) -> CycleReport:

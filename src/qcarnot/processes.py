@@ -32,7 +32,8 @@ from .boxmodel import (
     DEFAULT_PARAMS,
     MixedState,
     WellParams,
-    _check_positive_real,
+    _check_int,
+    _check_real,
     _check_widths,
     _energy_from_square_sum,
     _force_from_square_sum,
@@ -46,6 +47,10 @@ from .errors import DomainError, IsothermRangeError, QuadratureError, ScaleError
 # Relative mismatch tolerated between a declared fixed energy and the
 # ground-state energy at the declared base width.
 _ENERGY_MATCH_RTOL = 1e-9
+
+# Largest sample count per stroke: four strokes of 2**20 rows already make a
+# samples.csv of several hundred MB.
+MAX_SAMPLES_PER_STROKE = 2 ** 20
 
 
 class StrokeKind(Enum):
@@ -142,7 +147,7 @@ class Stroke:
 
     def state_at(self, L) -> MixedState:
         if self.kind is StrokeKind.ADIABATIC:
-            _check_positive_real(L, "L")
+            _check_real(L, "L")
             return self.state_start
         return isothermal_state_at(self.conserved, L, self.base_scale, self.params)
 
@@ -172,8 +177,8 @@ class Stroke:
 def adiabatic_stroke(state: MixedState, L_from, L_to,
                      params: WellParams = DEFAULT_PARAMS) -> Stroke:
     """Stroke at frozen populations from width ``L_from`` to ``L_to``."""
-    L_from = _check_positive_real(L_from, "L_from")
-    L_to = _check_positive_real(L_to, "L_to")
+    L_from = _check_real(L_from, "L_from")
+    L_to = _check_real(L_to, "L_to")
     e_start = expectation_energy(state, L_from, params)
     return Stroke(
         kind=StrokeKind.ADIABATIC,
@@ -195,10 +200,10 @@ def isothermal_populations(e_fixed, L, base_scale, params: WellParams = DEFAULT_
     the required populations would turn negative.
     """
     L = _check_widths(L)
-    base_scale = _check_positive_real(base_scale, "base_scale")
-    e_fixed = float(e_fixed)
+    base_scale = _check_real(base_scale, "base_scale")
+    e_fixed = _check_real(e_fixed, "e_fixed")
     ground = eigenenergy(1, base_scale, params)
-    if not math.isfinite(e_fixed) or abs(e_fixed - ground) > _ENERGY_MATCH_RTOL * ground:
+    if abs(e_fixed - ground) > _ENERGY_MATCH_RTOL * ground:
         raise DomainError(
             f"fixed energy {e_fixed!r} does not match the ground-state energy "
             f"{ground!r} at base width {base_scale!r}"
@@ -219,7 +224,7 @@ def isothermal_state_at(e_fixed, L, base_scale, params: WellParams = DEFAULT_PAR
     The populations come from :func:`isothermal_populations`, whose checks
     and errors apply.
     """
-    L = _check_positive_real(L, "L")
+    L = _check_real(L, "L")
     return _staircase_state(*isothermal_populations(e_fixed, L, base_scale, params))
 
 
@@ -271,8 +276,7 @@ def stroke_work_quadrature(stroke: Stroke, rel_tol: float = 1e-10) -> float:
     estimate must come out below ``rel_tol`` times the integral, else a
     :class:`QuadratureError` is raised.
     """
-    if not (0.0 < rel_tol <= 1e-4):
-        raise DomainError(f"rel_tol must lie in (0, 1e-4], got {rel_tol!r}")
+    rel_tol = _check_real(rel_tol, "rel_tol", 0.0, 1e-4)
     if stroke.L_start == stroke.L_end:
         return 0.0
     # Integrate at a quarter of the requested tolerance, which the estimate
@@ -299,9 +303,8 @@ def sample_stroke(stroke: Stroke, count: int, stroke_index: int = 1) -> SampleTa
     ``wall_force``, ``expectation_energy``, ``entropy`` and ``.populations``
     give for ``stroke.state_at(L)``.
     """
-    if isinstance(count, bool) or int(count) != count or count < 2:
-        raise DomainError(f"count must be an integer >= 2, got {count!r}")
-    widths = np.linspace(stroke.L_start, stroke.L_end, int(count))
+    count = _check_int(count, "count", 2, MAX_SAMPLES_PER_STROKE)
+    widths = np.linspace(stroke.L_start, stroke.L_end, count)
     if stroke.kind is StrokeKind.ADIABATIC:
         state = stroke.state_start
         levels = np.broadcast_to(state.levels, (widths.size, state.support_size))

@@ -73,7 +73,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxmodel import MixedState, _check_level, _check_positive_int, _check_positive_real
+from .boxmodel import MixedState, _check_int, _check_real
 from .errors import DomainError, TruncationError, VerificationError
 
 # Indices per block of the series kernel: its five float64 buffers and two
@@ -81,7 +81,7 @@ from .errors import DomainError, TruncationError, VerificationError
 # cache.  The table's argument reduction needs _BLOCK <= 2**14.
 _BLOCK = 1 << 14
 
-# Largest term budget: series indices are float64, exact up to 2**53.
+# Largest term budget or m_count: series indices are float64, exact up to 2**53.
 _MAX_BUDGET = 1 << 53
 
 
@@ -100,25 +100,11 @@ class TruncationReport:
 
 
 def _check_alpha(alpha, strict: bool = False) -> float:
-    alpha = _check_positive_real(alpha, "alpha")
+    alpha = _check_real(alpha, "alpha")
     if alpha < 1.0 or (strict and alpha == 1.0):
         requirement = "exceed 1" if strict else "be at least 1"
         raise DomainError(f"alpha must {requirement}, got {alpha!r}")
     return alpha
-
-
-def _check_budget(budget, name: str) -> int:
-    budget = _check_positive_int(budget, name)
-    if budget > _MAX_BUDGET:
-        raise DomainError(f"{name} must be at most 2**53, got {budget!r}")
-    return budget
-
-
-def _check_tolerance(tol, name: str, upper: float) -> float:
-    tol = _check_positive_real(tol, name)
-    if tol > upper:
-        raise DomainError(f"{name} must lie in (0, {upper:g}], got {tol!r}")
-    return tol
 
 
 def overlap_coefficient(n, m, alpha) -> float:
@@ -127,8 +113,8 @@ def overlap_coefficient(n, m, alpha) -> float:
     ``alpha = 1`` gives the Kronecker delta; ``m = alpha n`` gives the
     resonant limit ``1/sqrt(alpha)``.
     """
-    n = _check_level(n)
-    m = _check_level(m)
+    n = _check_int(n, "n")
+    m = _check_int(m, "m")
     alpha = _check_alpha(alpha)
     if alpha == 1.0:
         return 1.0 if m == n else 0.0
@@ -256,9 +242,11 @@ def _square_series(alpha: float, terms: int, levels, weights=None, out=None) -> 
             else:
                 np.square(d, out=d)
                 np.add(acc, d, out=acc)
-        np.multiply(acc, sine, out=acc)
+        # Scaling the sines first keeps subnormal products that acc * sine
+        # would flush to 0 before a later scale brought them back.
+        np.multiply(sine, scale, out=sine)
         values = acc if out is None else out[start - 1:start - 1 + size]
-        np.multiply(acc, scale, out=values)
+        np.multiply(acc, sine, out=values)
         for i, _, term in hits:
             values[i] += term
         block_sums.append(float(values.sum()))
@@ -267,9 +255,9 @@ def _square_series(alpha: float, terms: int, levels, weights=None, out=None) -> 
 
 def level_overlap_squares(n, alpha, m_count: int) -> np.ndarray:
     """Squared overlaps ``b(m, n)^2`` for ``m = 1 .. m_count`` as an array."""
-    n = _check_level(n)
+    n = _check_int(n, "n")
     alpha = _check_alpha(alpha)
-    m_count = _check_positive_int(m_count, "m_count")
+    m_count = _check_int(m_count, "m_count", 1, _MAX_BUDGET)
     row = np.zeros(m_count)
     if alpha == 1.0:
         if n <= m_count:
@@ -350,11 +338,6 @@ def _smallest_terms(bound_at, floor_terms: int, budget: int, target: float) -> i
     return lo
 
 
-def _identity_partial_sum(n: int, alpha: float, terms: int) -> float:
-    """Direct sum of the energy-conservation series up to ``terms``."""
-    return _square_series(alpha, terms, [n])
-
-
 def verify_energy_identity(n, alpha, tol, max_terms: int = 100_000_000) -> TruncationReport:
     """Certify that the energy-weighted squared overlaps for level ``n`` sum to 1.
 
@@ -364,10 +347,10 @@ def verify_energy_identity(n, alpha, tol, max_terms: int = 100_000_000) -> Trunc
     :class:`VerificationError` (carrying the report) if the residual exceeds
     ``tol``.
     """
-    n = _check_level(n)
+    n = _check_int(n, "n")
     alpha = _check_alpha(alpha, strict=True)
-    tol = _check_tolerance(tol, "tol", 1e-4)
-    max_terms = _check_budget(max_terms, "max_terms")
+    tol = _check_real(tol, "tol", 0.0, 1e-4)
+    max_terms = _check_int(max_terms, "max_terms", 1, _MAX_BUDGET)
 
     terms = _smallest_terms(
         lambda M: _energy_tail_enclosure(n, alpha, M)[1],
@@ -375,7 +358,7 @@ def verify_energy_identity(n, alpha, tol, max_terms: int = 100_000_000) -> Trunc
         max_terms,
         0.95 * tol,
     )
-    achieved = _identity_partial_sum(n, alpha, terms)
+    achieved = _square_series(alpha, terms, [n])
     bound = _energy_tail_enclosure(n, alpha, terms)[1]
     report = TruncationReport(terms_used=terms, tail_bound=bound, achieved_sum=achieved)
     if abs(achieved - 1.0) > tol:
@@ -400,8 +383,8 @@ def post_expansion_distribution(state: MixedState, alpha, tail_tol,
     ``weights * achieved_sum``) and the certified bound as ``tail_bound``.
     """
     alpha = _check_alpha(alpha)
-    tail_tol = _check_tolerance(tail_tol, "tail_tol", 1e-3)
-    term_budget = _check_budget(term_budget, "term_budget")
+    tail_tol = _check_real(tail_tol, "tail_tol", 0.0, 1e-3)
+    term_budget = _check_int(term_budget, "term_budget", 1, _MAX_BUDGET)
     if alpha == 1.0:
         return state, TruncationReport(
             terms_used=int(state.levels[-1]), tail_bound=0.0, achieved_sum=1.0
@@ -444,10 +427,10 @@ def cosine_series(x, u) -> float:
     Equals ``1/(2u^2) - pi cos((pi - x) u) / (2 u sin(pi u))``.  ``u`` within
     1e-9 of an integer is rejected as a pole.
     """
-    x = float(x)
-    u = float(u)
+    x = _check_real(x, "x", -math.inf)
+    u = _check_real(u, "u", -math.inf)
     if not 0.0 < x < 2.0 * math.pi:
         raise DomainError(f"x must lie in (0, 2*pi), got {x!r}")
-    if not math.isfinite(u) or abs(u - round(u)) <= 1e-9:
+    if abs(u - round(u)) <= 1e-9:
         raise DomainError(f"u must stay at least 1e-9 away from integer poles, got {u!r}")
     return 0.5 / (u * u) - math.pi * math.cos((math.pi - x) * u) / (2.0 * u * math.sin(math.pi * u))

@@ -17,7 +17,57 @@ from qcarnot import (
     expectation_energy,
     wall_force,
 )
+from qcarnot.boxmodel import _check_int, _check_real
 from strategies import mixed_states, widths
+
+INF = math.inf
+
+
+class TestCheckers:
+    """The two type-and-range checkers behind every public entry point."""
+
+    @pytest.mark.parametrize("value, lo, hi, expected", [
+        # Rejected: not an integer, or outside the closed range.
+        (True, 1, 10, None), (np.bool_(True), 1, 10, None), ("2", 1, 10, None),
+        (None, 1, 10, None), (math.nan, 1, 10, None), (INF, 1, 10, None), (-INF, 1, 10, None),
+        (2.5, 1, 10, None), (np.float32(2.5), 1, 10, None), (0, 1, 10, None), (11, 1, 10, None),
+        (1, 2, 2 ** 20, None), (2 ** 20 + 1, 2, 2 ** 20, None), (2 ** 63, 1, 2 ** 63 - 1, None),
+        (np.float64(2.0 ** 63), 1, 2 ** 63 - 1, None), (10 ** 400, 1, 2 ** 63 - 1, None),
+        # Accepted: Python and numpy integers and integral floats, lo and hi.
+        (1, 1, 10, 1), (10, 1, 10, 10), (np.int64(10), 1, 10, 10), (np.uint8(2), 2, 2 ** 20, 2),
+        (4.0, 1, 10, 4), (np.float32(4.0), 1, 10, 4), (2 ** 20, 2, 2 ** 20, 2 ** 20),
+        (np.int64(2 ** 63 - 1), 1, 2 ** 63 - 1, 2 ** 63 - 1),
+    ])
+    def test_check_int(self, value, lo, hi, expected):
+        if expected is None:
+            with pytest.raises(DomainError, match=r"^k must be an integer in \["):
+                _check_int(value, "k", lo, hi)
+        else:
+            result = _check_int(value, "k", lo, hi)
+            assert type(result) is int and result == expected
+
+    @pytest.mark.parametrize("value, lo, hi, expected", [
+        # Rejected: not a finite real, or outside (lo, hi]; expected is the rule.
+        (True, 0.0, INF, "be positive and finite"), (np.bool_(True), 0.0, INF, "be positive"),
+        ("1.0", 0.0, INF, "be positive"), (None, 0.0, INF, "be positive"),
+        (math.nan, 0.0, INF, "be positive"), (np.float32("nan"), 0.0, INF, "be positive"),
+        (INF, 0.0, INF, "be positive"), (-INF, 0.0, INF, "be positive"),
+        (10 ** 400, 0.0, INF, "be positive"), (0.0, 0.0, INF, "be positive"),
+        (-1.0, 0.0, 1e-4, r"lie in \(0, 0.0001\]"), (1.0001, 0.0, 1e-4, r"lie in \(0, 0.0001\]"),
+        (0.0, 0.0, 1e-4, r"lie in \(0, 0.0001\]"), ("0.5", -INF, INF, "be finite"),
+        (INF, -INF, INF, "be finite"), (True, -INF, INF, "be finite"),
+        # Accepted: Python and numpy reals above lo, up to and including hi.
+        (1e-4, 0.0, 1e-4, 1e-4), (5e-324, 0.0, INF, 5e-324), (np.float32(0.5), 0.0, INF, 0.5),
+        (np.int64(3), 0.0, INF, 3.0), (np.float64(1e-4), 0.0, 1e-4, 1e-4), (2, 0.0, INF, 2.0),
+        (-1e308, -INF, INF, -1e308), (0.0, -INF, INF, 0.0),
+    ])
+    def test_check_real(self, value, lo, hi, expected):
+        if isinstance(expected, str):
+            with pytest.raises(DomainError, match=rf"^v must {expected}"):
+                _check_real(value, "v", lo, hi)
+        else:
+            result = _check_real(value, "v", lo, hi)
+            assert type(result) is float and result == expected
 
 
 class TestEigenenergy:
@@ -68,6 +118,11 @@ class TestEigenfunction:
     def test_node_of_second_mode(self):
         assert abs(eigenfunction_value(2, 1.0, 0.5)) < 1e-15
 
+    @pytest.mark.parametrize("x", ["0.5", True, None])
+    def test_rejects_bad_position_types(self, x):
+        with pytest.raises(DomainError, match="x must be finite"):
+            eigenfunction_value(1, 1.0, x)
+
     def test_outside_box_rejected(self):
         with pytest.raises(DomainError):
             eigenfunction_value(1, 1.0, 1.5)
@@ -86,7 +141,7 @@ class TestMixedState:
     def test_pure_state(self):
         s = MixedState.pure(3)
         assert s.populations == ((3, 1.0),)
-        assert s.is_pure
+        assert np.count_nonzero(s.weights) == 1
 
     def test_from_dict_sorts_levels(self):
         s = MixedState.from_pairs({5: 0.25, 2: 0.75})
@@ -100,10 +155,6 @@ class TestMixedState:
         MixedState.from_pairs({1: 0.5, 2: 0.5 + 0.9e-12})
         with pytest.raises(StateError):
             MixedState.from_pairs({1: 0.5, 2: 0.5 + 1.1e-11})
-
-    def test_renormalize_option(self):
-        s = MixedState.from_pairs({1: 2.0, 2: 6.0}, renormalize=True)
-        assert s.populations == ((1, 0.25), (2, 0.75))
 
     def test_rejects_negative_weight(self):
         with pytest.raises(StateError):
@@ -213,7 +264,7 @@ class TestEntropy:
             {n + 20: w for n, w in s.populations}
         )
         assert entropy(relabeled) == pytest.approx(entropy(s), abs=1e-15)
-        if s.is_pure:
+        if np.count_nonzero(s.weights) == 1:
             assert entropy(s) == 0.0
         else:
             assert entropy(s) > 0.0

@@ -376,10 +376,44 @@ class TestSweep:
 
     def test_l3_from_below_boundary_exits_1(self, spec_path, tmp_path, capsys):
         assert cmd_sweep(spec_path, 1.5, 4.0, 3, tmp_path / "s.csv") == 1
-        assert "l3-from must exceed" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: L3 must exceed top_level*L1: got L3=1.5, top_level*L1=2.0\n"
+        )
+
+    def test_boundary_is_the_zero_work_cycle(self, spec_path, tmp_path):
+        # L3 == top_level*L1 passes, as it does in a spec.
+        out = tmp_path / "sweep.csv"
+        assert cmd_sweep(spec_path, 2.0, 3.0, 2, out) == 0
+        assert out.read_text().splitlines()[1].startswith("2,0,")
+
+    @staticmethod
+    def forbid_evaluation(monkeypatch):
+        def evaluate(*args, **kwargs):
+            raise AssertionError("a cycle was evaluated")
+
+        monkeypatch.setattr(cli, "evaluate_cycle", evaluate)
+
+    def test_bad_l3_to_exits_1_before_any_cycle(self, spec_path, tmp_path, monkeypatch, capsys):
+        self.forbid_evaluation(monkeypatch)
+        assert cmd_sweep(spec_path, 3.0, 1.5, 3, tmp_path / "s.csv") == 1
+        assert capsys.readouterr().err == (
+            "error: L3 must exceed top_level*L1: got L3=1.5, top_level*L1=2.0\n"
+        )
 
     def test_bad_steps_exits_1(self, spec_path, tmp_path):
         assert cmd_sweep(spec_path, 2.5, 4.0, 1, tmp_path / "s.csv") == 1
+
+    @pytest.mark.parametrize("steps", [10 ** 15, cli.MAX_SWEEP_STEPS + 1])
+    def test_steps_beyond_cap_exits_1(self, spec_path, tmp_path, monkeypatch, steps):
+        # Rejected before np.linspace allocates or any cycle is evaluated.
+        assert cli.MAX_SWEEP_STEPS == 2 ** 20
+        self.forbid_evaluation(monkeypatch)
+        out = tmp_path / "s.csv"
+        code, err = _run_main(["sweep", str(spec_path), "--l3-from", "3", "--l3-to", "4",
+                               "--steps", str(steps), "--out", str(out)])
+        assert code == 1
+        assert err.splitlines() == [f"error: steps must be an integer in [2, 2**20], got {steps}"]
+        assert not out.exists()
 
 
 class TestMain:
@@ -446,7 +480,9 @@ class TestRepeatedMain:
 # Value text for the exit-code fuzz.  Keys and flags take any text,
 # extremes included, except that samples_per_stroke, --steps and
 # --max-terms set how long a command runs and how much memory it takes, so
-# their numbers stay small; any other text is allowed for them too.
+# their numbers stay small or, for --steps and --max-terms, lie beyond the
+# cap, where the command exits at once; any other text is allowed for them
+# too.
 _TEXT = st.text(
     alphabet=st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
     max_size=8,
@@ -459,6 +495,7 @@ _NOT_DIGITS = _EXTREMES.filter(lambda t: not t.strip("-").isdigit())
 _REAL = st.one_of(_EXTREMES, st.floats().map(repr), _TEXT)
 _LEVEL = st.one_of(st.integers(-3, 10 ** 400).map(str), _EXTREMES)
 _SMALL_INT = st.one_of(st.integers(-3, 40).map(str), _NOT_DIGITS)
+_STEPS = st.one_of(_SMALL_INT, st.integers(10 ** 12, 10 ** 40).map(str))
 _BUDGET = st.one_of(st.integers(-3, 10 ** 6).map(str), st.integers(2 ** 53, 10 ** 40).map(str),
                     _NOT_DIGITS)
 
@@ -534,7 +571,7 @@ class TestExitCodeContract:
 
     @given(document=spec_documents(), sweep=st.booleans(),
            l3=st.tuples(_mostly(_floats(1.0, 200.0), _REAL), _mostly(_floats(1.0, 200.0), _REAL)),
-           steps=_mostly(st.integers(2, 4).map(str), _SMALL_INT), stray=_STRAY)
+           steps=_mostly(st.integers(2, 4).map(str), _STEPS), stray=_STRAY)
     @settings(max_examples=150, deadline=None)
     def test_spec_commands(self, tmp_path_factory, document, sweep, l3, steps, stray):
         work = tmp_path_factory.mktemp("fuzz", numbered=True)

@@ -26,7 +26,7 @@ FLAGSHIP = CarnotSpec(top_level=2, L1=1.0, L3=4.0)
 class TestBuild:
     def test_two_level_geometry(self):
         c = build_carnot_cycle(FLAGSHIP)
-        assert (c.L2, c.L4) == (2.0, 2.0)
+        assert (c.strokes[0].L_end, c.strokes[2].L_end) == (2.0, 2.0)
         assert c.e_hot == pytest.approx(math.pi ** 2 / 2, rel=1e-15)
         assert c.e_cold == pytest.approx(math.pi ** 2 / 8, rel=1e-15)
         kinds = [s.kind.value for s in c.strokes]
@@ -74,6 +74,8 @@ class TestBuild:
     @pytest.mark.parametrize("top_level, samples", [
         (2 ** 63, 256), pytest.param(10 ** 400, 256, id="10**400-256"), (True, 256),
         ("2", 256), (2.5, 256), (2, True), (2, "256"), (2, 10.5),
+        (1, 256), (np.bool_(True), 256), (math.nan, 256), (2, 1), (2, math.inf),
+        (2, MAX_SAMPLES_PER_STROKE + 1),
     ])
     def test_count_rejections(self, top_level, samples):
         with pytest.raises(DomainError):
@@ -95,6 +97,12 @@ class TestBuild:
     def test_top_level_beyond_largest_rejected(self, top_level):
         with pytest.raises(DomainError, match=r"top_level must be an integer in \[2, 2\*\*63 - 513\]"):
             CarnotSpec(top_level, 1.0, 1e300)
+
+    @pytest.mark.parametrize("count", [MAX_SAMPLES_PER_STROKE + 1, 2 ** 40])
+    def test_sample_cycle_count_cap(self, count):
+        # The cap holds for a count passed past the spec, before any allocation.
+        with pytest.raises(DomainError, match=r"count must be an integer in \[2, 2\*\*20\]"):
+            sample_cycle(build_carnot_cycle(FLAGSHIP), count)
 
     def test_samples_per_stroke_cap(self):
         # Both specs are built and rejected without sampling a stroke.

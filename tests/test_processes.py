@@ -16,6 +16,7 @@ from qcarnot import (
     eigenenergy,
     entropy,
     expectation_energy,
+    isothermal_populations,
     isothermal_state_at,
     isothermal_stroke,
     sample_stroke,
@@ -24,6 +25,7 @@ from qcarnot import (
     wall_force,
 )
 from qcarnot.cli import write_samples_csv
+from qcarnot.processes import MAX_SAMPLES_PER_STROKE
 from strategies import mixed_states
 
 E_GROUND = math.pi ** 2 / 2
@@ -71,6 +73,11 @@ class TestIsothermalState:
     def test_energy_width_mismatch_rejected(self):
         with pytest.raises(DomainError):
             isothermal_state_at(1.1 * E_GROUND, 1.5, 1.0)
+
+    @pytest.mark.parametrize("e_fixed", [str(E_GROUND), True, None])
+    def test_rejects_energy_that_is_not_a_real(self, e_fixed):
+        with pytest.raises(DomainError, match="e_fixed must be positive and finite"):
+            isothermal_populations(e_fixed, 1.5, 1.0)
 
     @given(ratio=st.floats(1.0, 12.0))
     def test_holds_energy_fixed_everywhere(self, ratio):
@@ -229,6 +236,9 @@ class TestStrokeWork:
             stroke_work_quadrature(stroke, 1e-3)
         with pytest.raises(DomainError):
             stroke_work_quadrature(stroke, 0.0)
+        for bad in ("x", True, math.nan):
+            with pytest.raises(DomainError, match=r"rel_tol must lie in \(0, 0.0001\]"):
+                stroke_work_quadrature(stroke, bad)
 
     def test_closed_form_vs_quadrature_randomized(self):
         rng = np.random.default_rng(42)
@@ -286,6 +296,15 @@ class TestSampleStroke:
         stroke = adiabatic_stroke(MixedState.pure(1), 1.0, 2.0)
         with pytest.raises(DomainError):
             sample_stroke(stroke, 1)
+
+    @pytest.mark.parametrize("count", [
+        math.nan, math.inf, "3", True, 2.5, MAX_SAMPLES_PER_STROKE + 1, 2 ** 40,
+    ])
+    def test_count_rejections(self, count):
+        # Rejected before np.linspace allocates anything.
+        stroke = isothermal_stroke(E_GROUND, 1.0, 2.0, 1.0)
+        with pytest.raises(DomainError, match=r"count must be an integer in \[2, 2\*\*20\]"):
+            sample_stroke(stroke, count)
 
 
 def random_params(rng):

@@ -117,17 +117,36 @@ class TestSquareKernel:
     def test_exact_resonance(self):
         assert level_overlap_squares(3, 2.0, 6)[5] == pytest.approx(0.5, rel=1e-15)
 
+    @staticmethod
+    def _squares_mpmath(n, alpha, m_count):
+        """``b(m, n)^2`` for ``m = 1 .. m_count`` in the original closed form, at 50 digits."""
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            a = mpmath.mpf(alpha)
+            return [float(4 * n * n * a ** 3 * mpmath.sin(m * mpmath.pi / a) ** 2
+                          / (mpmath.pi ** 2 * (m * m - a * a * n * n) ** 2))
+                    for m in range(1, m_count + 1)]
+
     @pytest.mark.parametrize("n, alpha", [(1, 1e308), (2, 1e308), (1, 2.0 ** 520)])
     def test_huge_ratio_underflows_to_zero(self, n, alpha):
         # alpha, alpha n or (m - alpha n)(m + alpha n) overflows binary64,
         # while every square underflows.
-        mpmath = pytest.importorskip("mpmath")
-        with mpmath.workdps(50):
-            a = mpmath.mpf(alpha)
-            exact = [float(4 * n * n * a ** 3 * mpmath.sin(m * mpmath.pi / a) ** 2
-                           / (mpmath.pi ** 2 * (m * m - a * a * n * n) ** 2)) for m in range(1, 5)]
+        exact = self._squares_mpmath(n, alpha, 4)
         assert exact == [0.0] * 4
         assert level_overlap_squares(n, alpha, 4).tolist() == exact
+
+    def test_subnormal_squares_are_kept(self):
+        # Each square is subnormal, and so is the rational factor times the
+        # squared sine before the 4 alpha / pi^2 scale multiplies it.
+        exact = self._squares_mpmath(1, 1e105, 3)
+        assert exact == [4e-315, 1.6e-314, 3.6e-314]
+        assert level_overlap_squares(1, 1e105, 3).tolist() == exact
+        assert [overlap_coefficient(1, m, 1e105) ** 2 for m in (1, 2, 3)] == exact
+
+    @pytest.mark.parametrize("m_count", [0, True, "3", 2.5, math.nan, 2 ** 53 + 1, 2 ** 60])
+    def test_rejects_bad_count(self, m_count):
+        with pytest.raises(DomainError, match=r"m_count must be an integer in \[1, 2\*\*53\]"):
+            level_overlap_squares(1, 2.0, m_count)
 
     def test_resonance_at_block_edges(self):
         # A resonance on the last index of a block, and one whose two
@@ -224,7 +243,7 @@ class TestSquareKernel:
     )
     def test_identity_sum_matches_original_form(self, n, alpha):
         assert abs(alpha * n - round(alpha * n)) >= 0.1
-        assert sudden._identity_partial_sum(n, alpha, 100_000) == pytest.approx(
+        assert sudden._square_series(alpha, 100_000, [n]) == pytest.approx(
             oracles.identity_partial_sum(n, alpha, 100_000), abs=1e-13
         )
 
@@ -308,6 +327,10 @@ class TestPostExpansionDistribution:
             (2.0, 1e-6, "10000000"),
             (2.0, 1e-6, 1e6 + 0.5),
             (2.0, 1e-6, 2 ** 60),
+            (2.0, math.nan, 10_000_000),
+            (2.0, 2e-3, 10_000_000),
+            (2.0, 1e-6, 0),
+            (2.0, 1e-6, np.bool_(True)),
         ],
     )
     def test_rejects_bad_argument_types(self, alpha, tail_tol, term_budget):
@@ -371,6 +394,10 @@ class TestVerifyEnergyIdentity:
             (1, 2.0, 1e-6, "1000000"),
             (1, 2.0, 1e-6, 2 ** 53 + 1),
             (1, float("nan"), 1e-6, 100_000_000),
+            (0, 2.0, 1e-6, 100_000_000),
+            (1, 2.0, math.inf, 100_000_000),
+            (1, 2.0, 1e-6, 0),
+            (1, 2.0, 1e-6, 1e6 + 0.5),
         ],
     )
     def test_rejects_bad_argument_types(self, n, alpha, tol, max_terms):
@@ -419,6 +446,11 @@ class TestCosineSeries:
             cosine_series(1.0, 3.0 + 5e-10)
         with pytest.raises(DomainError):
             cosine_series(1.0, 0.0)
+
+    @pytest.mark.parametrize("x, u", [("1", 0.5), (True, 0.5), (1.0, "0.5"), (1.0, None)])
+    def test_rejects_bad_argument_types(self, x, u):
+        with pytest.raises(DomainError, match="must be finite"):
+            cosine_series(x, u)
 
     def test_x_domain(self):
         with pytest.raises(DomainError):

@@ -191,7 +191,8 @@ class MixedState:
         """Build from ``{level: weight}`` or an iterable of ``(level, weight)`` pairs."""
         if isinstance(pairs, dict):
             pairs = pairs.items()
-        items = sorted((_check_int(n, "level"), float(w)) for n, w in pairs)
+        items = sorted((_check_int(n, "level"), _check_real(w, "weight", -math.inf))
+                       for n, w in pairs)
         levels = np.array([n for n, _ in items], dtype=np.int64)
         weights = np.array([w for _, w in items], dtype=np.float64)
         if levels.size > 1 and np.any(np.diff(levels) == 0):

@@ -1,13 +1,5 @@
 """Command-line front end: spec files in, CSV data and reports out.
 
-Spec file grammar: lines are ``[section]`` headers or ``key = value``; ``#``
-starts a comment; sections are ``well`` (``hbar``, ``mass``) and ``cycle``
-(``type``, ``top_level``, ``L1``, ``L3``, ``samples_per_stroke``).  Values are
-decimal numbers or bare integers, except ``type`` which takes the identifier
-``carnot``.  :func:`parse_spec` returns the :class:`CarnotSpec`; duplicate keys
-or sections, unknown keys, and values that :class:`WellParams` or
-:class:`CarnotSpec` reject are reported with line-numbered diagnostics.
-
 Commands::
 
     simulate <spec> --out <dir>
@@ -29,18 +21,19 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import re
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .boxmodel import WellParams, _check_int
+from .boxmodel import _check_int
 from .cycle import (
     CarnotSpec,
     CycleReport,
     build_carnot_cycle,
     evaluate_cycle,
+    format_float,
+    parse_spec,
     sample_cycle,
 )
 from .errors import (
@@ -51,7 +44,7 @@ from .errors import (
     VerificationError,
 )
 from .processes import SampleTable
-from .sudden import TruncationReport, verify_energy_identity
+from .sudden import IDENTITY_TERM_BUDGET, TruncationReport, verify_energy_identity
 
 SAMPLES_HEADER = "stroke_index,stroke_kind,L,force,energy,entropy,populations"
 REPORT_HEADER = "W,Q_H,Q_C,eta,eta_closed_form,quadrature_discrepancy"
@@ -63,120 +56,6 @@ _CSV_BLOCK_ROWS = 1024
 # Largest sweep --steps: like the samples_per_stroke cap, it bounds the
 # output, here one CSV row and one cycle evaluation per step.
 MAX_SWEEP_STEPS = 2 ** 20
-
-_INT_RE = re.compile(r"[+-]?\d+$")
-
-# Keys of each section; no key belongs to two sections.
-_SECTION_KEYS = {
-    "well": ("hbar", "mass"),
-    "cycle": ("type", "top_level", "L1", "L3", "samples_per_stroke"),
-}
-_INT_KEYS = {"top_level", "samples_per_stroke"}
-
-
-def format_float(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def _scan(text: str) -> tuple[dict[str, int], dict[str, tuple[int, str]]]:
-    """Tokenize the spec text into the line of each section header and
-    ``{key: (line, raw value)}``."""
-    sections: dict[str, int] = {}
-    entries: dict[str, tuple[int, str]] = {}
-    section = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("["):
-            if not line.endswith("]"):
-                raise SpecFormatError(f"malformed section header {line!r}", lineno)
-            name = line[1:-1].strip()
-            if name not in _SECTION_KEYS:
-                raise SpecFormatError(
-                    f"unknown section '[{name}]' (expected one of: {', '.join(_SECTION_KEYS)})",
-                    lineno,
-                )
-            if name in sections:
-                raise SpecFormatError(
-                    f"duplicate section '[{name}]' (first at line {sections[name]})", lineno
-                )
-            sections[name] = lineno
-            section = name
-            continue
-        if "=" not in line:
-            raise SpecFormatError(f"expected 'key = value', got {line!r}", lineno)
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if section is None:
-            raise SpecFormatError(f"key {key!r} appears before any section header", lineno)
-        if key not in _SECTION_KEYS[section]:
-            raise SpecFormatError(f"unknown key {key!r} in [{section}]", lineno)
-        if key in entries:
-            first = entries[key][0]
-            raise SpecFormatError(f"duplicate key {key!r} (first at line {first})", lineno)
-        if not value:
-            raise SpecFormatError(f"missing value for key {key!r}", lineno)
-        entries[key] = (lineno, value)
-    return sections, entries
-
-
-def _number(key: str, raw: str, lineno: int) -> int | float:
-    """``raw`` as the value of ``key``: a bare integer for the integer keys,
-    else a decimal number."""
-    try:
-        if key not in _INT_KEYS:
-            return float(raw)
-        if _INT_RE.fullmatch(raw):
-            return int(raw)
-    except ValueError:  # not a number, or an integer of more than 4300 digits
-        pass
-    kind = "a bare integer" if key in _INT_KEYS else "a decimal number"
-    raise SpecFormatError(f"{key} must be {kind}, got {raw!r}", lineno)
-
-
-def parse_spec(text: str) -> CarnotSpec:
-    """The cycle a spec document describes; raises :class:`SpecFormatError`.
-
-    The parser checks only the syntax.  :class:`WellParams` and
-    :class:`CarnotSpec` check the values; each of their errors starts with
-    the name of a field and is reported at the line of that key.
-    """
-    sections, entries = _scan(text)
-    if "cycle" not in sections:
-        raise SpecFormatError("missing required section '[cycle]'")
-    type_line, type_raw = entries.pop("type", (None, "carnot"))
-    if type_raw != "carnot":
-        raise SpecFormatError(f"type must be 'carnot', got {type_raw!r}", type_line)
-    for key in ("top_level", "L1", "L3"):
-        if key not in entries:
-            raise SpecFormatError(f"missing required key {key!r} in [cycle]", sections["cycle"])
-    values = {key: _number(key, raw, lineno) for key, (lineno, raw) in entries.items()}
-    try:
-        well = {key: values.pop(key) for key in _SECTION_KEYS["well"] if key in values}
-        return CarnotSpec(params=WellParams(**well), **values)
-    except DomainError as exc:
-        field = str(exc).split(" ", 1)[0]
-        raise SpecFormatError(str(exc), entries[field][0] if field in entries else None) from exc
-
-
-def render_spec(spec: CarnotSpec) -> str:
-    """Canonical text for ``spec``; ``parse_spec(render_spec(s)) == s``."""
-    lines = [
-        "[well]",
-        f"hbar = {format_float(spec.params.hbar)}",
-        f"mass = {format_float(spec.params.mass)}",
-        "",
-        "[cycle]",
-        "type = carnot",
-        f"top_level = {spec.top_level}",
-        f"L1 = {format_float(spec.L1)}",
-        f"L3 = {format_float(spec.L3)}",
-        f"samples_per_stroke = {spec.samples_per_stroke}",
-    ]
-    return "\n".join(lines) + "\n"
-
 
 def _sample_lines(samples: SampleTable, start: int, stop: int) -> list[str]:
     """CSV lines for rows ``start:stop`` of ``samples``.
@@ -293,7 +172,7 @@ def cmd_simulate(spec_path, out_dir):
 
 
 @_exit_code
-def cmd_verify_identity(n, alpha, tol, max_terms: int = 100_000_000):
+def cmd_verify_identity(n, alpha, tol, max_terms: int = IDENTITY_TERM_BUDGET):
     """Certify the post-expansion energy-conservation sum for one (n, alpha)."""
     _print_identity(verify_energy_identity(n, alpha, tol, max_terms=max_terms))
 
@@ -337,7 +216,7 @@ def _parser() -> _Parser:
     ver.add_argument("--n", type=int, required=True, help="initial level")
     ver.add_argument("--alpha", type=float, required=True, help="expansion ratio (> 1)")
     ver.add_argument("--tol", type=float, required=True, help="certification tolerance, in (0, 1e-4]")
-    ver.add_argument("--max-terms", type=int, default=100_000_000, help="summation budget")
+    ver.add_argument("--max-terms", type=int, default=IDENTITY_TERM_BUDGET, help="summation budget")
 
     sw = sub.add_parser("sweep", help="efficiency curve over a range of L3")
     sw.add_argument("spec", help="path to a cycle spec file")

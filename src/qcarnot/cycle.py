@@ -7,10 +7,19 @@ compression to the starting width.  With ``E_hot`` the fixed energy of the
 hot isotherm and ``E_cold`` that of the cold one, the net work is
 ``W = 2 (E_hot - E_cold) ln(top_level)`` and the efficiency equals the
 reversible bound ``1 - E_cold / E_hot``.
+
+Spec file grammar: lines are ``[section]`` headers or ``key = value``; ``#``
+starts a comment; sections are ``well`` (``hbar``, ``mass``) and ``cycle``
+(``type``, ``top_level``, ``L1``, ``L3``, ``samples_per_stroke``).  Values are
+decimal numbers or bare integers, except ``type`` which takes the identifier
+``carnot``.  :func:`parse_spec` returns the :class:`CarnotSpec`; duplicate keys
+or sections, unknown keys, and values that :class:`WellParams` or
+:class:`CarnotSpec` reject are reported with line-numbered diagnostics.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +33,7 @@ from .boxmodel import (
     check_energy_scale,
     eigenenergy,
 )
-from .errors import CycleGeometryError, EngineError
+from .errors import CycleGeometryError, DomainError, EngineError, SpecFormatError
 from .processes import (
     MAX_SAMPLES_PER_STROKE,
     SampleTable,
@@ -67,6 +76,120 @@ class CarnotSpec:
                 f"L3 must exceed top_level*L1: got L3={self.L3!r}, "
                 f"top_level*L1={self.top_level * self.L1!r}"
             )
+
+
+_INT_RE = re.compile(r"[+-]?\d+$")
+
+# Keys of each section; no key belongs to two sections.
+_SECTION_KEYS = {
+    "well": ("hbar", "mass"),
+    "cycle": ("type", "top_level", "L1", "L3", "samples_per_stroke"),
+}
+_INT_KEYS = {"top_level", "samples_per_stroke"}
+
+
+def format_float(x: float) -> str:
+    return format(float(x), ".17g")
+
+
+def _scan(text: str) -> tuple[dict[str, int], dict[str, tuple[int, str]]]:
+    """Tokenize the spec text into the line of each section header and
+    ``{key: (line, raw value)}``."""
+    sections: dict[str, int] = {}
+    entries: dict[str, tuple[int, str]] = {}
+    section = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("["):
+            if not line.endswith("]"):
+                raise SpecFormatError(f"malformed section header {line!r}", lineno)
+            name = line[1:-1].strip()
+            if name not in _SECTION_KEYS:
+                raise SpecFormatError(
+                    f"unknown section '[{name}]' (expected one of: {', '.join(_SECTION_KEYS)})",
+                    lineno,
+                )
+            if name in sections:
+                raise SpecFormatError(
+                    f"duplicate section '[{name}]' (first at line {sections[name]})", lineno
+                )
+            sections[name] = lineno
+            section = name
+            continue
+        if "=" not in line:
+            raise SpecFormatError(f"expected 'key = value', got {line!r}", lineno)
+        key, _, value = line.partition("=")
+        key = key.strip()
+        value = value.strip()
+        if section is None:
+            raise SpecFormatError(f"key {key!r} appears before any section header", lineno)
+        if key not in _SECTION_KEYS[section]:
+            raise SpecFormatError(f"unknown key {key!r} in [{section}]", lineno)
+        if key in entries:
+            first = entries[key][0]
+            raise SpecFormatError(f"duplicate key {key!r} (first at line {first})", lineno)
+        if not value:
+            raise SpecFormatError(f"missing value for key {key!r}", lineno)
+        entries[key] = (lineno, value)
+    return sections, entries
+
+
+def _number(key: str, raw: str, lineno: int) -> int | float:
+    """``raw`` as the value of ``key``: a bare integer for the integer keys,
+    else a decimal number."""
+    try:
+        if key not in _INT_KEYS:
+            return float(raw)
+        if _INT_RE.fullmatch(raw):
+            return int(raw)
+    except ValueError:  # not a number, or an integer of more than 4300 digits
+        pass
+    kind = "a bare integer" if key in _INT_KEYS else "a decimal number"
+    raise SpecFormatError(f"{key} must be {kind}, got {raw!r}", lineno)
+
+
+def parse_spec(text: str) -> CarnotSpec:
+    """The cycle a spec document describes; raises :class:`SpecFormatError`.
+
+    The parser checks only the syntax.  :class:`WellParams` and
+    :class:`CarnotSpec` check the values; each of their errors starts with
+    the name of a field and is reported at the line of that key.
+    """
+    sections, entries = _scan(text)
+    if "cycle" not in sections:
+        raise SpecFormatError("missing required section '[cycle]'")
+    type_line, type_raw = entries.pop("type", (None, "carnot"))
+    if type_raw != "carnot":
+        raise SpecFormatError(f"type must be 'carnot', got {type_raw!r}", type_line)
+    for key in ("top_level", "L1", "L3"):
+        if key not in entries:
+            raise SpecFormatError(f"missing required key {key!r} in [cycle]", sections["cycle"])
+    values = {key: _number(key, raw, lineno) for key, (lineno, raw) in entries.items()}
+    try:
+        well = {key: values.pop(key) for key in _SECTION_KEYS["well"] if key in values}
+        return CarnotSpec(params=WellParams(**well), **values)
+    except DomainError as exc:
+        field = str(exc).split(" ", 1)[0]
+        raise SpecFormatError(str(exc), entries[field][0] if field in entries else None) from exc
+
+
+def render_spec(spec: CarnotSpec) -> str:
+    """Canonical text for ``spec``; ``parse_spec(render_spec(s)) == s``."""
+    lines = [
+        "[well]",
+        f"hbar = {format_float(spec.params.hbar)}",
+        f"mass = {format_float(spec.params.mass)}",
+        "",
+        "[cycle]",
+        "type = carnot",
+        f"top_level = {spec.top_level}",
+        f"L1 = {format_float(spec.L1)}",
+        f"L3 = {format_float(spec.L3)}",
+        f"samples_per_stroke = {spec.samples_per_stroke}",
+    ]
+    return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -121,21 +244,18 @@ def build_carnot_cycle(spec: CarnotSpec) -> Cycle:
     return Cycle(strokes=strokes, e_hot=e_hot, e_cold=e_cold, spec=spec)
 
 
-def evaluate_cycle(cycle: Cycle, rel_tol: float = 1e-10) -> CycleReport:
+def evaluate_cycle(cycle: Cycle) -> CycleReport:
     """Closed-form work and heat for the cycle, cross-checked by quadrature."""
     works = [stroke_work(s) for s in cycle.strokes]
-    quads = [stroke_work_quadrature(s, rel_tol) for s in cycle.strokes]
-    W = sum(works)
-    Q_H = works[0]
-    Q_C = -works[2]
-    discrepancy = sum(abs(q - w) for q, w in zip(quads, works)) / Q_H
+    quads = [stroke_work_quadrature(s) for s in cycle.strokes]
+    W, Q_H = sum(works), works[0]
     return CycleReport(
         W=W,
         Q_H=Q_H,
-        Q_C=Q_C,
+        Q_C=-works[2],
         eta=W / Q_H,
         eta_closed_form=1.0 - cycle.e_cold / cycle.e_hot,
-        quadrature_discrepancy=discrepancy,
+        quadrature_discrepancy=sum(abs(q - w) for q, w in zip(quads, works)) / Q_H,
     )
 
 

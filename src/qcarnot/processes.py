@@ -242,12 +242,13 @@ def isothermal_stroke(e_fixed, L_from, L_to, base_scale,
     The wall force along the stroke is ``2 * e_fixed / L`` regardless of the
     population path.
     """
+    L_from, L_to = _check_real(L_from, "L_from"), _check_real(L_to, "L_to")
     state_from = isothermal_state_at(e_fixed, L_from, base_scale, params)
     isothermal_populations(e_fixed, L_to, base_scale, params)  # L_to in the window
     return Stroke(
         kind=StrokeKind.ISOTHERMAL,
-        L_start=float(L_from),
-        L_end=float(L_to),
+        L_start=L_from,
+        L_end=L_to,
         state_start=state_from,
         conserved=float(e_fixed),
         params=params,
@@ -258,11 +259,9 @@ def isothermal_stroke(e_fixed, L_from, L_to, base_scale,
 def stroke_work(stroke: Stroke) -> float:
     """Closed-form work done by the system along the stroke.
 
-    Expansion is positive; zero-length strokes return 0.  Isothermal:
+    Expansion is positive; zero-length strokes give exactly 0.  Isothermal:
     ``2 E ln(L_end/L_start)``.  Adiabatic: ``E(L_start) - E(L_end)``.
     """
-    if stroke.L_start == stroke.L_end:
-        return 0.0
     if stroke.kind is StrokeKind.ISOTHERMAL:
         return 2.0 * stroke.conserved * math.log(stroke.L_end / stroke.L_start)
     return stroke.energy_at(stroke.L_start) - stroke.energy_at(stroke.L_end)
@@ -277,8 +276,6 @@ def stroke_work_quadrature(stroke: Stroke, rel_tol: float = 1e-10) -> float:
     :class:`QuadratureError` is raised.
     """
     rel_tol = _check_real(rel_tol, "rel_tol", 0.0, 1e-4)
-    if stroke.L_start == stroke.L_end:
-        return 0.0
     # Integrate at a quarter of the requested tolerance, which the estimate
     # meets relative to the refined value, so the gate below holds with margin.
     value, estimate = quadrature.integrate(

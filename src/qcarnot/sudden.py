@@ -83,6 +83,8 @@ _BLOCK = 1 << 14
 
 # Largest term budget or m_count: series indices are float64, exact up to 2**53.
 _MAX_BUDGET = 1 << 53
+# Default term budget of verify_energy_identity and of `qcarnot verify-identity`.
+IDENTITY_TERM_BUDGET = 100_000_000
 
 
 @dataclass(frozen=True)
@@ -338,7 +340,7 @@ def _smallest_terms(bound_at, floor_terms: int, budget: int, target: float) -> i
     return lo
 
 
-def verify_energy_identity(n, alpha, tol, max_terms: int = 100_000_000) -> TruncationReport:
+def verify_energy_identity(n, alpha, tol, max_terms: int = IDENTITY_TERM_BUDGET) -> TruncationReport:
     """Certify that the energy-weighted squared overlaps for level ``n`` sum to 1.
 
     Sums the series directly until the certified tail bound drops below

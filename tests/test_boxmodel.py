@@ -168,6 +168,17 @@ class TestMixedState:
         with pytest.raises((StateError, DomainError)):
             MixedState.from_pairs({0: 1.0})
 
+    @pytest.mark.parametrize("pairs", [
+        {1: "x"}, {1: "1.0"}, {1: True}, {1: np.bool_(True)}, {1: None}, {1: 0.5, 2: "0.5"},
+    ])
+    def test_from_pairs_rejects_non_real_weight(self, pairs):
+        with pytest.raises(DomainError, match="weight must be finite"):
+            MixedState.from_pairs(pairs)
+
+    def test_from_pairs_accepts_numpy_weights(self):
+        s = MixedState.from_pairs({1: np.float32(0.25), 2: np.float64(0.75)})
+        assert s.populations == ((1, 0.25), (2, 0.75))
+
     def test_immutable_arrays(self):
         s = MixedState.pure(1)
         with pytest.raises(ValueError):

@@ -87,6 +87,11 @@ class TestParseSpec:
         with pytest.raises(SpecFormatError, match="expected 'key = value'"):
             parse_spec("[cycle]\ntop_level\n")
 
+    def test_unclosed_section_header(self):
+        with pytest.raises(SpecFormatError) as info:
+            parse_spec("[cycle\ntop_level = 2\nL1 = 1\nL3 = 4\n")
+        assert str(info.value) == "line 1: malformed section header '[cycle'"
+
     def test_key_before_section(self):
         with pytest.raises(SpecFormatError, match="before any section"):
             parse_spec("L1 = 1\n")
@@ -169,6 +174,31 @@ class TestRenderRoundTrip:
             assert (code, err) == (0, ""), path.name
 
 
+class TestPackageImport:
+    def test_import_loads_no_cli_and_keeps_the_spec_text_form(self):
+        # A fresh interpreter, since this test session has imported the cli.
+        specs = Path(__file__).resolve().parents[1] / "specs"
+        program = (
+            "import sys\n"
+            "from pathlib import Path\n"
+            "import qcarnot\n"
+            "assert 'qcarnot.cli' not in sys.modules\n"
+            "assert 'argparse' not in sys.modules\n"
+            f"paths = sorted(Path({str(specs)!r}).glob('*.spec'))\n"
+            "assert paths\n"
+            "for path in paths:\n"
+            "    spec = qcarnot.parse_spec(path.read_text(encoding='utf-8'))\n"
+            "    assert qcarnot.parse_spec(qcarnot.render_spec(spec)) == spec\n"
+            "    assert isinstance(spec, qcarnot.CarnotSpec)\n"
+        )
+        src = str(Path(qcarnot.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, "-c", program], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+
+
 class TestFormatFloat:
     def test_seventeen_digit_round_trip(self):
         for x in (math.pi ** 2 * math.log(2), 0.1, 1e-300, 12345.6789):
@@ -220,6 +250,14 @@ class TestSimulate:
         path.write_text("[cycle]\ntop_level = 2\nL1 = 1\nL3 = 1\n")
         assert cmd_simulate(path, tmp_path / "out") == 1
         assert "L3 must exceed" in capsys.readouterr().err
+
+    def test_unclosed_section_header_exits_1(self, tmp_path):
+        path = tmp_path / "unclosed.spec"
+        path.write_text("[cycle\ntop_level = 2\nL1 = 1\nL3 = 4\n")
+        code, err = _run_main(["simulate", str(path), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert err == f"error: {path}: line 1: malformed section header '[cycle'\n"
+        assert not (tmp_path / "out").exists()
 
     def test_missing_spec_exits_1(self, tmp_path):
         assert cmd_simulate(tmp_path / "absent.spec", tmp_path / "out") == 1

@@ -117,9 +117,11 @@ class TestAdiabaticStroke:
             adiabatic_stroke(MixedState.pure(1), L_from, L_to)
 
     def test_zero_length_work(self):
-        stroke = adiabatic_stroke(MixedState.pure(1), 1.3, 1.3)
-        assert stroke_work(stroke) == 0.0
-        assert stroke_work_quadrature(stroke) == 0.0
+        for state in (MixedState.pure(1), MixedState.from_pairs({2: 0.3, 5: 0.7})):
+            for L in (1.3, 0.1, 7.0):
+                stroke = adiabatic_stroke(state, L, L)
+                assert stroke_work(stroke) == 0.0
+                assert stroke_work_quadrature(stroke) == 0.0
 
     @given(s=mixed_states(), data=st.data())
     @settings(max_examples=50)
@@ -152,8 +154,23 @@ class TestIsothermalStroke:
             )
 
     def test_zero_length_work(self):
-        stroke = isothermal_stroke(E_GROUND, 1.5, 1.5, 1.0)
-        assert stroke_work(stroke) == 0.0
+        for L in (1.0, 1.5, 2.0, 3.7):
+            stroke = isothermal_stroke(E_GROUND, L, L, 1.0)
+            assert stroke_work(stroke) == 0.0
+            assert stroke_work_quadrature(stroke) == 0.0
+
+    @pytest.mark.parametrize("L_from, L_to", [
+        ("2", True), (True, 2.0), (2.0, "1"), (None, 1.0),
+        (1.0, np.array([1.5, 1.8])), (1.0, np.array([1.5])),
+    ])
+    def test_rejects_bad_width_types(self, L_from, L_to):
+        with pytest.raises(DomainError):
+            isothermal_stroke(E_GROUND, L_from, L_to, 1.0)
+
+    @pytest.mark.parametrize("L_from, L_to, name", [(-1.0, 2.0, "L_from"), (1.0, math.nan, "L_to")])
+    def test_names_the_bad_width(self, L_from, L_to, name):
+        with pytest.raises(DomainError, match=f"{name} must be positive and finite"):
+            isothermal_stroke(E_GROUND, L_from, L_to, 1.0)
 
 
 class TestForceArrayPath:

@@ -46,6 +46,12 @@ class TestOverlapCoefficient:
         assert overlap_coefficient(3, 3, 1.0) == 1.0
         assert overlap_coefficient(3, 5, 1.0) == 0.0
 
+    def test_identity_ratio_squares_are_a_delta_row(self):
+        assert level_overlap_squares(2, 1.0, 3).tolist() == [0.0, 1.0, 0.0]
+        assert level_overlap_squares(1, 1.0, 1).tolist() == [1.0]
+        # Level n lies past the row's end, so every entry is 0.
+        assert level_overlap_squares(5, 1.0, 3).tolist() == [0.0, 0.0, 0.0]
+
     def test_near_resonance_is_stable(self):
         # A hair off resonance must stay close to the resonant limit, not blow
         # up through cancellation in the raw quotient form.

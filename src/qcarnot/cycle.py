@@ -247,7 +247,7 @@ def build_carnot_cycle(spec: CarnotSpec) -> Cycle:
 def evaluate_cycle(cycle: Cycle) -> CycleReport:
     """Closed-form work and heat for the cycle, cross-checked by quadrature."""
     works = [stroke_work(s) for s in cycle.strokes]
-    quads = [stroke_work_quadrature(s) for s in cycle.strokes]
+    quads = stroke_work_quadrature(cycle.strokes)
     W, Q_H = sum(works), works[0]
     return CycleReport(
         W=W,

@@ -81,9 +81,10 @@ from .errors import DomainError, TruncationError, VerificationError
 # cache.  The table's argument reduction needs _BLOCK <= 2**14.
 _BLOCK = 1 << 14
 
-# Largest term budget or m_count: series indices are float64, exact up to 2**53.
+# Largest term budget: series indices are float64, exact up to 2**53.
 _MAX_BUDGET = 1 << 53
-# Default term budget of verify_energy_identity and of `qcarnot verify-identity`.
+# Default term budget of verify_energy_identity and of `qcarnot verify-identity`,
+# and the largest m_count of level_overlap_squares.
 IDENTITY_TERM_BUDGET = 100_000_000
 
 
@@ -256,10 +257,14 @@ def _square_series(alpha: float, terms: int, levels, weights=None, out=None) -> 
 
 
 def level_overlap_squares(n, alpha, m_count: int) -> np.ndarray:
-    """Squared overlaps ``b(m, n)^2`` for ``m = 1 .. m_count`` as an array."""
+    """Squared overlaps ``b(m, n)^2`` for ``m = 1 .. m_count`` as an array.
+
+    ``m_count`` is at most ``IDENTITY_TERM_BUDGET``, which bounds the row
+    allocated (800 MB), not just the series index.
+    """
     n = _check_int(n, "n")
     alpha = _check_alpha(alpha)
-    m_count = _check_int(m_count, "m_count", 1, _MAX_BUDGET)
+    m_count = _check_int(m_count, "m_count", 1, IDENTITY_TERM_BUDGET)
     row = np.zeros(m_count)
     if alpha == 1.0:
         if n <= m_count:

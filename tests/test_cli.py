@@ -318,9 +318,7 @@ class TestSimulate:
         path = tmp_path / "huge.spec"
         path.write_text(text)
         code, err = _run_main(["simulate", str(path), "--out", str(tmp_path / "out")])
-        # The cycle is built; at this scale its quadrature cross-check may
-        # still miss the 1e-10 gate (exit 2), a limit apart from the spec's.
-        assert code in (0, 2)
+        assert code == 0
         assert "top_level" not in err
 
     def test_byte_identical_reruns(self, spec_path, tmp_path):

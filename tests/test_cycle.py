@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from qcarnot import processes
 from qcarnot import (
     CarnotSpec,
     CycleGeometryError,
     DomainError,
     ProcessSample,
     SampleTable,
+    WellParams,
     build_carnot_cycle,
     evaluate_cycle,
     polyline_work,
@@ -162,6 +164,32 @@ class TestEvaluate:
         report = evaluate_cycle(build_carnot_cycle(CarnotSpec(1000, 1.0, L3)))
         assert report.quadrature_discrepancy <= 1e-8
         assert report.eta == pytest.approx(1 - (1000.0 / L3) ** 2, rel=1e-12)
+
+    @pytest.mark.parametrize("ratio", [1.0, 1.2, 3.0, 4.5])
+    @pytest.mark.parametrize("top_level", [10 ** 9, 10 ** 11, 10 ** 13, 10 ** 15, 2 ** 62,
+                                           MAX_TOP_LEVEL])
+    def test_cross_check_over_the_top_level_domain(self, top_level, ratio):
+        # L3 / (top_level L1) = ratio; the well and L1 are drawn per case.
+        rng = np.random.default_rng([top_level, int(10 * ratio)])
+        hbar, mass, L1 = (10.0 ** rng.uniform(-1.0, 1.0, 3)).tolist()
+        spec = CarnotSpec(top_level, L1, ratio * top_level * L1, WellParams(hbar, mass))
+        report = evaluate_cycle(build_carnot_cycle(spec))
+        assert report.quadrature_discrepancy <= 1e-12
+        assert report.eta == pytest.approx(report.eta_closed_form, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_cross_check_sees_a_population_error(self, monkeypatch, k):
+        # 1e-6 on w_upper over the level interval [k, k+1) of both isotherms
+        # leaves the closed forms alone and must show in the quadrature.
+        cycle = build_carnot_cycle(CarnotSpec(6, 1.0, 18.0))
+        exact = processes.isothermal_populations
+
+        def shifted(*args):
+            level, w_upper = exact(*args)
+            return level, w_upper + 1e-6 * (level == k)
+
+        monkeypatch.setattr(processes, "isothermal_populations", shifted)
+        assert evaluate_cycle(cycle).quadrature_discrepancy > 1e-8
 
     def test_efficiency_monotone_in_l3(self):
         etas = [

@@ -11,6 +11,7 @@ from qcarnot import (
     MixedState,
     SampleTable,
     ScaleError,
+    Stroke,
     WellParams,
     adiabatic_stroke,
     eigenenergy,
@@ -264,6 +265,29 @@ class TestStrokeWork:
             w = stroke_work(stroke)
             q = stroke_work_quadrature(stroke, 1e-10)
             assert q == pytest.approx(w, rel=1e-9, abs=1e-12)
+
+    def test_sequence_of_strokes_matches_one_at_a_time(self):
+        # Every stroke's panels refine on their own keys and anchors, so one
+        # call for all of them gives each stroke's work bit for bit.
+        rng = np.random.default_rng(5)
+        strokes = [random_stroke(rng) for _ in range(6)]
+        strokes.insert(2, isothermal_stroke(E_GROUND, 1.5, 1.5, 1.0))
+        works = stroke_work_quadrature(strokes, 1e-10)
+        assert works == [stroke_work_quadrature(s, 1e-10) for s in strokes]
+        assert all(type(w) is float for w in works) and works[2] == 0.0
+
+    def test_integrand_probes_every_stroke_at_257_widths(self, monkeypatch):
+        widths = []
+        force_at = Stroke.force_at
+
+        def spy(stroke, L):
+            widths.append(np.unique(L).size)
+            return force_at(stroke, L)
+
+        monkeypatch.setattr(Stroke, "force_at", spy)
+        stroke_work_quadrature([isothermal_stroke(E_GROUND, 1.0, 6.0, 1.0),
+                                adiabatic_stroke(MixedState.pure(1), 1.0, 1.0 + 1e-9)])
+        assert widths[:2] == [257, 257]
 
     def test_reversed_endpoints_negate_work(self):
         rng = np.random.default_rng(3)

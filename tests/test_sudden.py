@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -151,8 +152,18 @@ class TestSquareKernel:
 
     @pytest.mark.parametrize("m_count", [0, True, "3", 2.5, math.nan, 2 ** 53 + 1, 2 ** 60])
     def test_rejects_bad_count(self, m_count):
-        with pytest.raises(DomainError, match=r"m_count must be an integer in \[1, 2\*\*53\]"):
+        with pytest.raises(DomainError, match=r"m_count must be an integer in \[1, 100000000\]"):
             level_overlap_squares(1, 2.0, m_count)
+
+    def test_count_past_the_cap_allocates_nothing(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="m_count"):
+                level_overlap_squares(1, 2.0, sudden.IDENTITY_TERM_BUDGET + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_resonance_at_block_edges(self):
         # A resonance on the last index of a block, and one whose two

@@ -171,7 +171,8 @@ class MixedState:
             raise StateError("weights must be finite")
         if weights.min() < 0.0:
             raise StateError("weights must be nonnegative")
-        total = float(weights.sum())
+        with np.errstate(over="ignore"):  # an overflowing sum is inf, rejected below
+            total = float(weights.sum())
         if abs(total - 1.0) > NORMALIZATION_TOL:
             raise StateError(
                 f"populations must sum to 1 within {NORMALIZATION_TOL:g}, got {total!r}"

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .boxmodel import _check_int
+from .boxmodel import _check_int, _check_real
 from .cycle import (
     CarnotSpec,
     CycleReport,
@@ -183,7 +183,9 @@ def cmd_sweep(spec_path, l3_from, l3_to, steps, out_path):
     step's :class:`CarnotSpec` is built, and so checked, before any cycle runs."""
     base = _load_spec(spec_path)
     steps = _check_int(steps, "steps", 2, MAX_SWEEP_STEPS)
-    specs = [dataclasses.replace(base, L3=float(L3)) for L3 in np.linspace(l3_from, l3_to, steps)]
+    # Positive finite ends keep np.linspace finite; CarnotSpec checks the rest.
+    ends = [_check_real(L3, "L3") for L3 in (l3_from, l3_to)]
+    specs = [dataclasses.replace(base, L3=float(L3)) for L3 in np.linspace(*ends, steps)]
     rows = []
     for spec in specs:
         report = evaluate_cycle(build_carnot_cycle(spec))

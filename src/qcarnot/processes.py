@@ -141,24 +141,21 @@ class Stroke:
     """One reversible process segment.
 
     ``conserved`` is the fixed mean energy for an isothermal stroke and the
-    constant ``E * L^2`` coefficient for an adiabatic one.  ``base_scale`` is
-    the isotherm's ground-state width (``None`` on adiabats).  Zero-length
-    strokes (``L_start == L_end``) are permitted and carry zero work.
+    constant ``E * L^2`` coefficient for an adiabatic one.  ``state_start`` is
+    the adiabat's frozen state (``None`` on isotherms), ``base_scale`` the
+    isotherm's ground-state width (``None`` on adiabats); an isotherm's state
+    at width ``L`` is ``isothermal_state_at(conserved, L, base_scale,
+    params)``.  Zero-length strokes (``L_start == L_end``) are permitted and
+    carry zero work.
     """
 
     kind: StrokeKind
     L_start: float
     L_end: float
-    state_start: MixedState
+    state_start: MixedState | None
     conserved: float
     params: WellParams
     base_scale: float | None = None
-
-    def state_at(self, L) -> MixedState:
-        if self.kind is StrokeKind.ADIABATIC:
-            _check_real(L, "L")
-            return self.state_start
-        return isothermal_state_at(self.conserved, L, self.base_scale, self.params)
 
     def force_at(self, L):
         """Population-weighted wall force at width ``L``, elementwise on arrays.
@@ -178,9 +175,6 @@ class Stroke:
         if force.size and not (force.min() > 0.0 and force.max() < math.inf):
             raise ScaleError(f"wall force over- or underflows binary64 at widths {L!r}")
         return float(force) if force.ndim == 0 else force
-
-    def energy_at(self, L) -> float:
-        return expectation_energy(self.state_at(L), L, self.params)
 
 
 def adiabatic_stroke(state: MixedState, L_from, L_to,
@@ -206,7 +200,8 @@ def isothermal_populations(e_fixed, L, base_scale, params: WellParams = DEFAULT_
     ``k`` and ``k + 1`` are populated, with ``w_upper`` on ``k + 1``.
     ``e_fixed`` must equal the ground-state energy at ``base_scale``.  Raises
     :class:`IsothermRangeError` if any width lies below ``base_scale``, where
-    the required populations would turn negative.
+    the required populations would turn negative, or at ``2**63 *
+    base_scale`` or beyond, where level ``k`` leaves the int64 range.
     """
     L = _check_widths(L)
     base_scale = _check_real(base_scale, "base_scale")
@@ -218,9 +213,10 @@ def isothermal_populations(e_fixed, L, base_scale, params: WellParams = DEFAULT_
             f"{ground!r} at base width {base_scale!r}"
         )
     ratio = L / base_scale
-    if (ratio < 1.0 - 1e-12).any():
+    if not ((ratio >= 1.0 - 1e-12) & (ratio < 2.0 ** 63)).all():
         raise IsothermRangeError(
-            f"width {L!r} lies below the isotherm validity window starting at {base_scale!r}"
+            f"width {L!r} lies outside the isotherm validity window "
+            f"[{base_scale!r}, 2**63 * {base_scale!r})"
         )
     ratio = np.maximum(ratio, 1.0)
     k = np.floor(ratio)
@@ -233,11 +229,7 @@ def isothermal_state_at(e_fixed, L, base_scale, params: WellParams = DEFAULT_PAR
     The populations come from :func:`isothermal_populations`, whose checks
     and errors apply.
     """
-    L = _check_real(L, "L")
-    return _staircase_state(*isothermal_populations(e_fixed, L, base_scale, params))
-
-
-def _staircase_state(k, w_upper) -> MixedState:
+    k, w_upper = isothermal_populations(e_fixed, _check_real(L, "L"), base_scale, params)
     k, w_upper = int(k), float(w_upper)
     if w_upper == 0.0:
         return MixedState.pure(k)
@@ -252,13 +244,13 @@ def isothermal_stroke(e_fixed, L_from, L_to, base_scale,
     population path.
     """
     L_from, L_to = _check_real(L_from, "L_from"), _check_real(L_to, "L_to")
-    state_from = isothermal_state_at(e_fixed, L_from, base_scale, params)
-    isothermal_populations(e_fixed, L_to, base_scale, params)  # L_to in the window
+    # Both ends in the window; the stroke itself keeps no state.
+    isothermal_populations(e_fixed, np.array([L_from, L_to]), base_scale, params)
     return Stroke(
         kind=StrokeKind.ISOTHERMAL,
         L_start=L_from,
         L_end=L_to,
-        state_start=state_from,
+        state_start=None,
         conserved=float(e_fixed),
         params=params,
         base_scale=float(base_scale),
@@ -273,7 +265,9 @@ def stroke_work(stroke: Stroke) -> float:
     """
     if stroke.kind is StrokeKind.ISOTHERMAL:
         return 2.0 * stroke.conserved * math.log(stroke.L_end / stroke.L_start)
-    return stroke.energy_at(stroke.L_start) - stroke.energy_at(stroke.L_end)
+    start, end = (expectation_energy(stroke.state_start, L, stroke.params)
+                  for L in (stroke.L_start, stroke.L_end))
+    return start - end
 
 
 def stroke_work_quadrature(strokes: Stroke | Sequence[Stroke],
@@ -339,7 +333,8 @@ def sample_stroke(stroke: Stroke, count: int, stroke_index: int = 1) -> SampleTa
     :func:`isothermal_populations` call, as levels ``k, k + 1`` (``k`` alone
     where the state is pure).  Every value equals, bit for bit, what
     ``wall_force``, ``expectation_energy``, ``entropy`` and ``.populations``
-    give for ``stroke.state_at(L)``.
+    give for the state at ``L``: ``stroke.state_start`` on an adiabat,
+    :func:`isothermal_state_at` on an isotherm.
     """
     count = _check_int(count, "count", 2, MAX_SAMPLES_PER_STROKE)
     widths = np.linspace(stroke.L_start, stroke.L_end, count)

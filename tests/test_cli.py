@@ -436,6 +436,18 @@ class TestSweep:
             "error: L3 must exceed top_level*L1: got L3=1.5, top_level*L1=2.0\n"
         )
 
+    @pytest.mark.parametrize("l3_from, l3_to, bad", [
+        (0.0, math.inf, 0.0), (3.0, math.inf, math.inf), (-1e308, 1e308, -1e308),
+        (3.0, math.nan, math.nan),
+    ])
+    def test_unbounded_l3_exits_1_without_warning(self, spec_path, tmp_path, monkeypatch,
+                                                   capsys, l3_from, l3_to, bad):
+        # The ends are checked before np.linspace, which would otherwise warn
+        # of an invalid multiply or an overflowing difference.
+        self.forbid_evaluation(monkeypatch)
+        assert cmd_sweep(spec_path, l3_from, l3_to, 3, tmp_path / "s.csv") == 1
+        assert capsys.readouterr().err == f"error: L3 must be positive and finite, got {bad!r}\n"
+
     def test_bad_steps_exits_1(self, spec_path, tmp_path):
         assert cmd_sweep(spec_path, 2.5, 4.0, 1, tmp_path / "s.csv") == 1
 

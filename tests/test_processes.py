@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -30,6 +31,14 @@ from qcarnot.processes import MAX_SAMPLES_PER_STROKE
 from strategies import mixed_states
 
 E_GROUND = math.pi ** 2 / 2
+
+
+def state_at(stroke, L):
+    """The state at width ``L`` along ``stroke``: an adiabat's frozen state,
+    an isotherm's staircase state from ``isothermal_state_at``."""
+    if stroke.kind.value == "adiabatic":
+        return stroke.state_start
+    return isothermal_state_at(stroke.conserved, L, stroke.base_scale, stroke.params)
 
 
 def random_stroke(rng):
@@ -105,7 +114,9 @@ class TestAdiabaticStroke:
         stroke = adiabatic_stroke(MixedState.pure(2), 2.0, L3)
         for L in (2.0, 3.0, L3):
             assert stroke.force_at(L) == pytest.approx(4 * math.pi ** 2 / L ** 3, rel=1e-13)
-        assert stroke.energy_at(L3) == pytest.approx(2 * math.pi ** 2 / L3 ** 2, rel=1e-13)
+        assert expectation_energy(stroke.state_start, L3) == pytest.approx(
+            2 * math.pi ** 2 / L3 ** 2, rel=1e-13
+        )
 
     def test_ground_level_compression_force_law(self):
         stroke = adiabatic_stroke(MixedState.pure(1), 2.5, 1.0)
@@ -135,8 +146,10 @@ class TestAdiabaticStroke:
             assert stroke.force_at(L) * L ** 3 == pytest.approx(
                 stroke.force_at(a) * a ** 3, rel=1e-12
             )
-            assert stroke.energy_at(L) * L ** 2 == pytest.approx(stroke.conserved, rel=1e-12)
-            assert entropy(stroke.state_at(L)) == entropy(s)
+            assert expectation_energy(stroke.state_start, L) * L ** 2 == pytest.approx(
+                stroke.conserved, rel=1e-12
+            )
+            assert entropy(stroke.state_start) == entropy(s)
 
 
 class TestIsothermalStroke:
@@ -173,6 +186,26 @@ class TestIsothermalStroke:
         with pytest.raises(DomainError, match=f"{name} must be positive and finite"):
             isothermal_stroke(E_GROUND, L_from, L_to, 1.0)
 
+    def test_widths_from_2_pow_63_bases_rejected(self):
+        # Level floor(L / base) must fit an int64: the window ends at the
+        # largest binary64 ratio below 2**63, and every entry point rejects
+        # 2**63 * base instead of casting the level to -2**63.
+        e, base = eigenenergy(1, 0.5), 0.5
+        edge, beyond = (2.0 ** 63 - 1024) * base, 2.0 ** 63 * base
+        stroke = isothermal_stroke(e, base, edge, base)
+        assert sample_stroke(stroke, 3).levels[-1].tolist() == [2 ** 63 - 1024, 0]
+        assert stroke.force_at(edge) > 0.0
+        for call in (
+            lambda: isothermal_stroke(e, base, beyond, base),
+            lambda: isothermal_stroke(eigenenergy(1, 1.0), 1.0, 1e20, 1.0),
+            lambda: stroke.force_at(beyond),
+            lambda: stroke.force_at(np.array([edge, beyond])),
+            lambda: sample_stroke(dataclasses.replace(stroke, L_end=beyond), 3),
+            lambda: isothermal_state_at(e, beyond, base),
+        ):
+            with pytest.raises(IsothermRangeError, match="validity window"):
+                call()
+
 
 class TestForceArrayPath:
     STROKES = (
@@ -195,7 +228,7 @@ class TestForceArrayPath:
             scalar = stroke.force_at(L)
             assert isinstance(scalar, float)
             assert F == pytest.approx(scalar, rel=1e-15)
-            assert F == pytest.approx(wall_force(stroke.state_at(L), L), rel=1e-15)
+            assert F == pytest.approx(wall_force(state_at(stroke, L), L), rel=1e-15)
 
     def test_window_edge(self):
         stroke = isothermal_stroke(E_GROUND, 1.0, 3.0, 1.0)
@@ -300,12 +333,11 @@ class TestStrokeWork:
                 )
             else:
                 back = adiabatic_stroke(
-                    stroke.state_at(stroke.L_end), stroke.L_end, stroke.L_start,
-                    stroke.params,
+                    stroke.state_start, stroke.L_end, stroke.L_start, stroke.params,
                 )
             assert stroke_work(back) == pytest.approx(-stroke_work(stroke), rel=1e-12, abs=1e-12)
-            returned = back.state_at(stroke.L_start)
-            assert returned.populations == stroke.state_start.populations
+            returned = state_at(back, stroke.L_start)
+            assert returned.populations == state_at(stroke, stroke.L_start).populations
 
 
 class TestSampleStroke:
@@ -356,7 +388,7 @@ def per_row_samples(stroke, count):
     """The per-row reference: a validated state at each width, then the scalar observables."""
     rows = []
     for L in np.linspace(stroke.L_start, stroke.L_end, count).tolist():
-        state = stroke.state_at(L)
+        state = state_at(stroke, L)
         rows.append((
             L,
             wall_force(state, L, stroke.params),

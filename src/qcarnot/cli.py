@@ -13,7 +13,9 @@ Commands::
 Exit codes: 0 success, 1 input or verification failure, 2 runtime or
 numerical failure.  All floats are emitted with 17 significant digits, '.'
 decimal separator, and '\\n' line endings; identical inputs give
-byte-identical outputs.
+byte-identical outputs.  Every float is the text of ``'%.17g' % x``, as
+:func:`format_float` gives it; samples.csv gets that text from an array path
+over the table's numpy columns, ``_CSV_BLOCK_ROWS`` rows at a time.
 """
 
 from __future__ import annotations
@@ -50,45 +52,208 @@ SAMPLES_HEADER = "stroke_index,stroke_kind,L,force,energy,entropy,populations"
 REPORT_HEADER = "W,Q_H,Q_C,eta,eta_closed_form,quadrature_discrepancy"
 SWEEP_HEADER = "L3,W,Q_H,eta,eta_closed_form"
 
-# Sample rows formatted per write, which bounds the text held at once.
-_CSV_BLOCK_ROWS = 1024
+# Sample rows formatted per write, which bounds the text and the formatter's
+# temporary arrays held at once.
+_CSV_BLOCK_ROWS = 512
 
 # Largest sweep --steps: like the samples_per_stroke cap, it bounds the
 # output, here one CSV row and one cycle evaluation per step.
 MAX_SWEEP_STEPS = 2 ** 20
 
-def _sample_lines(samples: SampleTable, start: int, stop: int) -> list[str]:
-    """CSV lines for rows ``start:stop`` of ``samples``.
+# samples.csv is built a block of rows at a time as a byte matrix: one row
+# per CSV line, each field in columns of its own, and zero bytes wherever a
+# field's text is shorter.  The zeros are dropped before the block is written.
 
-    Rows are grouped by their number of populated levels, so each group
-    shares one ``%``-format; ``"%.17g" % x`` gives the same text as
-    :func:`format_float`.
+# Decimal exponents of the nonzero finite doubles, 4.9e-324 to 1.8e308.
+_E_MIN, _E_MAX = -324, 308
+# '%.17g' writes exponents -4 <= e <= 16 in fixed notation, else as d.ddde±XX.
+_FIXED_E_MIN, _FIXED_E_MAX = -4, 16
+# Dekker's splitter: with c = a * _SPLIT, c - (c - a) keeps a's top 26 bits.
+_SPLIT = 2.0 ** 27 + 1
+# The 16 digits after the first come in four groups of four; the position
+# of each group's first digit among the 17.
+_GROUP_START = np.array([[1], [5], [9], [13]], np.int8)
+
+
+def _words(texts) -> np.ndarray:
+    """One uint64 per text of at most 8 bytes, holding its bytes zero-padded."""
+    return np.array(texts, "S8").view(np.uint64)
+
+
+@functools.cache
+def _digit_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For each value 0..9999, a word with its four ASCII digits at the odd
+    bytes and the position after its last nonzero digit (0 for 0); and by
+    ``k + 13`` for k in -13..16, the mask word that keeps the first k of a
+    word's digits, clamped to 0..4."""
+    digits = np.arange(10_000)[:, None] // np.array([1000, 100, 10, 1]) % 10
+    spaced = np.zeros((10_000, 8), np.uint8)
+    spaced[:, 1::2] = digits + ord("0")
+    figures = 4 - np.cumprod(digits[:, ::-1] == 0, axis=1).sum(axis=1)
+    keep = _words([b"\0\xff" * min(max(b, 0), 4) for b in range(-13, 17)])
+    return spaced.view(np.uint64).ravel(), figures.astype(np.int8), keep
+
+
+@functools.cache
+def _exponent_table() -> tuple[np.ndarray, ...]:
+    """Tables by row ``e - _E_MIN``, for each decimal exponent e:
+
+    - ``h, h_hi, h_lo, l, s`` with ``10**(16 - e) = (h + l) * 2**s``: ``h`` in
+      [1, 2] correctly rounded, ``h_hi + h_lo`` its Dekker split, and ``l``
+      the rest, correctly rounded, so ``h + l`` is within 2**-106 of the
+      power, relative;
+    - the word before the digits, at ``row + negative * rows``: the sign and,
+      in fixed notation below 1, ``0.`` and the zeros after it;
+    - the word after the digits: the exponent, empty in fixed notation;
+    - the number of digits before the point.
     """
-    scalars = [
-        getattr(samples, name)[start:stop]
-        for name in ("stroke_index", "stroke_kind", "L", "force", "energy", "entropy")
-    ]
-    levels, weights = samples.levels[start:stop], samples.weights[start:stop]
-    support = np.count_nonzero(levels, axis=1)
-    lines = [""] * support.size
-    for size in set(support.tolist()):
-        rows = np.flatnonzero(support == size)
-        columns = [c[rows] for c in scalars]
-        for j in range(size):
-            columns += [levels[rows, j], weights[rows, j]]
-        row_format = "%d,%s,%.17g,%.17g,%.17g,%.17g," + ";".join(["%d:%.17g"] * size)
-        for i, values in zip(rows.tolist(), zip(*(c.tolist() for c in columns))):
-            lines[i] = row_format % values
-    return lines
+    columns = []
+    for e in range(_E_MIN, _E_MAX + 1):
+        num, den = (10 ** (16 - e), 1) if e <= 16 else (1, 10 ** (e - 16))
+        s = num.bit_length() - den.bit_length()
+        if num << max(-s, 0) < den << max(s, 0):
+            s -= 1
+        num, den = num << max(-s, 0), den << max(s, 0)
+        h = num / den  # int / int rounds correctly
+        columns.append((h, (num * 2 ** 52 - int(h * 2 ** 52) * den) / (den * 2 ** 52), s))
+    h, l, s = np.array(columns).T
+    c = h * _SPLIT
+    h_hi = c - (c - h)
+    exponents = range(_E_MIN, _E_MAX + 1)
+    fixed = [_FIXED_E_MIN <= e <= _FIXED_E_MAX for e in exponents]
+    prefix = [sign + ("0." + "0" * (-e - 1) if f and e < 0 else "")
+              for sign in ("", "-") for e, f in zip(exponents, fixed)]
+    suffix = ["" if f else "e%+03d" % e for e, f in zip(exponents, fixed)]
+    whole = [max(e + 1, 0) if f else 1 for e, f in zip(exponents, fixed)]
+    return np.stack([h, h_hi, h - h_hi, l, s]), _words(prefix), _words(suffix), np.array(whole, np.int8)
+
+
+def _scaled(m, exp2, row):
+    """``(hi, lo)``: ``m * 2**exp2 * 10**(16 - e)`` as a normalised
+    double-double, for ``m`` in [0.5, 1) and ``row = e - _E_MIN``.
+
+    ``m * h`` is exact in Dekker's product; rounding ``m * l`` and the sums
+    adds at most 2**-104, and the table's ``h + l`` 2**-106 of ``m * h``.  So
+    ``hi + lo`` is within 2**-102 of the product, relative.
+    """
+    h, h_hi, h_lo, l, s = _exponent_table()[0].take(row, axis=1)
+    p = m * h
+    c = m * _SPLIT
+    m_hi = c - (c - m)
+    m_lo = m - m_hi
+    q = ((m_hi * h_hi - p) + m_hi * h_lo + m_lo * h_hi) + m_lo * h_lo + m * l
+    hi = p + q
+    scale = exp2 + s.astype(np.int32)
+    return np.ldexp(hi, scale), np.ldexp(q - (hi - p), scale)
+
+
+def _float_text(x: np.ndarray) -> np.ndarray:
+    """``'%.17g' % v`` for each value ``v`` of ``x``, as a ``x.shape + (48,)``
+    byte array padded with zeros.
+
+    The digits are ``N = round(|v| * 10**(16 - e))`` in [10**16, 10**17), from
+    a double-double product within 2**-100 of the exact one, relative.  Where
+    the product's fraction is that close to 1/2, the value is a tie or too near
+    one to round from it; such values, nan and ±inf go through
+    :func:`format_float`.  Each text is six words: the sign and any leading
+    ``0.00``; the 17 digits, each after a byte that may hold the point; and
+    the exponent.
+    """
+    shape, x = x.shape, x.ravel()
+    size = x.size
+    a = np.abs(x)
+    zero = a == 0.0
+    finite = a < np.inf
+    a[~finite | zero] = 1.0  # zeros print as 1 with the digit lowered to 0; the rest fall back
+    row = np.floor(np.log10(a)).astype(np.intp) - _E_MIN
+    m, exp2 = np.frexp(a)
+    hi, lo = _scaled(m, exp2, row)
+    # Next to a power of ten log10 can put e one off: move e wherever the
+    # unrounded product leaves [10**16, 10**17), and scale again.
+    above = (hi - 1e17) + lo >= 0.0
+    moved = np.flatnonzero(((hi - 1e16) + lo < 0.0) | above)
+    if moved.size:
+        row[moved] += np.where(above[moved], 1, -1)
+        hi[moved], lo[moved] = _scaled(m[moved], exp2[moved], row[moved])
+    rounded = np.rint(lo)
+    # hi + lo < 2**57 is within 2**-100 of it, 2**-43, of the exact product.
+    tie = np.abs(lo - rounded) >= 0.5 - 2.0 ** -43
+    n = hi.astype(np.int64) + rounded.astype(np.int64)
+    carry = n >= 10 ** 17  # rounded up to 10**17: one digit more
+    if carry.any():
+        n[carry] //= 10
+        row += carry
+
+    groups = np.empty((4, size), np.int64)
+    lead = n
+    for j in (3, 2, 1, 0):
+        upper = lead // 10_000
+        groups[j] = lead - upper * 10_000
+        lead = upper
+    digit_words, figures, keep_words = _digit_table()
+    _, prefix, suffix, whole_digits = _exponent_table()
+    ends = figures.take(groups)  # per group: the position after its last nonzero digit
+    ends = (ends + _GROUP_START) * (ends > 0)
+    whole = whole_digits.take(row)
+    # Digits shown: up to the last nonzero one, and at least the whole part.
+    kept = np.maximum(np.maximum(np.maximum(ends[0], ends[1]), np.maximum(ends[2], ends[3])), whole)
+
+    words = np.empty((size, 6), np.uint64)
+    words[:, 0] = prefix.take(np.signbit(x) * (_E_MAX - _E_MIN + 1) + row)
+    words[:, 1:5] = (digit_words.take(groups) & keep_words.take(kept + (13 - _GROUP_START))).T
+    words[:, 5] = suffix.take(row)
+    text = words.view(np.uint8)
+    text[:, 7] = lead + ord("0") - zero
+    # Digit k is byte 7 + 2k, after its point slot 6 + 2k.  Slot 6 would hold
+    # a point before the first digit, which the prefix '0.' already has; slot
+    # 40, for 17 whole digits, is the empty exponent's and gets no point.
+    text.reshape(-1)[np.arange(6, 48 * size, 48) + 2 * whole] = (kept > whole) * ord(".")
+    text[:, 6] = 0
+    for i in np.flatnonzero(~finite | tie).tolist():
+        value = format_float(x[i]).encode()
+        text[i] = 0
+        text[i, :len(value)] = np.frombuffer(value, np.uint8)
+    return text.reshape(shape + (-1,))
+
+
+def _run_text(column: np.ndarray) -> np.ndarray:
+    """``str`` of each value of the 1-D int or str ``column``, as a
+    ``(len(column), width)`` byte array padded with zeros; each run of equal
+    neighbours is formatted once."""
+    starts = np.concatenate([[True], column[1:] != column[:-1]])  # row opens a run
+    table = np.array([str(v).encode() for v in column[starts].tolist()])
+    return table.view(np.uint8).reshape(len(table), -1).take(np.cumsum(starts) - 1, axis=0)
+
+
+def _sample_block(samples: SampleTable, start: int, stop: int) -> bytes:
+    """The newline-terminated CSV lines of rows ``start:stop`` of ``samples``."""
+    rows = slice(start, stop)
+    levels = samples.levels[rows]
+    count, width = levels.shape
+    floats = _float_text(np.column_stack([
+        samples.L[rows], samples.force[rows], samples.energy[rows], samples.entropy[rows],
+        samples.weights[rows],
+    ]))
+    comma = np.full((count, 1), ord(","), np.uint8)
+    pieces = [_run_text(samples.stroke_index[rows]), comma, _run_text(samples.stroke_kind[rows]), comma]
+    for j in range(4):
+        pieces += [floats[:, j], comma]
+    for j in range(width):
+        shown = (levels[:, j, None] != 0).view(np.uint8)
+        if j:
+            pieces.append(shown * np.uint8(ord(";")))
+        pieces += [_run_text(levels[:, j]) * shown, shown * np.uint8(ord(":")), floats[:, 4 + j] * shown]
+    pieces.append(np.full((count, 1), ord("\n"), np.uint8))
+    return np.concatenate(pieces, axis=1).tobytes().translate(None, b"\0")
 
 
 def write_samples_csv(path, samples: SampleTable) -> None:
     """Write ``samples`` with one line per row, formatted from its columns
     ``_CSV_BLOCK_ROWS`` rows at a time."""
-    with open(path, "w", newline="\n") as out:
-        out.write(SAMPLES_HEADER + "\n")
+    with open(path, "wb") as out:
+        out.write(SAMPLES_HEADER.encode() + b"\n")
         for start in range(0, len(samples), _CSV_BLOCK_ROWS):
-            out.write("\n".join(_sample_lines(samples, start, start + _CSV_BLOCK_ROWS)) + "\n")
+            out.write(_sample_block(samples, start, start + _CSV_BLOCK_ROWS))
 
 
 def _report_fields(report: CycleReport) -> list[tuple[str, str]]:

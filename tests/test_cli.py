@@ -6,6 +6,7 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -174,9 +175,19 @@ class TestRenderRoundTrip:
             assert (code, err) == (0, ""), path.name
 
 
+def _run_fresh(program):
+    """(exit code, stderr) of ``program`` in a fresh interpreter, which has
+    imported nothing this test session has."""
+    src = str(Path(qcarnot.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", program], capture_output=True, text=True, env=env, timeout=120
+    )
+    return done.returncode, done.stderr
+
+
 class TestPackageImport:
     def test_import_loads_no_cli_and_keeps_the_spec_text_form(self):
-        # A fresh interpreter, since this test session has imported the cli.
         specs = Path(__file__).resolve().parents[1] / "specs"
         program = (
             "import sys\n"
@@ -191,18 +202,99 @@ class TestPackageImport:
             "    assert qcarnot.parse_spec(qcarnot.render_spec(spec)) == spec\n"
             "    assert isinstance(spec, qcarnot.CarnotSpec)\n"
         )
-        src = str(Path(qcarnot.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        done = subprocess.run(
-            [sys.executable, "-c", program], capture_output=True, text=True, env=env, timeout=120
+        assert _run_fresh(program) == (0, "")
+
+    def test_cli_import_and_samples_csv_load_no_fractions_or_decimal(self, tmp_path):
+        program = (
+            "import sys\n"
+            "import qcarnot.cli as cli\n"
+            "from qcarnot import isothermal_stroke, sample_stroke\n"
+            "assert not {'fractions', 'decimal'} & set(sys.modules)\n"
+            "table = sample_stroke(isothermal_stroke(4.934802200544679, 1.0, 3.0, 1.0), 9)\n"
+            f"cli.write_samples_csv({str(tmp_path / 'samples.csv')!r}, table)\n"
+            "assert not {'fractions', 'decimal'} & set(sys.modules)\n"
         )
-        assert (done.returncode, done.stderr) == (0, "")
+        assert _run_fresh(program) == (0, "")
+        assert (tmp_path / "samples.csv").read_text().count("\n") == 10
+
+
+def _ulp_neighbours(x):
+    return [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
+
+
+# Values where '%.17g' changes notation, digit count or exponent width, and
+# ties that round half to even.
+EDGE_VALUES = [
+    2.0 ** -25,  # 2.98023223876953125e-08: a tie at the 17th digit
+    *_ulp_neighbours(1e-4),  # fixed notation from 1e-4 up, exponent below
+    *_ulp_neighbours(1e16),
+    *_ulp_neighbours(1e17),
+    math.nextafter(1, 0),
+    *(y for k in range(-300, 301) for y in _ulp_neighbours(10.0 ** k)),
+    9.9999999999999996e-270,  # rounds to 17 nines only at the exponent below
+    1e-100, 1e100, 1.7976931348623157e308, 2.2250738585072014e-308, 5e-324,
+    0.0, 0.5, 1.0, 0.1, 123456789012345678.0, 584234130442485.875,
+]
+
+
+def _float_texts(values):
+    """The array formatter's text for each of ``values``."""
+    text = cli._float_text(np.asarray(values, dtype=np.float64))
+    return [bytes(row[row != 0]).decode() for row in text]
+
+
+def _count_fallbacks(monkeypatch):
+    """The values that cli formats through format_float from now on."""
+    seen = []
+
+    def counting(x):
+        seen.append(x)
+        return format_float(x)
+
+    monkeypatch.setattr(cli, "format_float", counting)
+    return seen
+
+
+SI_PARAMS = WellParams(1.054571817e-34, 9.1093837015e-31)
+
+
+def _si_table():
+    """Strokes in SI units, where every width, energy and force takes an
+    exponent."""
+    return SampleTable.concatenate([
+        sample_stroke(isothermal_stroke(eigenenergy(1, 1e-9, SI_PARAMS), 1e-9, 3e-9, 1e-9, SI_PARAMS), 700),
+        sample_stroke(adiabatic_stroke(MixedState([1, 2, 3], [0.5, 0.3, 0.2]), 3e-9, 6e-9, SI_PARAMS), 400,
+                      stroke_index=2),
+    ])
 
 
 class TestFormatFloat:
     def test_seventeen_digit_round_trip(self):
         for x in (math.pi ** 2 * math.log(2), 0.1, 1e-300, 12345.6789):
             assert float(format_float(x)) == x
+
+    @given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=64))
+    def test_array_text_matches_format_float_on_any_bits(self, bits):
+        values = np.array(bits, dtype=np.uint64).view(np.float64)
+        assert _float_texts(values) == [format_float(v) for v in values]
+
+    def test_array_text_matches_format_float_at_edges(self):
+        values = np.array(EDGE_VALUES + [-v for v in EDGE_VALUES])
+        assert _float_texts(values) == [format_float(v) for v in values]
+
+    def test_fallback_only_for_nonfinite_values_and_ties(self, monkeypatch):
+        special = [math.nan, math.inf, -math.inf, 2.0 ** -25]
+        seen = _count_fallbacks(monkeypatch)
+        texts = _float_texts([1.5, *special, 0.0, 1e-300])
+        assert [format_float(v) for v in seen] == ["nan", "inf", "-inf", "2.9802322387695312e-08"]
+        assert texts == [format_float(v) for v in (1.5, *special, 0.0, 1e-300)]
+
+    def test_no_fallback_in_si_units(self, tmp_path, monkeypatch):
+        table = _si_table()
+        assert max(table.L.max(), np.abs(table.energy).max(), np.abs(table.force).max()) < 1e-4
+        seen = _count_fallbacks(monkeypatch)
+        write_samples_csv(tmp_path / "samples.csv", table)
+        assert seen == []
 
 
 @pytest.fixture
@@ -329,16 +421,29 @@ class TestSimulate:
         assert (out1 / "report.csv").read_bytes() == (out2 / "report.csv").read_bytes()
 
 
+def _mixed_levels_table():
+    # Strokes of 1, 2 and 5 populated levels, over more rows than one write block.
+    params = WellParams(1.3, 0.8)
+    state = MixedState([1, 3, 4, 7, 9], [0.1, 0.2, 0.3, 0.15, 0.25])
+    return SampleTable.concatenate([
+        sample_stroke(isothermal_stroke(eigenenergy(1, 0.5, params), 0.5, 2.0, 0.5, params), 701),
+        sample_stroke(adiabatic_stroke(state, 2.0, 3.1, params), 650, stroke_index=2),
+        sample_stroke(adiabatic_stroke(MixedState.pure(4), 3.1, 2.2, params), 9, stroke_index=3),
+    ])
+
+
+def _block_table(rows):
+    return lambda: sample_stroke(isothermal_stroke(eigenenergy(2, 0.7), 0.7, 2.9, 0.35), rows)
+
+
 class TestSamplesCsv:
-    def test_matches_per_row_formatting(self, tmp_path):
-        # Strokes of 1, 2 and 5 populated levels, over more rows than one write block.
-        params = WellParams(1.3, 0.8)
-        state = MixedState([1, 3, 4, 7, 9], [0.1, 0.2, 0.3, 0.15, 0.25])
-        table = SampleTable.concatenate([
-            sample_stroke(isothermal_stroke(eigenenergy(1, 0.5, params), 0.5, 2.0, 0.5, params), 701),
-            sample_stroke(adiabatic_stroke(state, 2.0, 3.1, params), 650, stroke_index=2),
-            sample_stroke(adiabatic_stroke(MixedState.pure(4), 3.1, 2.2, params), 9, stroke_index=3),
-        ])
+    @pytest.mark.parametrize("make_table", [
+        pytest.param(_mixed_levels_table, id="mixed_levels"),
+        pytest.param(_si_table, id="si_units"),
+        *(pytest.param(_block_table(cli._CSV_BLOCK_ROWS + d), id=f"block_rows{d:+d}") for d in (-1, 0, 1)),
+    ])
+    def test_matches_per_row_formatting(self, tmp_path, make_table):
+        table = make_table()
         expected = [SAMPLES_HEADER] + [
             ",".join([
                 str(s.stroke_index),

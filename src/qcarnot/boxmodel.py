@@ -143,6 +143,15 @@ def check_energy_scale(params: WellParams, top_level, L_min, L_max) -> None:
         )
 
 
+def _frozen_or_copy(values, dtype) -> np.ndarray:
+    """``values`` itself if it is a read-only ndarray of ``dtype`` that owns
+    its data, else a new array of ``dtype``."""
+    if (type(values) is np.ndarray and values.dtype == dtype
+            and values.flags.owndata and not values.flags.writeable):
+        return values
+    return np.array(values, dtype=dtype)
+
+
 @dataclass(frozen=True, eq=False)
 class MixedState:
     """Finite population vector over box levels.
@@ -151,14 +160,19 @@ class MixedState:
     are the matching populations, nonnegative and summing to one within
     ``NORMALIZATION_TOL``.  Instances are immutable (arrays are marked
     read-only) and safe to share between threads.
+
+    Each input is copied unless it is a read-only ``numpy.ndarray`` of the
+    stored dtype (int64 levels, float64 weights) that owns its data.  Such an
+    array is kept as is and the state shares its memory, so a writable view
+    of it taken before it was made read-only still writes into the state.
     """
 
     levels: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
-        levels = np.array(self.levels, dtype=np.int64)
-        weights = np.array(self.weights, dtype=np.float64)
+        levels = _frozen_or_copy(self.levels, np.int64)
+        weights = _frozen_or_copy(self.weights, np.float64)
         if levels.ndim != 1 or weights.ndim != 1 or levels.shape != weights.shape:
             raise StateError("levels and weights must be 1-D sequences of equal length")
         if levels.size == 0:

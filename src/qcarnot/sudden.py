@@ -25,17 +25,19 @@ Mean energy is conserved by the jump: for every level ``n`` and ratio
 
     sum_m 4 alpha m^2 sin^2(m pi / alpha) / (pi^2 (m^2 - alpha^2 n^2)^2) = 1.
 
-Whole series of squares go through one block kernel.  With ``a = alpha n``,
+Whole series of squares go through one block kernel.  With ``a = alpha n``
+and ``c = sqrt(4 alpha / pi^2)``,
 
-    b(m, n)^2 = (4 alpha / pi^2) * sin^2(pi m / alpha) * (a / ((m - a) (m + a)))^2,
+    b(m, n)^2 = (c sin(pi m / alpha))^2 * (a / (m^2 - a^2))^2,
 
-and the energy-weighted term is the same with ``m`` in place of ``a`` in
-the numerator.  The sine factor does not depend on ``n``, so the kernel
-computes it once per index ``m`` and every level adds only its rational
-factor.  It calls no transcendental function per index: with
-``theta = pi / alpha``, each call tabulates ``sin(theta i)`` and
-``cos(theta i)`` for the offsets ``i`` within a block, each block starting
-at ``s`` takes ``sin(theta s)`` and ``cos(theta s)`` once, and
+and the energy-weighted term is ``(c sin(pi m / alpha) m / (m^2 - a^2))^2``.
+Neither the scaled sine nor ``m^2`` depends on ``n``, so the kernel computes
+both once per index ``m``, and each level adds only its rational factor: a
+subtract, a divide, a square and an add per index.  It calls no
+transcendental function per index: with ``theta = pi / alpha``, each call
+tabulates ``c sin(theta i)`` and ``c cos(theta i)`` for the offsets ``i``
+within a block, each block starting at ``s`` takes ``sin(theta s)`` and
+``cos(theta s)`` once, and
 
     sin(theta (s + i)) = sin(theta s) cos(theta i) + cos(theta s) sin(theta i)
 
@@ -50,11 +52,15 @@ about ``m * 1e-16``.  The error is
 absolute, not relative, so where ``sin(pi m / alpha)`` is itself at
 rounding level only its smallness counts; at the ``m`` that ``alpha * k``
 rounds to for an integer ``k`` the factor is set to exactly 0
-(:func:`_exact_zero_step`).  The denominator keeps ``m - a`` as a factor,
-so there is no cancellation near ``m = a``; the one or two ``m`` within one
-of ``a`` (the exact resonance among them, where the quotient is 0/0) take
-the sinc form above instead.  Indices run in blocks that fit a per-core L2
-cache, with preallocated buffers, and block sums are added with
+(:func:`_exact_zero_step`).  The denominator ``m^2 - a^2`` takes ``a`` and
+``a^2`` rounded, so near ``m = a`` it cancels: against the exact
+``alpha n`` it is off by up to ``0.75 eps a / |m - a|`` relative (``eps =
+2**-52``), and the term by twice that.  Rounding ``alpha n`` alone already
+puts ``eps a / |m - a|`` on the term; both are a few ulps unless ``m`` is
+within a small fraction of ``a`` of the resonance.  The one or two ``m``
+within one of ``a`` (the exact resonance among them, where the quotient is
+0/0) take the sinc form above instead.  Indices run in blocks that fit a
+per-core L2 cache, with preallocated buffers, and block sums are added with
 :func:`math.fsum`.
 
 :func:`verify_energy_identity` certifies the identity numerically: it sums
@@ -76,9 +82,11 @@ import numpy as np
 from .boxmodel import MixedState, _check_int, _check_real
 from .errors import DomainError, TruncationError, VerificationError
 
-# Indices per block of the series kernel: its five float64 buffers and two
-# sine and cosine tables of this length (896 KiB) stay in a per-core L2
-# cache.  The table's argument reduction needs _BLOCK <= 2**14.
+# Indices per block of the series kernel: its four float64 buffers (m, m^2,
+# sine, denominator), a fifth for the terms when the caller passes no output
+# array, and the scaled sine and cosine tables of this length (768 to 896 KiB)
+# stay in a per-core L2 cache.  The table's argument reduction needs
+# _BLOCK <= 2**14.
 _BLOCK = 1 << 14
 
 # Largest term budget: series indices are float64, exact up to 2**53.
@@ -176,7 +184,6 @@ def _square_series(alpha: float, terms: int, levels, weights=None, out=None) -> 
     energy = weights is None
     if energy:
         weights = [1.0] * len(levels)
-    scale = 4.0 * alpha / math.pi ** 2
     poles = [alpha * int(n) for n in levels]
     numerators = [a * math.sqrt(float(w)) for a, w in zip(poles, weights)]
     # (m, level index, exact term): the m within one of a resonance.
@@ -190,9 +197,10 @@ def _square_series(alpha: float, terms: int, levels, weights=None, out=None) -> 
     zeros = _exact_zero_step(alpha, terms)
 
     # sin(theta i) and cos(theta i) for the offsets i in a block, on arguments
-    # reduced to r = i - alpha k in [-alpha/2, alpha/2] with k = rint(i / alpha).
-    # With alpha split into a 39-bit head and a tail, k < 2**14 times the head
-    # and its difference from i are exact, so r is off by an ulp at most.
+    # reduced to r = i - alpha k in [-alpha/2, alpha/2] with k = rint(i / alpha),
+    # both times sqrt(4 alpha / pi^2).  With alpha split into a 39-bit head and
+    # a tail, k < 2**14 times the head and its difference from i are exact, so
+    # r is off by an ulp at most.
     theta = math.pi / alpha
     unit = math.ldexp(1.0, math.frexp(alpha)[1] - 39)
     head = math.floor(alpha / unit) * unit
@@ -202,16 +210,22 @@ def _square_series(alpha: float, terms: int, levels, weights=None, out=None) -> 
     phase = m_buf - turns * head
     phase -= turns * (alpha - head)
     phase *= theta
+    root_scale = math.sqrt(4.0 * alpha / math.pi ** 2)
     sin_tab, cos_tab = np.sin(phase), np.cos(phase)
+    sin_tab *= root_scale
+    cos_tab *= root_scale
     del turns, phase
     m_buf += 1.0
-    sine_buf, acc_buf, d_buf, e_buf = (np.empty(width) for _ in range(4))
+    square_buf, sine_buf, d_buf = (np.empty(width) for _ in range(3))
+    acc_buf = np.empty(width) if out is None else None
     block_sums = []
     for start in range(1, terms + 1, _BLOCK):
         size = min(_BLOCK, terms + 1 - start)
-        m, sine, acc, d, e = (b[:size] for b in (m_buf, sine_buf, acc_buf, d_buf, e_buf))
+        m, m2, sine, d = (b[:size] for b in (m_buf, square_buf, sine_buf, d_buf))
+        values = acc_buf[:size] if out is None else out[start - 1:start - 1 + size]
         if start > 1:
             m += _BLOCK
+        np.multiply(m, m, out=m2)
         # sin(theta (start + i)) = sin(theta s) cos(theta i) + cos(theta s) sin(theta i)
         # up to sign, with start reduced exactly to s like the table's offsets.
         s = math.fmod(start, alpha)
@@ -220,7 +234,6 @@ def _square_series(alpha: float, terms: int, levels, weights=None, out=None) -> 
         np.multiply(cos_tab[:size], math.sin(theta * s), out=sine)
         np.multiply(sin_tab[:size], math.cos(theta * s), out=d)
         np.add(sine, d, out=sine)
-        np.square(sine, out=sine)
         if zeros is not None:
             p, turns, every = zeros
             first = -start % p
@@ -229,27 +242,30 @@ def _square_series(alpha: float, terms: int, levels, weights=None, out=None) -> 
             else:  # only the multiples j p that alpha * j q rounds to
                 candidates = m[first::p]
                 sine[first::p][alpha * (candidates / p * turns) == candidates] = 0.0
+        # The energy-weighted terms square (sine m / d) whole; the weighted
+        # ones add up (q / d)^2 and then take the squared sine.
+        if energy:
+            np.multiply(sine, m, out=sine)
+        else:
+            np.square(sine, out=sine)
         hits = [(m_near - start, j, term) for m_near, j, term in near
                 if start <= m_near < start + size]
         for j, (a, q) in enumerate(zip(poles, numerators)):
-            np.subtract(m, a, out=d)
-            np.add(m, a, out=e)
-            np.multiply(d, e, out=d)
+            np.subtract(m2, a * a, out=d)
             # Near this level's resonance the sinc-form term replaces the quotient.
             for i, level, _ in hits:
                 if level == j:
                     d[i] = math.inf
-            np.divide(m if energy else q, d, out=d)
+            np.divide(sine if energy else q, d, out=d)
             if j == 0:
-                np.square(d, out=acc)
+                np.square(d, out=values)
             else:
                 np.square(d, out=d)
-                np.add(acc, d, out=acc)
-        # Scaling the sines first keeps subnormal products that acc * sine
-        # would flush to 0 before a later scale brought them back.
-        np.multiply(sine, scale, out=sine)
-        values = acc if out is None else out[start - 1:start - 1 + size]
-        np.multiply(acc, sine, out=values)
+                np.add(values, d, out=values)
+        # The squared sines carry the 4 alpha / pi^2 scale already: scaling
+        # after this product would find subnormal terms flushed to 0.
+        if not energy:
+            np.multiply(values, sine, out=values)
         for i, _, term in hits:
             values[i] += term
         block_sums.append(float(values.sum()))
@@ -290,9 +306,11 @@ def _energy_tail_enclosure(n: int, alpha: float, terms: int) -> tuple[float, flo
         return scale * x * x / (x * x - a * a) ** 2
 
     def tail_integral(x0):
+        # log1p keeps full relative accuracy where (x0 + a) / (x0 - a) is
+        # close to 1; the log of that ratio loses up to about x0 / a ulps.
         return scale * (
             x0 / (2.0 * (x0 * x0 - a * a))
-            + math.log((x0 + a) / (x0 - a)) / (4.0 * a)
+            + math.log1p(2.0 * a / (x0 - a)) / (4.0 * a)
         )
 
     swing = 1.0 / math.sin(math.pi / alpha)
@@ -419,9 +437,11 @@ def post_expansion_distribution(state: MixedState, alpha, tail_tol,
         new_levels = np.arange(1, terms + 1, dtype=np.int64)
     else:
         keep = new_weights > 0.0
-        new_levels = np.flatnonzero(keep)
-        new_levels += 1
+        new_levels = np.flatnonzero(keep) + 1
         new_weights = new_weights[keep]
+    # Read-only arrays that own their data pass into the state uncopied.
+    new_levels.setflags(write=False)
+    new_weights.setflags(write=False)
     out = MixedState(new_levels, new_weights)
     return out, TruncationReport(
         terms_used=terms, tail_bound=bound_at(terms), achieved_sum=achieved

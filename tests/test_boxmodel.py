@@ -190,6 +190,61 @@ class TestMixedState:
         levels[0], weights[0] = 7, 0.5
         assert s.populations == ((1, 0.25), (2, 0.75))
 
+    @staticmethod
+    def _frozen(values, dtype):
+        """A read-only array of ``dtype`` that owns its data."""
+        array = np.array(values, dtype=dtype)
+        array.setflags(write=False)
+        return array
+
+    def test_constructor_copies_lists_and_other_dtypes(self):
+        levels, weights = [1, 2], [0.25, 0.75]
+        s = MixedState(levels, weights)
+        levels[0], weights[0] = 7, 0.5
+        assert s.populations == ((1, 0.25), (2, 0.75))
+        narrow = np.array([1, 2], dtype=np.int32)
+        s = MixedState(narrow, np.array([0.25, 0.75], dtype=np.float32))
+        narrow[0] = 7
+        assert (s.levels.dtype, s.weights.dtype) == (np.int64, np.float64)
+        assert s.levels.tolist() == [1, 2]
+
+    def test_read_only_input_is_kept_only_if_it_owns_stored_dtype_data(self):
+        levels = self._frozen([1, 2], np.int64)
+        weights = self._frozen([0.25, 0.75], np.float64)
+        s = MixedState(levels, weights)
+        assert s.levels is levels and s.weights is weights
+        # Read-only views of writable arrays, subclasses, other byte orders
+        # and other dtypes are copied, so writes through the caller's arrays
+        # do not reach the state.
+        base_levels, base_weights = np.array([1, 2]), np.array([0.25, 0.75])
+        views = base_levels[:], base_weights[:]
+        for view in views:
+            view.setflags(write=False)
+        subclass = type("Subclass", (np.ndarray,), {})
+        owned = subclass(shape=(2,), dtype=np.int64), subclass(shape=(2,), dtype=np.float64)
+        for array, values in zip(owned, ([1, 2], [0.25, 0.75])):
+            array[:] = values
+            array.setflags(write=False)
+        for levels, weights in (views, owned,
+                                (self._frozen([1, 2], ">i8"), self._frozen([0.25, 0.75], ">f8")),
+                                (self._frozen([1, 2], np.int32), self._frozen([0.25, 0.75], np.float32))):
+            s = MixedState(levels, weights)
+            assert type(s.levels) is np.ndarray and type(s.weights) is np.ndarray
+            assert not np.shares_memory(s.levels, levels)
+            assert not np.shares_memory(s.weights, weights)
+        base_levels[0], base_weights[0] = 7, 0.5
+        assert s.populations == ((1, 0.25), (2, 0.75))
+
+    @pytest.mark.parametrize("levels, weights, message", [
+        ([1, 2, 3], [0.25, math.nan, 0.75], "finite"),
+        ([1, 2, 3], [1.25, -0.25, 0.0], "nonnegative"),
+        ([1, 2, 3], [0.25, 0.25, 0.25], "sum to 1"),
+        ([2, 1, 3], [0.5, 0.25, 0.25], "sorted ascending"),
+    ])
+    def test_kept_input_is_still_checked(self, levels, weights, message):
+        with pytest.raises(StateError, match=message):
+            MixedState(self._frozen(levels, np.int64), self._frozen(weights, np.float64))
+
     @pytest.mark.parametrize("levels, weights, message", [
         ([], [], "at least one"),
         ([0, 1], [0.5, 0.5], "positive integers"),

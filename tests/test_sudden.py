@@ -205,6 +205,14 @@ class TestSquareKernel:
         expected = oracles.overlap_square_terms(alpha, m[far].tolist(), levels, weights)
         np.testing.assert_allclose(row[far], expected, rtol=0, atol=1e-15)
 
+    def test_nine_level_state_matches_original_form(self):
+        # Nine weighted levels in 1..12 at alpha near 3, the heaviest
+        # expansion the benchmark runs, where each index's nine denominators
+        # m^2 - (alpha n)^2 share one m^2.
+        self.test_terms_match_original_form(
+            3.04, [1, 2, 3, 5, 6, 8, 9, 11, 12],
+            [0.04, 0.21, 0.06, 0.13, 0.02, 0.17, 0.09, 0.11, 0.17])
+
     @pytest.mark.parametrize("alpha", KERNEL_ALPHAS)
     def test_terms_near_four_million_match_original_form(self, alpha):
         # Indices around the block edge at 245 * _BLOCK = 4014080.
@@ -241,6 +249,32 @@ class TestSquareKernel:
                                            / (mpmath.pi ** 2 * (m * m - a * a * n * n) ** 2))
                 assert row[m - 1] == pytest.approx(float(exact), rel=1e-14, abs=0), m
 
+    @pytest.mark.parametrize("alpha, n", [(3.04, 328947), (1.3 + 1e-9, 769230)])
+    @pytest.mark.parametrize("weights", [None, [1.0]])
+    def test_denominator_error_near_a_distant_resonance(self, alpha, n, weights):
+        # a = alpha n is about 1e6.  The denominator m^2 - a^2 rounds alpha n
+        # and its square, so relative to the exact a it is off by up to
+        # 0.75 eps a / |m - a|, and the squared term by twice that.  The
+        # 1e-14 covers the sine's absolute error, as in the test above.
+        mpmath = pytest.importorskip("mpmath")
+        a = alpha * n
+        m_values = [1, 2, 1000, 500_000, math.floor(a) - 2, math.floor(a) - 1,
+                    math.ceil(a) + 1, math.ceil(a) + 2, 1_500_000, 2_000_000]
+        row = np.empty(max(m_values))
+        sudden._square_series(alpha, row.size, [n], weights, out=row)
+        eps = 2.0 ** -52
+        with mpmath.workdps(50):
+            a_exact = mpmath.mpf(alpha) * n
+            for m in m_values:
+                assert 1.0 <= abs(m - a) < 3.0 or abs(m - a) > 4e5
+                sine = mpmath.sin(m * mpmath.pi / mpmath.mpf(alpha))
+                exact = (4 * mpmath.mpf(alpha) * a_exact ** 2 * sine ** 2
+                         / (mpmath.pi ** 2 * (m * m - a_exact ** 2) ** 2))
+                if weights is None:
+                    exact *= m * m / a_exact ** 2
+                allowed = 1.5 * eps * a / abs(m - a) + 1e-14
+                assert abs(row[m - 1] - float(exact)) <= allowed * float(exact), m
+
     @pytest.mark.parametrize("alpha", [2.0, 2.5, 2.6, 3.0, 1.05, 3.03, 10 / 3, 2.6 + 1e-9, 3.7])
     def test_exact_zeros_follow_rounding_rule(self, alpha):
         # A term is exactly 0 where alpha * k rounds to m for an integer k:
@@ -273,19 +307,30 @@ class TestPostExpansionDistribution:
         assert raw[2] == pytest.approx(0.5, abs=1e-15)
 
     @pytest.mark.parametrize("alpha, support, terms, tail", [
-        (2.0, 202644, 405286, 9.999993450798416e-07),
-        (2.5, 405286, 506607, 9.999999401437427e-07),
-        (2.6, 486344, 526872, 9.999985279854885e-07),
-        (3.0, 405287, 607929, 9.99998777094468e-07),
+        (2.0, 202644, 405286, 9.999993450745245e-07),
+        (2.5, 405286, 506607, 9.999999401424408e-07),
+        (2.6, 486344, 526872, 9.99998527993597e-07),
+        (3.0, 405287, 607929, 9.99998777089151e-07),
     ])
     def test_exact_zeros_pinned(self, alpha, support, terms, tail):
         # Levels whose sine factor is exactly 0 are dropped: every second at
         # alpha = 2 (the resonant m = 2 stays), every fifth at 2.5, every
-        # thirteenth at 2.6, every third at 3.
+        # thirteenth at 2.6, every third at 3.  Each tail is the bound's
+        # formula at the given cutoff evaluated with 50 digits.
         out, report = post_expansion_distribution(MixedState.pure(1), alpha, 1e-6)
         assert out.levels.size == support
         assert report.terms_used == terms
         assert report.tail_bound == pytest.approx(tail, rel=1e-14, abs=0)
+
+    def test_result_arrays_are_read_only(self):
+        # At alpha = 2 the exact zeros are dropped; at 2.6 + 1e-9 there are none.
+        for alpha in (2.0, 2.6 + 1e-9):
+            out, report = post_expansion_distribution(MixedState.from_pairs({1: 0.3, 2: 0.7}), alpha, 1e-4)
+            assert (out.levels.size < report.terms_used) == (alpha == 2.0)
+            for array in (out.levels, out.weights):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[0] = 0
 
     def test_identity_ratio_returns_input(self):
         s = MixedState.from_pairs({1: 0.5, 3: 0.5})
@@ -368,6 +413,38 @@ class TestPostExpansionDistribution:
         e_pre = expectation_energy(s, 1.0)
         e_post = expectation_energy(out, alpha)
         assert abs(e_post - e_pre) / e_pre <= report.tail_bound <= 1e-4
+
+
+class TestTailEnclosure:
+    @staticmethod
+    def _enclosure_mpmath(mpmath, n, alpha, terms):
+        """``_energy_tail_enclosure``'s formula at 50 digits."""
+        with mpmath.workdps(50):
+            alpha = mpmath.mpf(alpha)
+            a, M = alpha * n, mpmath.mpf(terms)
+            scale = 4 * alpha / mpmath.pi ** 2
+
+            def tail_integral(x0):
+                return scale * (x0 / (2 * (x0 * x0 - a * a))
+                                + mpmath.log((x0 + a) / (x0 - a)) / (4 * a))
+
+            osc = scale * (M + 1) ** 2 / ((M + 1) ** 2 - a * a) ** 2 / (2 * mpmath.sin(mpmath.pi / alpha))
+            return float(max(0, tail_integral(M + 1) / 2 - osc)), float(tail_integral(M) / 2 + osc)
+
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    @pytest.mark.parametrize("alpha", [1.05, 1.5, 2.0, 2.6, 10.0, 1e3])
+    def test_matches_mpmath_up_to_the_largest_cutoff(self, n, alpha):
+        # (x0 + a) / (x0 - a) is within 2 a / M of 1, where the log of the
+        # ratio is off by 1e-9 relative at M = 1e8 and by 0.2 at 2**53 - 1.
+        mpmath = pytest.importorskip("mpmath")
+        floor = sudden._floor_terms(alpha, n, 2 ** 53)
+        for terms in (floor, 1000, 10 ** 5, 10 ** 8, 2 ** 40, 2 ** 53 - 1):
+            if terms < floor:
+                continue
+            lo, hi = sudden._energy_tail_enclosure(n, alpha, terms)
+            exact_lo, exact_hi = self._enclosure_mpmath(mpmath, n, alpha, terms)
+            assert hi == pytest.approx(exact_hi, rel=2e-15, abs=0), terms
+            assert abs(lo - exact_lo) <= 2e-15 * exact_hi, terms
 
 
 class TestVerifyEnergyIdentity:

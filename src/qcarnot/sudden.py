@@ -286,7 +286,7 @@ def level_overlap_squares(n, alpha, m_count: int) -> np.ndarray:
         if n <= m_count:
             row[n - 1] = 1.0
     # From a = alpha n = 2**512 on, b(m, n)^2 <= 16 m^2 n / a^3 underflows to 0
-    # for every m < 2**53, and the kernel's (m - a) (m + a) would overflow.
+    # for every m < 2**53, and the kernel's a^2 would overflow.
     elif alpha * n < 2.0 ** 512:
         _square_series(alpha, m_count, [n], [1.0], out=row)
     return row

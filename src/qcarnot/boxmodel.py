@@ -181,12 +181,14 @@ class MixedState:
             raise StateError("levels must be positive integers")
         if (levels[1:] <= levels[:-1]).any():
             raise StateError("levels must be distinct and sorted ascending")
-        if not np.all(np.isfinite(weights)):
+        # A finite sum has finite terms, so only a sum that is not finite
+        # (nan, inf, or an overflow, rejected below) needs the elementwise scan.
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = float(weights.sum())
+        if not math.isfinite(total) and not np.isfinite(weights).all():
             raise StateError("weights must be finite")
         if weights.min() < 0.0:
             raise StateError("weights must be nonnegative")
-        with np.errstate(over="ignore"):  # an overflowing sum is inf, rejected below
-            total = float(weights.sum())
         if abs(total - 1.0) > NORMALIZATION_TOL:
             raise StateError(
                 f"populations must sum to 1 within {NORMALIZATION_TOL:g}, got {total!r}"

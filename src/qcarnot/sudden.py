@@ -63,6 +63,34 @@ within one of ``a`` (the exact resonance among them, where the quotient is
 per-core L2 cache, with preallocated buffers, and block sums are added with
 :func:`math.fsum`.
 
+With weights ``w_n``, the rational factor of an index above the largest
+pole ``a_max`` is also a series of positive terms in ``t = a_max^2 / m^2``:
+
+    sum_n w_n a_n^2 / (m^2 - a_n^2)^2 = (t^2 / a_max^2) sum_k (k + 1) P_k t^k,
+
+    P_k = sum_n w_n (a_n / a_max)^(2k + 2),
+
+with the ``P_k`` taken once per call by :func:`math.fsum`.  A block whose
+first index ``s`` lies above ``a_max``, and which holds no index within one
+of a pole, is cut after the least power ``t^K`` with ``(K + 2) y^(K + 1) /
+(1 - y)^2 <= 2**-56``, ``y = (a_max / s)^2 >= t``.  As ``P_k <= P_0``, the
+neglected terms are then at most ``2**-56`` of the sum.  Horner's rule takes
+``2K + 3`` passes per index where the levels take four each, and a block
+takes the series only where that is fewer (``K <= 2 * levels - 2``, and ``K
+<= 64``).  The energy-weighted terms, and weights on one or two levels, keep
+the per-level passes.
+
+In binary64 the series is evaluated on the same rounded poles ``a_n`` as
+the per-level passes.  ``t`` takes three roundings, so ``t^(k + 2)`` carries
+``3k + 6``; the coefficient ``(k + 1) P_k / a_max^2`` takes ``4k + 8``; and
+Horner's rule, forward stable with positive coefficients at ``t > 0``
+(Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed., sec.
+5.1), adds ``2k + 3`` to that term.  As every term is positive, the computed
+series is within ``gamma_(9K + 17)`` relative of the exact one, with
+``gamma_j = j u / (1 - j u)`` and ``u = 2**-53``: 4.9e-15 at ``K = 3``, the
+order of the benchmark's nine-level expansion.  Its truncation adds at most
+``2**-56``.
+
 :func:`verify_energy_identity` certifies the identity numerically: it sums
 the series directly up to ``M`` terms and bounds the neglected tail
 rigorously by splitting ``sin^2 = 1/2 - cos/2``, bracketing the monotone
@@ -83,11 +111,17 @@ from .boxmodel import MixedState, _check_int, _check_real
 from .errors import DomainError, TruncationError, VerificationError
 
 # Indices per block of the series kernel: its four float64 buffers (m, m^2,
-# sine, denominator), a fifth for the terms when the caller passes no output
-# array, and the scaled sine and cosine tables of this length (768 to 896 KiB)
-# stay in a per-core L2 cache.  The table's argument reduction needs
-# _BLOCK <= 2**14.
+# sine, and the denominator or the far-field series' t), a fifth for the
+# terms when the caller passes no output array, and the scaled sine and cosine
+# tables of this length (768 to 896 KiB) stay in a per-core L2 cache.  The
+# table's argument reduction needs _BLOCK <= 2**14.
 _BLOCK = 1 << 14
+
+# Relative truncation error of the far-field series of the weighted kernel,
+# and its largest order: the (K + 1) coefficient sums over the levels then
+# cost less than one block of the per-level passes they replace.
+_SERIES_TOL = 2.0 ** -56
+_SERIES_MAX_ORDER = 64
 
 # Largest term budget: series indices are float64, exact up to 2**53.
 _MAX_BUDGET = 1 << 53
@@ -172,6 +206,31 @@ def _exact_zero_step(alpha: float, terms: int) -> tuple[int, int, bool] | None:
     return None
 
 
+def _series_order(y: float, cap: int) -> int | None:
+    """Least ``K <= cap`` with ``(K + 2) y^(K + 1) / (1 - y)^2 <= 2**-56``,
+    or ``None``; ``0 < y < 1``.  The far-field series cut after the power
+    ``t^K``, ``t <= y``, then errs by at most ``2**-56`` relative."""
+    bound = _SERIES_TOL * (1.0 - y) ** 2
+    power = y
+    for order in range(cap + 1):
+        if (order + 2) * power <= bound:
+            return order
+        power *= y
+    return None
+
+
+def _series_coefficients(poles, weights, top: float, order: int) -> list[float]:
+    """The far-field coefficients ``c_k = (k + 1) P_k / a_max^2``,
+    ``P_k = sum_n w_n (a_n / a_max)^(2k + 2)``, for ``k = 0 .. order``."""
+    ratio = (np.array(poles) / top) ** 2
+    power = np.array(weights, dtype=np.float64)
+    coefficients = []
+    for k in range(order + 1):
+        power *= ratio
+        coefficients.append((k + 1) * math.fsum(power.tolist()) / (top * top))
+    return coefficients
+
+
 def _square_series(alpha: float, terms: int, levels, weights=None, out=None) -> float:
     """Sum of a series of squared overlaps over ``m = 1 .. terms``.
 
@@ -195,6 +254,11 @@ def _square_series(alpha: float, terms: int, levels, weights=None, out=None) -> 
                 sinc = float(np.sinc((m - a) / alpha))
                 near.append((m, j, factor * 4.0 * n * n * alpha * sinc * sinc / (m + a) ** 2))
     zeros = _exact_zero_step(alpha, terms)
+    # Weighted blocks above the largest pole may take the far-field series.
+    top = max(poles)
+    far_field = not energy and len(poles) >= 3
+    order_cap = min(2 * len(poles) - 2, _SERIES_MAX_ORDER)
+    coefficients = []
 
     # sin(theta i) and cos(theta i) for the offsets i in a block, on arguments
     # reduced to r = i - alpha k in [-alpha/2, alpha/2] with k = rint(i / alpha),
@@ -250,18 +314,33 @@ def _square_series(alpha: float, terms: int, levels, weights=None, out=None) -> 
             np.square(sine, out=sine)
         hits = [(m_near - start, j, term) for m_near, j, term in near
                 if start <= m_near < start + size]
-        for j, (a, q) in enumerate(zip(poles, numerators)):
-            np.subtract(m2, a * a, out=d)
-            # Near this level's resonance the sinc-form term replaces the quotient.
-            for i, level, _ in hits:
-                if level == j:
-                    d[i] = math.inf
-            np.divide(sine if energy else q, d, out=d)
-            if j == 0:
-                np.square(d, out=values)
-            else:
-                np.square(d, out=d)
-                np.add(values, d, out=values)
+        order = None
+        if far_field and start > top and not hits:
+            order = _series_order((top / start) ** 2, order_cap)
+        if order is not None:
+            # Horner's rule on sum_k c_k t^(k + 1), t = a_max^2 / m^2 in d,
+            # then one more factor t.
+            if len(coefficients) <= order:
+                coefficients = _series_coefficients(poles, weights, top, order)
+            np.divide(top * top, m2, out=d)
+            np.multiply(d, coefficients[order], out=values)
+            for c in reversed(coefficients[:order]):
+                np.add(values, c, out=values)
+                np.multiply(values, d, out=values)
+            np.multiply(values, d, out=values)
+        else:
+            for j, (a, q) in enumerate(zip(poles, numerators)):
+                np.subtract(m2, a * a, out=d)
+                # Near this level's resonance the sinc-form term replaces the quotient.
+                for i, level, _ in hits:
+                    if level == j:
+                        d[i] = math.inf
+                np.divide(sine if energy else q, d, out=d)
+                if j == 0:
+                    np.square(d, out=values)
+                else:
+                    np.square(d, out=d)
+                    np.add(values, d, out=values)
         # The squared sines carry the 4 alpha / pi^2 scale already: scaling
         # after this product would find subnormal terms flushed to 0.
         if not energy:
@@ -432,13 +511,25 @@ def post_expansion_distribution(state: MixedState, alpha, tail_tol,
         alpha, terms, state.levels.tolist(), weights.tolist(), out=new_weights
     )
     np.divide(new_weights, achieved, out=new_weights)
-    # Levels whose sine factor is exactly 0 carry no population and are dropped.
-    if np.count_nonzero(new_weights) == terms:
+    # Levels whose sine factor is exactly 0 carry no population and are
+    # dropped: the weights are compacted in place, one block at a time, and
+    # then shrunk, which is safe as no view of them is left.
+    kept = np.count_nonzero(new_weights)
+    if kept == terms:
         new_levels = np.arange(1, terms + 1, dtype=np.int64)
     else:
-        keep = new_weights > 0.0
-        new_levels = np.flatnonzero(keep) + 1
-        new_weights = new_weights[keep]
+        new_levels = np.empty(kept, dtype=np.int64)
+        mask_buf = np.empty(min(_BLOCK, terms), dtype=bool)
+        filled = 0
+        for start in range(0, terms, _BLOCK):
+            block = new_weights[start:start + _BLOCK]
+            mask = np.greater(block, 0.0, out=mask_buf[:block.size])
+            index = np.flatnonzero(mask)
+            np.add(index, start + 1, out=new_levels[filled:filled + index.size])
+            new_weights[filled:filled + index.size] = block[mask]
+            filled += index.size
+        del block
+        new_weights.resize(kept, refcheck=False)
     # Read-only arrays that own their data pass into the state uncopied.
     new_levels.setflags(write=False)
     new_weights.setflags(write=False)

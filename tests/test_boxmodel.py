@@ -262,6 +262,23 @@ class TestMixedState:
         with pytest.raises(StateError, match=message):
             MixedState(np.array(levels, dtype=np.int64), np.array(weights))
 
+    @pytest.mark.parametrize("weights, message", [
+        ([math.nan, 0.5, 0.5], "weights must be finite"),
+        ([math.inf, 0.0, 0.0], "weights must be finite"),
+        ([-math.inf, 0.5, 0.5], "weights must be finite"),
+        ([math.inf, -math.inf, 1.0], "weights must be finite"),
+        ([-1.0, math.nan, 2.0], "weights must be finite"),
+        ([1e308, 1e308, 0.0], "populations must sum to 1 within 1e-12, got inf"),
+        ([1e308, 1e308, -1.0], "weights must be nonnegative"),
+    ])
+    def test_weights_scan_runs_only_for_a_sum_that_is_not_finite(self, weights, message):
+        # Only a sum that is not finite sends the weights through the
+        # elementwise finiteness scan; each input still gets the message of
+        # the first check it fails, and raises no RuntimeWarning.
+        with pytest.raises(StateError) as info:
+            MixedState(np.array([1, 2, 3]), np.array(weights))
+        assert str(info.value) == message
+
 
 class TestExpectationEnergy:
     def test_pure_reduces_to_eigenenergy(self):

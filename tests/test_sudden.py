@@ -299,6 +299,121 @@ class TestSquareKernel:
         )
 
 
+class TestFarFieldSeries:
+    """The weighted kernel's series in ``t = a_max^2 / m^2`` above the largest pole."""
+
+    # The benchmark's nine-level cell; three levels; a largest pole so far
+    # out that the first blocks above it keep the per-level passes; and
+    # twelve levels.  The last two carry most weight on the top level, where
+    # P_k stays close to P_0 and the truncation bound is nearly reached.
+    NINE = (3.04, [1, 2, 3, 5, 6, 8, 9, 11, 12],
+            [0.04, 0.21, 0.06, 0.13, 0.02, 0.17, 0.09, 0.11, 0.17])
+    FAR_POLE = (1.3, [1000, 2000, 3000], [0.01, 0.01, 0.98])
+    CASES = [NINE, (3.7, [1, 3, 4], [0.2, 0.5, 0.3]), FAR_POLE,
+             (1.05, list(range(1, 13)), [0.01] * 11 + [0.89])]
+
+    @staticmethod
+    def _first_series_block(alpha, levels):
+        """Start of the first block that takes the series."""
+        top = alpha * max(levels)
+        cap = min(2 * len(levels) - 2, sudden._SERIES_MAX_ORDER)
+        start = 1
+        while start <= top + 1.0 or sudden._series_order((top / start) ** 2, cap) is None:
+            start += _BLOCK
+        return start
+
+    @staticmethod
+    def _terms_mpmath(alpha, levels, weights, m_values):
+        """Weighted terms in the original closed form, at 50 digits."""
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            a = mpmath.mpf(alpha)
+            return [float(sum(w * 4 * n * n * a ** 3 * mpmath.sin(m * mpmath.pi / a) ** 2
+                              / (mpmath.pi ** 2 * (m * m - a * a * n * n) ** 2)
+                              for n, w in zip(levels, weights)))
+                    for m in m_values]
+
+    def test_switch_points(self):
+        # The cases above switch where their tests below assume they do.
+        assert [self._first_series_block(alpha, levels) // _BLOCK
+                for alpha, levels, _ in self.CASES] == [1, 1, 14, 1]
+
+    @pytest.mark.parametrize("alpha, levels, weights", CASES)
+    def test_matches_mpmath_across_the_switch(self, alpha, levels, weights):
+        # The last indices of the per-level passes, the first of the series,
+        # the first of the next block (one order lower) and those around
+        # 245 * _BLOCK, where the terms are near 1e-27.
+        start = self._first_series_block(alpha, levels)
+        edge = 245 * _BLOCK
+        m_values = [start - 2, start - 1, start, start + 1, start + _BLOCK,
+                    start + 2 * _BLOCK + 7, edge - 1, edge, edge + 1]
+        row = np.empty(edge + 1)
+        sudden._square_series(alpha, row.size, levels, weights, out=row)
+        expected = self._terms_mpmath(alpha, levels, weights, m_values)
+        for m, value in zip(m_values, expected):
+            assert row[m - 1] == pytest.approx(value, rel=1e-14, abs=0), m
+
+    @pytest.mark.parametrize("levels, weights", [
+        ([1, 2, 4, 7, 9], [1e-300, 1e-200, 1e-100, 1e-20, 1.0]),
+        ([1, 2, 4, 7, 9], [1.0, 1e-20, 1e-100, 1e-200, 1e-300]),
+    ])
+    def test_weights_across_three_hundred_decades(self, levels, weights):
+        # The lightest level's share of a term is subnormal, on both paths
+        # and in the series' P_k.
+        alpha = 2.3
+        start = self._first_series_block(alpha, levels)
+        m_values = [1, 5, 16, 21, start - 1, start, start + 3 * _BLOCK + 11]
+        row = np.empty(max(m_values))
+        sudden._square_series(alpha, row.size, levels, weights, out=row)
+        expected = self._terms_mpmath(alpha, levels, weights, m_values)
+        for m, value in zip(m_values, expected):
+            assert row[m - 1] == pytest.approx(value, rel=1e-14, abs=0), m
+
+    @pytest.mark.parametrize("alpha, levels, weights", CASES)
+    def test_truncation_within_bound(self, alpha, levels, weights):
+        # At each block's first index, where t is largest, the neglected
+        # powers of t are at most 2**-56 of the whole series, which sums to
+        # sum_n w_n u_n / (1 - u_n t)^2 with u_n = (a_n / a_max)^2, on the
+        # binary64 poles the kernel takes.
+        mpmath = pytest.importorskip("mpmath")
+        poles = [alpha * n for n in levels]
+        top = max(poles)
+        cap = min(2 * len(levels) - 2, sudden._SERIES_MAX_ORDER)
+        first = self._first_series_block(alpha, levels)
+        orders = set()
+        with mpmath.workdps(50):
+            u = [(mpmath.mpf(a) / mpmath.mpf(top)) ** 2 for a in poles]
+            for start in range(first, first + 400 * _BLOCK, _BLOCK):
+                order = sudden._series_order((top / start) ** 2, cap)
+                orders.add(order)
+                t = (mpmath.mpf(top) / start) ** 2
+                whole = sum(w * un / (1 - un * t) ** 2 for w, un in zip(weights, u))
+                kept = sum((k + 1) * t ** k * sum(w * un ** (k + 1) for w, un in zip(weights, u))
+                           for k in range(order + 1))
+                assert (whole - kept) / whole <= mpmath.mpf(2) ** -56, start
+        assert len(orders) >= 2
+
+    def test_matches_per_level_passes(self, monkeypatch):
+        # Seeded 3-12-level mixtures: the series and the per-level passes it
+        # replaces agree term by term within 2e-15 relative.
+        rng = np.random.default_rng(7)
+        max_order = sudden._SERIES_MAX_ORDER
+        for _ in range(8):
+            size = int(rng.integers(3, 13))
+            levels = sorted(rng.choice(np.arange(1, 25), size, replace=False).tolist())
+            weights = rng.dirichlet(np.ones(size)).tolist()
+            alpha = float(rng.uniform(1.05, 4.0))
+            monkeypatch.setattr(sudden, "_SERIES_MAX_ORDER", max_order)
+            terms = self._first_series_block(alpha, levels) + 2 * _BLOCK
+            series, passes = np.empty(terms), np.empty(terms)
+            sudden._square_series(alpha, terms, levels, weights, out=series)
+            # No order is admitted, so every block takes the per-level passes.
+            monkeypatch.setattr(sudden, "_SERIES_MAX_ORDER", -1)
+            sudden._square_series(alpha, terms, levels, weights, out=passes)
+            np.testing.assert_array_equal(series == 0.0, passes == 0.0)
+            np.testing.assert_allclose(series, passes, rtol=2e-15, atol=0)
+
+
 class TestPostExpansionDistribution:
     def test_pure_ground_doubling(self):
         out, report = post_expansion_distribution(MixedState.pure(1), 2.0, 1e-6)
@@ -331,6 +446,22 @@ class TestPostExpansionDistribution:
                 assert not array.flags.writeable
                 with pytest.raises(ValueError):
                     array[0] = 0
+
+    def test_dropping_zeros_allocates_no_terms_sized_temporary(self):
+        # At alpha = 2 every second level is dropped.  Past the kernel's
+        # output (8 bytes a term) and the kept levels (8 bytes each), the
+        # peak leaves less room than one terms-sized bool array.
+        state = MixedState(np.array([1, 2, 3, 5, 6, 8, 9, 11, 12]),
+                           np.array([0.04, 0.21, 0.06, 0.13, 0.02, 0.17, 0.09, 0.11, 0.17]))
+        tracemalloc.start()
+        try:
+            out, report = post_expansion_distribution(state, 2.0, 1e-6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        terms, kept = report.terms_used, out.levels.size
+        assert kept < terms
+        assert peak < 8 * (terms + kept) + terms
 
     def test_identity_ratio_returns_input(self):
         s = MixedState.from_pairs({1: 0.5, 3: 0.5})

@@ -263,11 +263,12 @@ def _energy_from_square_sum(square_sum, L, params: WellParams = DEFAULT_PARAMS):
     return 0.5 * (math.pi * params.hbar) ** 2 * square_sum / (params.mass * L * L)
 
 
-def _force_from_square_sum(square_sum, L_cubed, params: WellParams = DEFAULT_PARAMS):
-    """Wall force ``pi^2 hbar^2 s / (m L^3)`` from ``s`` as above and ``L_cubed
-    = L^3``; elementwise on arrays, unvalidated.  The caller takes the cube, as
-    Python's float ``**`` and numpy's array ``**`` can round it differently."""
-    return (math.pi * params.hbar) ** 2 * square_sum / (params.mass * L_cubed)
+def _force_from_square_sum(square_sum, L_cubed, pi_hbar_squared, mass):
+    """Wall force ``pi^2 hbar^2 s / (m L^3)`` from ``s`` as above, ``L_cubed =
+    L^3``, ``pi_hbar_squared = (pi hbar)^2`` and ``mass``; elementwise on
+    arrays, unvalidated.  The caller takes the cube, as Python's float ``**``
+    and numpy's array ``**`` can round it differently."""
+    return pi_hbar_squared * square_sum / (mass * L_cubed)
 
 
 def wall_force(state: MixedState, L, params: WellParams = DEFAULT_PARAMS) -> float:
@@ -277,7 +278,9 @@ def wall_force(state: MixedState, L, params: WellParams = DEFAULT_PARAMS) -> flo
     rounding, since both are the same weighted sum of ``n^2``.
     """
     L = _check_real(L, "L")
-    return _force_from_square_sum(_level_square_sum(state), L ** 3, params)
+    return _force_from_square_sum(
+        _level_square_sum(state), L ** 3, (math.pi * params.hbar) ** 2, params.mass
+    )
 
 
 def entropy(state: MixedState) -> float:

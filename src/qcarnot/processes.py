@@ -21,6 +21,13 @@ the path is continuous; work, heat and efficiency are path-independent.
 (``dW = L F du``), where both equations of state give smooth integrands at
 any width ratio.  All strokes passed together share one keyed
 :func:`quadrature.integrate` call, each starting on 64 equal panels.
+
+The force comes from a stroke table, built once per call with one row per
+stroke: start width, isotherm flag, base width, the adiabat's level-square
+sum, ``(pi hbar)^2`` and mass.  Each stroke's own checks run while the table
+is built; the integrand is then one array expression over the widths of
+every key, and the checks of those widths run once over all of them.
+:meth:`Stroke.force_at` is the one-row case of the same table.
 """
 
 from __future__ import annotations
@@ -146,7 +153,10 @@ class Stroke:
     isotherm's ground-state width (``None`` on adiabats); an isotherm's state
     at width ``L`` is ``isothermal_state_at(conserved, L, base_scale,
     params)``.  Zero-length strokes (``L_start == L_end``) are permitted and
-    carry zero work.
+    carry zero work.  :meth:`force_at` and :func:`stroke_work_quadrature`
+    turn the stroke into a row of the stroke table first, which checks
+    ``L_start``, ``L_end`` and, on an isotherm, ``conserved`` against
+    ``base_scale``.
     """
 
     kind: StrokeKind
@@ -160,21 +170,114 @@ class Stroke:
     def force_at(self, L):
         """Population-weighted wall force at width ``L``, elementwise on arrays.
 
-        Builds no :class:`MixedState`: the adiabat's level-square sum is fixed,
-        and the isotherm's comes from :func:`isothermal_populations`.  Returns
-        a float for scalar ``L`` and an ndarray otherwise.
+        The one-row case of the stroke table that
+        :func:`stroke_work_quadrature` builds, after ``L`` passes the checks
+        of :func:`_check_widths`, so the force and its checks are those of
+        the work integrand.  Builds no :class:`MixedState`: the adiabat's
+        level-square sum is fixed, and the isotherm's comes from the
+        population staircase of :func:`isothermal_populations`.  Returns a
+        float for scalar ``L`` and an ndarray otherwise.
         """
-        if self.kind is StrokeKind.ADIABATIC:
-            x = _check_widths(L)
-            square_sum = _level_square_sum(self.state_start)
-        else:
-            k, w_upper = isothermal_populations(self.conserved, L, self.base_scale, self.params)
-            x = np.asarray(L, dtype=np.float64)
-            square_sum = (1.0 - w_upper) * (k * k) + w_upper * ((k + 1.0) * (k + 1.0))
-        force = _force_from_square_sum(square_sum, x ** 3, self.params)
-        if force.size and not (force.min() > 0.0 and force.max() < math.inf):
-            raise ScaleError(f"wall force over- or underflows binary64 at widths {L!r}")
+        L = _check_widths(L)
+        owner = np.zeros(L.shape, np.intp)
+        force = _table_forces(_stroke_table((self,)).take(owner, axis=0), owner, L)
         return float(force) if force.ndim == 0 else force
+
+
+def _isotherm_base(e_fixed, base_scale, params: WellParams) -> float:
+    """``base_scale`` as a float, once it and ``e_fixed`` are positive finite
+    reals and ``e_fixed`` is the ground-state energy at ``base_scale``."""
+    base_scale = _check_real(base_scale, "base_scale")
+    e_fixed = _check_real(e_fixed, "e_fixed")
+    ground = eigenenergy(1, base_scale, params)
+    if abs(e_fixed - ground) > _ENERGY_MATCH_RTOL * ground:
+        raise DomainError(
+            f"fixed energy {e_fixed!r} does not match the ground-state energy "
+            f"{ground!r} at base width {base_scale!r}"
+        )
+    return base_scale
+
+
+def _in_window(ratio):
+    """Whether the width ratio ``L / base_scale`` lies in an isotherm's
+    window ``[1 - 1e-12, 2**63)``; elementwise on arrays."""
+    return (ratio >= 1.0 - 1e-12) & (ratio < 2.0 ** 63)
+
+
+def _window_error(L, base_scale) -> IsothermRangeError:
+    return IsothermRangeError(
+        f"width {L!r} lies outside the isotherm validity window "
+        f"[{base_scale!r}, 2**63 * {base_scale!r})"
+    )
+
+
+def _staircase(ratio):
+    """Staircase level ``k = floor(r)`` and upper weight ``w = (r^2 - k^2) /
+    (2k + 1)`` at width ratios ``r`` in the window, ``r`` below 1 taken as 1."""
+    ratio = np.maximum(ratio, 1.0)
+    k = np.floor(ratio)
+    return k, (ratio * ratio - k * k) / (2.0 * k + 1.0)
+
+
+# Fields of a stroke-table row: start width, 1 on an isotherm and 0 on an
+# adiabat, base width (inf on an adiabat, so that its width ratios are 0),
+# the adiabat's level-square sum (1 on an isotherm), (pi hbar)^2 and mass.
+L_START, ISOTHERM, BASE, SQUARES, PI_HBAR_SQUARED, MASS = range(6)
+
+
+def _stroke_table(strokes) -> np.ndarray:
+    """The stroke table of ``strokes``, one row per stroke, after each
+    stroke's own checks: end widths and, on an isotherm, those of
+    :func:`isothermal_populations` on ``conserved`` and ``base_scale``."""
+    rows = []
+    for s in strokes:
+        L_start = _check_real(s.L_start, "L_start")
+        _check_real(s.L_end, "L_end")
+        if s.kind is StrokeKind.ISOTHERMAL:
+            row = (L_start, 1.0, _isotherm_base(s.conserved, s.base_scale, s.params), 1.0)
+        else:
+            row = (L_start, 0.0, math.inf, _level_square_sum(s.state_start))
+        rows.append((*row, (math.pi * s.params.hbar) ** 2, s.params.mass))
+    return np.array(rows)
+
+
+def _table_forces(rows, owner, L):
+    """Wall force at the float64 widths ``L``: width ``i`` lies on stroke
+    ``owner[i]`` of a stroke table, whose row is ``rows[i]``.  One array
+    expression over all widths.
+
+    Raises the error of the first stroke, in table order, with a failing
+    width; see :func:`_raise_stroke_error`.
+    """
+    isotherm = rows[..., ISOTHERM] > 0.0
+    # A width that is not positive and finite gives a force outside (0, inf)
+    # or, on an isotherm, a ratio outside the window; it is caught below.
+    with np.errstate(all="ignore"):
+        ratio = L / rows[..., BASE]
+        k, w_upper = _staircase(ratio)
+        square_sum = np.where(
+            isotherm, (1.0 - w_upper) * (k * k) + w_upper * ((k + 1.0) * (k + 1.0)),
+            rows[..., SQUARES],
+        )
+        force = _force_from_square_sum(
+            square_sum, L ** 3, rows[..., PI_HBAR_SQUARED], rows[..., MASS]
+        )
+    ok = (force > 0.0) & (force < math.inf) & (_in_window(ratio) | ~isotherm)
+    if not ok.all():
+        mine = owner == owner[~ok].min()
+        _raise_stroke_error(L if mine.all() else L[mine], rows[mine][0])
+    return force
+
+
+def _raise_stroke_error(L, row):
+    """Raise the error for the widths ``L`` of one stroke, table row ``row``,
+    one of which fails, in the order of the checks: a width that is not
+    positive and finite, then an isotherm width outside the window, then a
+    force outside (0, inf).  The message names all of ``L``."""
+    _check_widths(L)
+    if row[ISOTHERM] > 0.0 and not _in_window(L / row[BASE]).all():
+        raise _window_error(L, float(row[BASE]))
+    raise ScaleError(f"wall force over- or underflows binary64 at widths {L!r}")
 
 
 def adiabatic_stroke(state: MixedState, L_from, L_to,
@@ -204,23 +307,11 @@ def isothermal_populations(e_fixed, L, base_scale, params: WellParams = DEFAULT_
     base_scale`` or beyond, where level ``k`` leaves the int64 range.
     """
     L = _check_widths(L)
-    base_scale = _check_real(base_scale, "base_scale")
-    e_fixed = _check_real(e_fixed, "e_fixed")
-    ground = eigenenergy(1, base_scale, params)
-    if abs(e_fixed - ground) > _ENERGY_MATCH_RTOL * ground:
-        raise DomainError(
-            f"fixed energy {e_fixed!r} does not match the ground-state energy "
-            f"{ground!r} at base width {base_scale!r}"
-        )
+    base_scale = _isotherm_base(e_fixed, base_scale, params)
     ratio = L / base_scale
-    if not ((ratio >= 1.0 - 1e-12) & (ratio < 2.0 ** 63)).all():
-        raise IsothermRangeError(
-            f"width {L!r} lies outside the isotherm validity window "
-            f"[{base_scale!r}, 2**63 * {base_scale!r})"
-        )
-    ratio = np.maximum(ratio, 1.0)
-    k = np.floor(ratio)
-    return k, (ratio * ratio - k * k) / (2.0 * k + 1.0)
+    if not _in_window(ratio).all():
+        raise _window_error(L, base_scale)
+    return _staircase(ratio)
 
 
 def isothermal_state_at(e_fixed, L, base_scale, params: WellParams = DEFAULT_PARAMS) -> MixedState:
@@ -244,8 +335,11 @@ def isothermal_stroke(e_fixed, L_from, L_to, base_scale,
     population path.
     """
     L_from, L_to = _check_real(L_from, "L_from"), _check_real(L_to, "L_to")
-    # Both ends in the window; the stroke itself keeps no state.
-    isothermal_populations(e_fixed, np.array([L_from, L_to]), base_scale, params)
+    # Both ends in the window, with the checks and errors of
+    # isothermal_populations; the stroke itself keeps no state.
+    base_scale = _isotherm_base(e_fixed, base_scale, params)
+    if not (_in_window(L_from / base_scale) and _in_window(L_to / base_scale)):
+        raise _window_error(np.array([L_from, L_to]), base_scale)
     return Stroke(
         kind=StrokeKind.ISOTHERMAL,
         L_start=L_from,
@@ -253,7 +347,7 @@ def isothermal_stroke(e_fixed, L_from, L_to, base_scale,
         state_start=None,
         conserved=float(e_fixed),
         params=params,
-        base_scale=float(base_scale),
+        base_scale=base_scale,
     )
 
 
@@ -287,10 +381,16 @@ def stroke_work_quadrature(strokes: Stroke | Sequence[Stroke],
     ``4 * _START_PANELS + 1`` widths across the population staircase.  Every
     stroke's a-posteriori estimate must come out below ``rel_tol`` times its
     integral, else a :class:`QuadratureError` is raised.
+
+    Every stroke's own checks (end widths; on an isotherm, ``conserved``
+    against ``base_scale``) run before any width is probed.  A probed width
+    that fails its checks raises the error of the first stroke, in order,
+    that has one, as that stroke's widths alone would.
     """
     rel_tol = _check_real(rel_tol, "rel_tol", 0.0, 1e-4)
     single = isinstance(strokes, Stroke)
     strokes = (strokes,) if single else tuple(strokes)
+    table = _stroke_table(strokes)
     # Each u-span from the width ratio, not as a difference of two logs.
     spans = np.array([math.log(s.L_end / s.L_start) for s in strokes])
     edges = spans[:, None] * (np.arange(_START_PANELS + 1) / _START_PANELS)
@@ -298,13 +398,9 @@ def stroke_work_quadrature(strokes: Stroke | Sequence[Stroke],
     def g(key_u):
         key, u = key_u
         owner = key // _START_PANELS
-        out = np.empty_like(u)
-        for i, stroke in enumerate(strokes):
-            mine = owner == i
-            if mine.any():
-                L = stroke.L_start * np.exp(u[mine])
-                out[mine] = L * stroke.force_at(L)
-        return out
+        rows = table.take(owner, axis=0)
+        L = rows[:, L_START] * np.exp(u)
+        return L * _table_forces(rows, owner, L)
 
     # Integrate at a quarter of the requested tolerance, which each key's
     # estimate meets relative to its refined value.  g has one sign along a
@@ -360,7 +456,9 @@ def sample_stroke(stroke: Stroke, count: int, stroke_index: int = 1) -> SampleTa
         stroke_index=np.full(widths.size, stroke_index),
         stroke_kind=np.full(widths.size, stroke.kind.value),
         L=widths,
-        force=_force_from_square_sum(square_sum, cubes, stroke.params),
+        force=_force_from_square_sum(
+            square_sum, cubes, (math.pi * stroke.params.hbar) ** 2, stroke.params.mass
+        ),
         energy=_energy_from_square_sum(square_sum, widths, stroke.params),
         entropy=row_entropy,
         levels=levels,

@@ -2,9 +2,9 @@
 a-posteriori error estimates.
 
 One call integrates over K intervals ``[a[k], b[k]]``, the keys.  The panels
-of every key sit in one table, one column per panel with a key row, and all
-unaccepted panels are refined together, one level at a time (Gander &
-Gautschi, "Adaptive quadrature — revisited", BIT 2000).  ``f`` therefore
+of every key sit in one table, one column per panel, and all unaccepted
+panels are refined together, one level at a time (Gander & Gautschi,
+"Adaptive quadrature — revisited", BIT 2000).  ``f`` therefore
 runs once for the five initial points of every key and then once per
 refinement level, with the quarter points of every new half-panel of that
 level, whichever keys they belong to.
@@ -31,14 +31,15 @@ from .errors import QuadratureError
 DEFAULT_REL_TOL = 1e-10
 DEFAULT_MAX_INTERVALS = 1_000_000
 
-# Rows of the panel table, one column per panel: key, left edge, width, f at
-# the five equispaced points of the panel, its value and its residual.
-KEY, X0, H, F0, F1, F2, F3, F4, VALUE, RESIDUAL = range(10)
+# Rows of the panel table, one column per panel: left edge, width, f at the
+# five equispaced points of the panel, its value and its residual.  The
+# panels' keys sit in an int array of their own, in the same order.
+X0, H, F0, F1, F2, F3, F4, VALUE, RESIDUAL = range(9)
 # On a panel of unit width, Simpson's rule on both halves plus the Richardson
 # correction (delta / 15) is Boole's rule, and the error estimate |delta| / 15
 # is the fourth difference of the five values over 180.
 _WEIGHTS = np.array([[7.0, 32.0, 12.0, 32.0, 7.0], [-0.5, 2.0, -3.0, 2.0, -0.5]]) / 90.0
-_FIFTHS = np.linspace(0.0, 1.0, 5)
+_FIFTHS = np.linspace(0.0, 1.0, 5)[:, None]
 _QUARTERS = np.array([[0.25], [0.75]])
 
 
@@ -74,22 +75,25 @@ def integrate(f, a, b, rel_tol: float = DEFAULT_REL_TOL,
         panels[VALUE] = panels[H] * boole
         panels[RESIDUAL] = np.abs(residual)
 
-    panels = np.empty((10, live.size))
-    panels[KEY], panels[X0], panels[H] = live, lo[live], span[live]
-    x = (lo[live, None] + span[live, None] * _FIFTHS).ravel()
-    panels[F0:F4 + 1] = np.reshape(f((np.repeat(live, 5), x)), (-1, 5)).T
+    keys = live
+    x0, h = lo[live], span[live]
+    panels = np.empty((9, live.size))
+    panels[X0], panels[H] = x0, h
+    # f takes the abscissae point by point: the first point of every panel,
+    # then the second, as the five rows of the panel table.
+    x = (x0 + _FIFTHS * h).ravel()
+    panels[F0:F4 + 1] = np.reshape(f((np.tile(keys, 5), x)), (5, -1))
     weigh(panels)
     used = live.size
     while True:
         # Anchor each key on its refined value of this level.  Every panel is
         # checked again, so one accepted under a looser anchor is split if it drops.
-        key = panels[KEY].astype(np.intp)
-        value = np.bincount(key, panels[VALUE], count)
+        value = np.bincount(keys, panels[VALUE], count)
         tol = rel_tol * np.maximum(np.abs(value), 1e-300)
-        split = (span[key] * panels[RESIDUAL] > tol[key]) & (panels[H] > min_width[key])
+        split = (span[keys] * panels[RESIDUAL] > tol[keys]) & (panels[H] > min_width[keys])
         n = int(np.count_nonzero(split))
         if n == 0 or used + 2 * n > max_intervals:
-            estimate = np.bincount(key, panels[H] * panels[RESIDUAL], count)
+            estimate = np.bincount(keys, panels[H] * panels[RESIDUAL], count)
             if n == 0:
                 return sign * value, estimate
             raise QuadratureError(
@@ -102,15 +106,15 @@ def integrate(f, a, b, rel_tol: float = DEFAULT_REL_TOL,
         # need f at their own quarter points, all in one call.
         parents = panels[:, split]
         half = 0.5 * parents[H]
-        kids = np.empty((10, 2 * n))
-        kids[KEY, :n] = kids[KEY, n:] = parents[KEY]
+        kids = np.empty((9, 2 * n))
+        kid_keys = np.tile(keys[split], 2)
         kids[X0, :n] = parents[X0]
         kids[X0, n:] = parents[X0] + half
         kids[H, :n] = kids[H, n:] = half
         kids[F0:F4 + 1:2, :n] = parents[F0:F2 + 1]
         kids[F0:F4 + 1:2, n:] = parents[F2:F4 + 1]
         x = (kids[X0] + _QUARTERS * kids[H]).ravel()
-        kid_keys = np.tile(kids[KEY].astype(np.intp), 2)
-        kids[F1:F3 + 1:2] = np.reshape(f((kid_keys, x)), (2, -1))
+        kids[F1:F3 + 1:2] = np.reshape(f((np.tile(kid_keys, 2), x)), (2, -1))
         weigh(kids)
         panels = np.concatenate((panels[:, ~split], kids), axis=1)
+        keys = np.concatenate((keys[~split], kid_keys))

@@ -4,13 +4,17 @@ Everything here deliberately avoids the library code paths it is used to
 check: overlaps come from composite Gauss-Legendre integration of the raw
 sine modes, series values from direct partial sums (in the original
 ``sin(m pi / alpha)`` form, not the library's sinc kernel) with
-summation-by-parts tail bounds, forces from central differences, and loop
-areas from the cross-product shoelace formula.
+summation-by-parts tail bounds, forces from central differences, loop
+areas from the cross-product shoelace formula, and the work integrand as one
+masked force call per stroke, with each stroke's width checks in the order
+they had before the stroke table.
 """
 
 import math
 
 import numpy as np
+
+from qcarnot.errors import DomainError, IsothermRangeError, ScaleError
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 
@@ -109,3 +113,62 @@ def shoelace_area(L, F):
     L = np.asarray(L)
     F = np.asarray(F)
     return 0.5 * float(np.sum(L * np.roll(F, -1) - np.roll(L, -1) * F))
+
+
+def masked_work_integrand(strokes, force, panels):
+    """The work integrand ``g((key, u)) = L * force(stroke, L)``, ``L =
+    L_start * e^u``, of keys ``panels`` to a stroke, one boolean mask and one
+    ``force`` call per stroke: the form it had before the stroke table."""
+
+    def g(key_u):
+        key, u = key_u
+        owner = key // panels
+        out = np.empty_like(u)
+        for i, stroke in enumerate(strokes):
+            mine = owner == i
+            if mine.any():
+                L = stroke.L_start * np.exp(u[mine])
+                out[mine] = L * force(stroke, L)
+        return out
+
+    return g
+
+
+def staircase_force(stroke, L):
+    """Wall force along ``stroke`` at the float64 widths ``L``, unchecked.
+
+    The frozen state's ``sum w n^2`` on an adiabat, the staircase through
+    levels ``k = floor(L / base_scale)`` and ``k + 1`` on an isotherm, and
+    ``(pi hbar)^2 sum / (mass L^3)``, in the order of the library's roundings.
+    """
+    if stroke.kind.value == "adiabatic":
+        n = stroke.state_start.levels.astype(np.float64)
+        square_sum = float(np.dot(stroke.state_start.weights, n * n))
+    else:
+        ratio = np.maximum(L / stroke.base_scale, 1.0)
+        k = np.floor(ratio)
+        w = (ratio * ratio - k * k) / (2.0 * k + 1.0)
+        square_sum = (1.0 - w) * (k * k) + w * ((k + 1.0) * (k + 1.0))
+    return (math.pi * stroke.params.hbar) ** 2 * square_sum / (stroke.params.mass * L ** 3)
+
+
+def checked_staircase_force(stroke, L):
+    """:func:`staircase_force` after the checks that ``Stroke.force_at`` made
+    on the float64 widths ``L`` before the stroke table, in its order and with
+    its errors: every width positive and finite, every isotherm width in the
+    window ``[1 - 1e-12, 2**63)`` of ``base_scale``, every force in (0, inf)."""
+    if not (np.isfinite(L) & (L > 0.0)).all():
+        raise DomainError(f"L must be positive and finite, got {L!r}")
+    if stroke.kind.value == "isothermal":
+        ratio = L / stroke.base_scale
+        if not ((ratio >= 1.0 - 1e-12) & (ratio < 2.0 ** 63)).all():
+            base = stroke.base_scale
+            raise IsothermRangeError(
+                f"width {L!r} lies outside the isotherm validity window "
+                f"[{base!r}, 2**63 * {base!r})"
+            )
+    with np.errstate(all="ignore"):
+        force = staircase_force(stroke, L)
+    if not ((force > 0.0) & (force < math.inf)).all():
+        raise ScaleError(f"wall force over- or underflows binary64 at widths {L!r}")
+    return force

@@ -195,13 +195,13 @@ class TestEvaluate:
         # 1e-6 on w_upper over the level interval [k, k+1) of both isotherms
         # leaves the closed forms alone and must show in the quadrature.
         cycle = build_carnot_cycle(CarnotSpec(6, 1.0, 18.0))
-        exact = processes.isothermal_populations
+        exact = processes._staircase
 
         def shifted(*args):
             level, w_upper = exact(*args)
             return level, w_upper + 1e-6 * (level == k)
 
-        monkeypatch.setattr(processes, "isothermal_populations", shifted)
+        monkeypatch.setattr(processes, "_staircase", shifted)
         assert evaluate_cycle(cycle).quadrature_discrepancy > 1e-8
 
     def test_efficiency_monotone_in_l3(self):

@@ -13,6 +13,7 @@ from qcarnot import (
     SampleTable,
     ScaleError,
     Stroke,
+    StrokeKind,
     WellParams,
     adiabatic_stroke,
     eigenenergy,
@@ -21,13 +22,16 @@ from qcarnot import (
     isothermal_populations,
     isothermal_state_at,
     isothermal_stroke,
+    quadrature,
     sample_stroke,
     stroke_work,
     stroke_work_quadrature,
     wall_force,
 )
 from qcarnot.cli import write_samples_csv
-from qcarnot.processes import MAX_SAMPLES_PER_STROKE
+from qcarnot.cycle import MAX_TOP_LEVEL
+from qcarnot.processes import _START_PANELS, MAX_SAMPLES_PER_STROKE
+from oracles import checked_staircase_force, masked_work_integrand, staircase_force
 from strategies import mixed_states
 
 E_GROUND = math.pi ** 2 / 2
@@ -57,6 +61,69 @@ def random_stroke(rng):
     if rng.random() < 0.5:
         a, b = b, a
     return isothermal_stroke(eigenenergy(1, base), a, b, base)
+
+
+@st.composite
+def work_strokes(draw):
+    """A valid stroke of either kind with its own well, from a zero-length
+    one to a width ratio of ``MAX_TOP_LEVEL``, ends on the isotherm window's
+    lower edge ``(1 - 1e-12) * base`` included."""
+    hbar, mass = (10.0 ** draw(st.floats(-1.0, 1.0)) for _ in range(2))
+    params = WellParams(hbar, mass)
+    top_level = draw(st.one_of(st.integers(2, 64), st.integers(2, MAX_TOP_LEVEL),
+                               st.just(MAX_TOP_LEVEL)))
+    base = draw(st.floats(0.25, 4.0))
+    edge = base * (1.0 - 1e-12)
+    while edge / base < 1.0 - 1e-12:
+        edge = math.nextafter(edge, math.inf)
+    top = top_level * base
+    ends = st.one_of(st.sampled_from([edge, base, top]), st.floats(edge, top))
+    L_from = draw(ends)
+    L_to = L_from if draw(st.integers(0, 4)) == 0 else draw(ends)
+    if draw(st.booleans()):
+        return isothermal_stroke(eigenenergy(1, base, params), L_from, L_to, base, params)
+    state = draw(st.one_of(st.just(MixedState.pure(top_level)), mixed_states()))
+    return adiabatic_stroke(state, L_from, L_to, params)
+
+
+@st.composite
+def failing_strokes(draw):
+    """A stroke that ``isothermal_stroke`` or ``adiabatic_stroke`` accepts but
+    whose work cannot be integrated: an adiabat whose force over- or
+    underflows at some widths, or an isotherm whose end moved below the
+    window."""
+    if draw(st.booleans()):
+        scale = draw(st.sampled_from([1e-103, 1e103]))
+        L_from, L_to = (scale * draw(st.floats(0.5, 8.0)) for _ in range(2))
+        return adiabatic_stroke(draw(mixed_states()), L_from, L_to)
+    base = draw(st.floats(0.25, 4.0))
+    stroke = isothermal_stroke(eigenenergy(1, base), base * draw(st.floats(1.0, 6.0)), base, base)
+    return dataclasses.replace(stroke, L_end=base * draw(st.floats(0.3, 0.99)))
+
+
+def work_outcome(strokes, integrand=None, calls=None):
+    """``stroke_work_quadrature(strokes)`` as its bytes, or the type and text
+    of its error.  ``integrand(strokes)`` replaces the integrand if given;
+    ``calls`` collects each integrand input and output."""
+    integrate = quadrature.integrate
+
+    def spy(f, a, b, **kwargs):
+        g = f if integrand is None else integrand(strokes)
+
+        def recorded(key_u):
+            values = g(key_u)
+            if calls is not None:
+                calls.append((key_u, values))
+            return values
+
+        return integrate(recorded, a, b, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(quadrature, "integrate", spy)
+        try:
+            return np.array(stroke_work_quadrature(strokes)).tobytes()
+        except Exception as exc:
+            return type(exc), str(exc)
 
 
 class TestIsothermalState:
@@ -230,6 +297,16 @@ class TestForceArrayPath:
             assert F == pytest.approx(scalar, rel=1e-15)
             assert F == pytest.approx(wall_force(state_at(stroke, L), L), rel=1e-15)
 
+    @pytest.mark.parametrize("stroke", STROKES, ids=lambda s: s.kind.value)
+    def test_shape_follows_the_widths(self, stroke):
+        lo, hi = sorted((stroke.L_start, stroke.L_end))
+        grid = np.linspace(lo, hi, 6).reshape(2, 3)
+        forces = stroke.force_at(grid)
+        assert forces.shape == (2, 3)
+        assert forces.tolist() == [stroke.force_at(row).tolist() for row in grid]
+        empty = stroke.force_at(np.array([]))
+        assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+
     def test_window_edge(self):
         stroke = isothermal_stroke(E_GROUND, 1.0, 3.0, 1.0)
         inside = np.array([1.0 - 5e-13, 2.0])
@@ -310,16 +387,24 @@ class TestStrokeWork:
         assert all(type(w) is float for w in works) and works[2] == 0.0
 
     def test_integrand_probes_every_stroke_at_257_widths(self, monkeypatch):
+        # The first call of the integrand that quadrature.integrate receives
+        # probes each stroke at the widths L_start * e^u of its keys' abscissae.
+        strokes = [isothermal_stroke(E_GROUND, 1.0, 6.0, 1.0),
+                   adiabatic_stroke(MixedState.pure(1), 1.0, 1.0 + 1e-9)]
         widths = []
-        force_at = Stroke.force_at
+        integrate = quadrature.integrate
 
-        def spy(stroke, L):
-            widths.append(np.unique(L).size)
-            return force_at(stroke, L)
+        def spy(f, a, b, **kwargs):
+            def probed(key_u):
+                key, u = key_u
+                for i, stroke in enumerate(strokes):
+                    mine = key // _START_PANELS == i
+                    widths.append(np.unique(stroke.L_start * np.exp(u[mine])).size)
+                return f(key_u)
+            return integrate(probed, a, b, **kwargs)
 
-        monkeypatch.setattr(Stroke, "force_at", spy)
-        stroke_work_quadrature([isothermal_stroke(E_GROUND, 1.0, 6.0, 1.0),
-                                adiabatic_stroke(MixedState.pure(1), 1.0, 1.0 + 1e-9)])
+        monkeypatch.setattr(quadrature, "integrate", spy)
+        stroke_work_quadrature(strokes)
         assert widths[:2] == [257, 257]
 
     def test_reversed_endpoints_negate_work(self):
@@ -338,6 +423,66 @@ class TestStrokeWork:
             assert stroke_work(back) == pytest.approx(-stroke_work(stroke), rel=1e-12, abs=1e-12)
             returned = state_at(back, stroke.L_start)
             assert returned.populations == state_at(stroke, stroke.L_start).populations
+
+
+class TestStrokeTable:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(work_strokes(), min_size=1, max_size=5))
+    def test_integrand_and_works_match_masked_oracle_bit_for_bit(self, strokes):
+        calls = []
+        works = work_outcome(strokes, calls=calls)
+        assert works == work_outcome(
+            strokes, lambda s: masked_work_integrand(s, Stroke.force_at, _START_PANELS)
+        )
+        for key_u, values in calls:
+            for force in (Stroke.force_at, staircase_force):
+                oracle = masked_work_integrand(strokes, force, _START_PANELS)(key_u)
+                assert values.tobytes() == oracle.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.one_of(work_strokes(), failing_strokes()), min_size=1, max_size=5))
+    def test_errors_name_the_first_failing_stroke_as_the_masked_oracle(self, strokes):
+        assert work_outcome(strokes) == work_outcome(
+            strokes, lambda s: masked_work_integrand(s, checked_staircase_force, _START_PANELS)
+        )
+
+    def test_an_earlier_stroke_out_of_scale_is_reported_before_a_later_window_error(self):
+        adiabat = adiabatic_stroke(MixedState.pure(1), 1e103, 2e103)
+        isotherm = dataclasses.replace(isothermal_stroke(E_GROUND, 1.0, 2.0, 1.0), L_end=0.5)
+        with pytest.raises(ScaleError, match="at widths array\\(\\[1.00000000e\\+103"):
+            stroke_work_quadrature([adiabat, isotherm])
+        with pytest.raises(IsothermRangeError):
+            stroke_work_quadrature([isotherm, adiabat])
+
+    @pytest.mark.parametrize("change, text", [
+        ({"conserved": 5.0}, "fixed energy 5.0 does not match the ground-state energy "
+                             "4.934802200544679 at base width 1.0"),
+        ({"base_scale": None}, "base_scale must be positive and finite, got None"),
+    ])
+    def test_isotherm_errors_keep_their_type_and_text(self, change, text):
+        stroke = dataclasses.replace(isothermal_stroke(E_GROUND, 1.0, 2.0, 1.0), **change)
+        for call in (lambda: stroke_work_quadrature(stroke),
+                     lambda: stroke_work_quadrature([adiabatic_stroke(MixedState.pure(2), 1.0, 3.0),
+                                                     stroke]),
+                     lambda: stroke.force_at(1.5)):
+            with pytest.raises(DomainError) as caught:
+                call()
+            assert type(caught.value) is DomainError and str(caught.value) == text
+
+    @pytest.mark.parametrize("widths, text", [
+        ({"L_start": -1.0}, "L_start must be positive and finite, got -1.0"),
+        ({"L_start": 0.0}, "L_start must be positive and finite, got 0.0"),
+        ({"L_end": math.inf}, "L_end must be positive and finite, got inf"),
+        ({"L_end": math.nan}, "L_end must be positive and finite, got nan"),
+    ])
+    def test_hand_built_stroke_with_a_bad_width_raises_domain_error(self, widths, text):
+        state = MixedState.pure(1)
+        ends = {"L_start": 1.0, "L_end": 2.0, **widths}
+        stroke = Stroke(kind=StrokeKind.ADIABATIC, state_start=state,
+                        conserved=expectation_energy(state, 1.0), params=WellParams(), **ends)
+        with pytest.raises(DomainError) as caught:
+            stroke_work_quadrature(stroke)
+        assert str(caught.value) == text
 
 
 class TestSampleStroke:

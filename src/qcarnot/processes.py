@@ -24,10 +24,10 @@ any width ratio.  All strokes passed together share one keyed
 
 The force comes from a stroke table, built once per call with one row per
 stroke: start width, isotherm flag, base width, the adiabat's level-square
-sum, ``(pi hbar)^2`` and mass.  Each stroke's own checks run while the table
-is built; the integrand is then one array expression over the widths of
-every key, and the checks of those widths run once over all of them.
-:meth:`Stroke.force_at` is the one-row case of the same table.
+sum, ``(pi hbar)^2`` and mass.  A :class:`Stroke` checks itself once, at
+construction, so the table just reads its fields; the integrand is one array
+expression over the widths of every key, which checks only that each force
+lies in (0, inf).  :meth:`Stroke.force_at` is the one-row case of the table.
 """
 
 from __future__ import annotations
@@ -145,7 +145,7 @@ class SampleTable(Sequence):
 
 @dataclass(frozen=True)
 class Stroke:
-    """One reversible process segment.
+    """One reversible process segment, checked once, at construction.
 
     ``conserved`` is the fixed mean energy for an isothermal stroke and the
     constant ``E * L^2`` coefficient for an adiabatic one.  ``state_start`` is
@@ -153,10 +153,11 @@ class Stroke:
     isotherm's ground-state width (``None`` on adiabats); an isotherm's state
     at width ``L`` is ``isothermal_state_at(conserved, L, base_scale,
     params)``.  Zero-length strokes (``L_start == L_end``) are permitted and
-    carry zero work.  :meth:`force_at` and :func:`stroke_work_quadrature`
-    turn the stroke into a row of the stroke table first, which checks
-    ``L_start``, ``L_end`` and, on an isotherm, ``conserved`` against
-    ``base_scale``.
+    carry zero work.  Construction checks the types of ``kind``, ``params``
+    and an adiabat's ``state_start``, the end widths with :func:`_check_real`
+    and, on an isotherm, ``conserved`` against ``base_scale`` and both ends
+    against its window; widths, ``conserved`` and ``base_scale`` are stored
+    as floats.  So no code that reads a stroke checks it again.
     """
 
     kind: StrokeKind
@@ -167,18 +168,39 @@ class Stroke:
     params: WellParams
     base_scale: float | None = None
 
+    def __post_init__(self):
+        if not isinstance(self.kind, StrokeKind):
+            raise DomainError(f"kind must be a StrokeKind, got {self.kind!r}")
+        if not isinstance(self.params, WellParams):
+            raise DomainError(f"params must be a WellParams, got {self.params!r}")
+        for name in ("L_start", "L_end"):
+            object.__setattr__(self, name, _check_real(getattr(self, name), name))
+        if self.kind is StrokeKind.ADIABATIC:
+            if not isinstance(self.state_start, MixedState):
+                raise DomainError(
+                    f"state_start must be a MixedState on an adiabat, got {self.state_start!r}"
+                )
+            return
+        base_scale = _isotherm_base(self.conserved, self.base_scale, self.params)
+        object.__setattr__(self, "conserved", float(self.conserved))
+        object.__setattr__(self, "base_scale", base_scale)
+        if not (_in_window(self.L_start / base_scale) and _in_window(self.L_end / base_scale)):
+            raise _window_error(np.array([self.L_start, self.L_end]), base_scale)
+
     def force_at(self, L):
         """Population-weighted wall force at width ``L``, elementwise on arrays.
 
         The one-row case of the stroke table that
-        :func:`stroke_work_quadrature` builds, after ``L`` passes the checks
-        of :func:`_check_widths`, so the force and its checks are those of
-        the work integrand.  Builds no :class:`MixedState`: the adiabat's
-        level-square sum is fixed, and the isotherm's comes from the
-        population staircase of :func:`isothermal_populations`.  Returns a
-        float for scalar ``L`` and an ndarray otherwise.
+        :func:`stroke_work_quadrature` builds.  Only the caller's ``L`` is
+        checked, since the stroke was checked when it was built: with
+        :func:`_check_widths`, then, on an isotherm, against its window.
+        Builds no :class:`MixedState`: the adiabat's level-square sum is
+        fixed, and the isotherm's comes from the population staircase.
+        Returns a float for scalar ``L`` and an ndarray otherwise.
         """
         L = _check_widths(L)
+        if self.kind is StrokeKind.ISOTHERMAL and not _in_window(L / self.base_scale).all():
+            raise _window_error(L, self.base_scale)
         owner = np.zeros(L.shape, np.intp)
         force = _table_forces(_stroke_table((self,)).take(owner, axis=0), owner, L)
         return float(force) if force.ndim == 0 else force
@@ -226,17 +248,13 @@ L_START, ISOTHERM, BASE, SQUARES, PI_HBAR_SQUARED, MASS = range(6)
 
 
 def _stroke_table(strokes) -> np.ndarray:
-    """The stroke table of ``strokes``, one row per stroke, after each
-    stroke's own checks: end widths and, on an isotherm, those of
-    :func:`isothermal_populations` on ``conserved`` and ``base_scale``."""
+    """The stroke table of ``strokes``, one row per stroke."""
     rows = []
     for s in strokes:
-        L_start = _check_real(s.L_start, "L_start")
-        _check_real(s.L_end, "L_end")
         if s.kind is StrokeKind.ISOTHERMAL:
-            row = (L_start, 1.0, _isotherm_base(s.conserved, s.base_scale, s.params), 1.0)
+            row = (s.L_start, 1.0, s.base_scale, 1.0)
         else:
-            row = (L_start, 0.0, math.inf, _level_square_sum(s.state_start))
+            row = (s.L_start, 0.0, math.inf, _level_square_sum(s.state_start))
         rows.append((*row, (math.pi * s.params.hbar) ** 2, s.params.mass))
     return np.array(rows)
 
@@ -244,17 +262,15 @@ def _stroke_table(strokes) -> np.ndarray:
 def _table_forces(rows, owner, L):
     """Wall force at the float64 widths ``L``: width ``i`` lies on stroke
     ``owner[i]`` of a stroke table, whose row is ``rows[i]``.  One array
-    expression over all widths.
+    expression over all widths, which lie between the stroke's checked ends.
 
-    Raises the error of the first stroke, in table order, with a failing
-    width; see :func:`_raise_stroke_error`.
+    Raises :class:`ScaleError`, naming the widths of the first stroke, in
+    table order, where a force lies outside (0, inf).
     """
     isotherm = rows[..., ISOTHERM] > 0.0
-    # A width that is not positive and finite gives a force outside (0, inf)
-    # or, on an isotherm, a ratio outside the window; it is caught below.
+    # Overflow and underflow give a force outside (0, inf), caught below.
     with np.errstate(all="ignore"):
-        ratio = L / rows[..., BASE]
-        k, w_upper = _staircase(ratio)
+        k, w_upper = _staircase(L / rows[..., BASE])
         square_sum = np.where(
             isotherm, (1.0 - w_upper) * (k * k) + w_upper * ((k + 1.0) * (k + 1.0)),
             rows[..., SQUARES],
@@ -262,22 +278,13 @@ def _table_forces(rows, owner, L):
         force = _force_from_square_sum(
             square_sum, L ** 3, rows[..., PI_HBAR_SQUARED], rows[..., MASS]
         )
-    ok = (force > 0.0) & (force < math.inf) & (_in_window(ratio) | ~isotherm)
+    ok = (force > 0.0) & (force < math.inf)
     if not ok.all():
         mine = owner == owner[~ok].min()
-        _raise_stroke_error(L if mine.all() else L[mine], rows[mine][0])
+        raise ScaleError(
+            f"wall force over- or underflows binary64 at widths {L if mine.all() else L[mine]!r}"
+        )
     return force
-
-
-def _raise_stroke_error(L, row):
-    """Raise the error for the widths ``L`` of one stroke, table row ``row``,
-    one of which fails, in the order of the checks: a width that is not
-    positive and finite, then an isotherm width outside the window, then a
-    force outside (0, inf).  The message names all of ``L``."""
-    _check_widths(L)
-    if row[ISOTHERM] > 0.0 and not _in_window(L / row[BASE]).all():
-        raise _window_error(L, float(row[BASE]))
-    raise ScaleError(f"wall force over- or underflows binary64 at widths {L!r}")
 
 
 def adiabatic_stroke(state: MixedState, L_from, L_to,
@@ -296,31 +303,21 @@ def adiabatic_stroke(state: MixedState, L_from, L_to,
     )
 
 
-def isothermal_populations(e_fixed, L, base_scale, params: WellParams = DEFAULT_PARAMS):
-    """Staircase populations holding mean energy ``e_fixed`` at widths ``L``.
-
-    Returns ``(k, w_upper)``, float arrays shaped like ``L``: only levels
-    ``k`` and ``k + 1`` are populated, with ``w_upper`` on ``k + 1``.
-    ``e_fixed`` must equal the ground-state energy at ``base_scale``.  Raises
-    :class:`IsothermRangeError` if any width lies below ``base_scale``, where
-    the required populations would turn negative, or at ``2**63 *
-    base_scale`` or beyond, where level ``k`` leaves the int64 range.
-    """
-    L = _check_widths(L)
-    base_scale = _isotherm_base(e_fixed, base_scale, params)
-    ratio = L / base_scale
-    if not _in_window(ratio).all():
-        raise _window_error(L, base_scale)
-    return _staircase(ratio)
-
-
 def isothermal_state_at(e_fixed, L, base_scale, params: WellParams = DEFAULT_PARAMS) -> MixedState:
     """Staircase state holding mean energy ``e_fixed`` at width ``L``.
 
-    The populations come from :func:`isothermal_populations`, whose checks
-    and errors apply.
+    Only levels ``k = floor(L / base_scale)`` and ``k + 1`` are populated.
+    ``e_fixed`` must equal the ground-state energy at ``base_scale``.  Raises
+    :class:`IsothermRangeError` if ``L`` lies below ``base_scale``, where the
+    required populations would turn negative, or at ``2**63 * base_scale`` or
+    beyond, where level ``k`` leaves the int64 range.
     """
-    k, w_upper = isothermal_populations(e_fixed, _check_real(L, "L"), base_scale, params)
+    L = _check_real(L, "L")
+    base_scale = _isotherm_base(e_fixed, base_scale, params)
+    ratio = L / base_scale
+    if not _in_window(ratio):
+        raise _window_error(L, base_scale)
+    k, w_upper = _staircase(ratio)
     k, w_upper = int(k), float(w_upper)
     if w_upper == 0.0:
         return MixedState.pure(k)
@@ -334,18 +331,12 @@ def isothermal_stroke(e_fixed, L_from, L_to, base_scale,
     The wall force along the stroke is ``2 * e_fixed / L`` regardless of the
     population path.
     """
-    L_from, L_to = _check_real(L_from, "L_from"), _check_real(L_to, "L_to")
-    # Both ends in the window, with the checks and errors of
-    # isothermal_populations; the stroke itself keeps no state.
-    base_scale = _isotherm_base(e_fixed, base_scale, params)
-    if not (_in_window(L_from / base_scale) and _in_window(L_to / base_scale)):
-        raise _window_error(np.array([L_from, L_to]), base_scale)
     return Stroke(
         kind=StrokeKind.ISOTHERMAL,
-        L_start=L_from,
-        L_end=L_to,
+        L_start=_check_real(L_from, "L_from"),
+        L_end=_check_real(L_to, "L_to"),
         state_start=None,
-        conserved=float(e_fixed),
+        conserved=e_fixed,
         params=params,
         base_scale=base_scale,
     )
@@ -382,10 +373,10 @@ def stroke_work_quadrature(strokes: Stroke | Sequence[Stroke],
     stroke's a-posteriori estimate must come out below ``rel_tol`` times its
     integral, else a :class:`QuadratureError` is raised.
 
-    Every stroke's own checks (end widths; on an isotherm, ``conserved``
-    against ``base_scale``) run before any width is probed.  A probed width
-    that fails its checks raises the error of the first stroke, in order,
-    that has one, as that stroke's widths alone would.
+    Each stroke was checked when it was built, and every probed width lies
+    between its checked ends, so no width is checked again.  A force outside
+    (0, inf) raises :class:`ScaleError` for the first stroke, in order, that
+    has one.
     """
     rel_tol = _check_real(rel_tol, "rel_tol", 0.0, 1e-4)
     single = isinstance(strokes, Stroke)
@@ -424,13 +415,15 @@ def stroke_work_quadrature(strokes: Stroke | Sequence[Stroke],
 def sample_stroke(stroke: Stroke, count: int, stroke_index: int = 1) -> SampleTable:
     """Column table of ``count`` samples at uniformly spaced widths, endpoints included.
 
-    Builds no :class:`MixedState`.  An adiabat's fixed state is broadcast over
-    all rows; an isotherm's populations come from one
-    :func:`isothermal_populations` call, as levels ``k, k + 1`` (``k`` alone
-    where the state is pure).  Every value equals, bit for bit, what
-    ``wall_force``, ``expectation_energy``, ``entropy`` and ``.populations``
-    give for the state at ``L``: ``stroke.state_start`` on an adiabat,
-    :func:`isothermal_state_at` on an isotherm.
+    Builds no :class:`MixedState` and checks nothing but ``count``: the
+    stroke was checked when it was built, and every width lies between its
+    ends.  An adiabat's fixed state is broadcast over all rows; an isotherm's
+    populations come from one population staircase over all widths, as
+    levels ``k, k + 1`` (``k`` alone where the state is pure).  Every value
+    equals, bit for bit, what ``wall_force``, ``expectation_energy``,
+    ``entropy`` and ``.populations`` give for the state at ``L``:
+    ``stroke.state_start`` on an adiabat, :func:`isothermal_state_at` on an
+    isotherm.
     """
     count = _check_int(count, "count", 2, MAX_SAMPLES_PER_STROKE)
     widths = np.linspace(stroke.L_start, stroke.L_end, count)
@@ -441,9 +434,7 @@ def sample_stroke(stroke: Stroke, count: int, stroke_index: int = 1) -> SampleTa
         square_sum = _level_square_sum(state)
         row_entropy = np.full(widths.size, entropy(state))
     else:
-        k, w_upper = isothermal_populations(
-            stroke.conserved, widths, stroke.base_scale, stroke.params
-        )
+        k, w_upper = _staircase(widths / stroke.base_scale)
         levels = np.stack([k, np.where(w_upper == 0.0, 0.0, k + 1.0)], axis=1).astype(np.int64)
         weights = np.stack([1.0 - w_upper, w_upper], axis=1)
         n = levels.astype(np.float64)

@@ -402,14 +402,16 @@ def _energy_tail_enclosure(n: int, alpha: float, terms: int) -> tuple[float, flo
 def _floor_terms(alpha: float, n_max: int, budget: int) -> int:
     """Least cutoff :func:`_energy_tail_enclosure` admits for levels up to
     ``n_max``, ``max(64, ceil(2 alpha n_max) + 2)``.  Raises
-    :class:`TruncationError` when it exceeds ``budget``."""
+    :class:`TruncationError` when it exceeds ``budget``; a cutoff beyond
+    ``_MAX_BUDGET`` is named in ``%.17g`` form, not with all its digits."""
     try:
         floor_terms = max(64, math.ceil(2.0 * alpha * n_max) + 2)
     except OverflowError:
         floor_terms = math.inf
     if floor_terms > budget:
+        shown = floor_terms if floor_terms <= _MAX_BUDGET else "%.17g" % floor_terms
         raise TruncationError(
-            f"budget {budget} is below the minimum cutoff {floor_terms}",
+            f"budget {budget} is below the minimum cutoff {shown}",
             terms_used=budget,
             tail_bound=math.inf,
         )

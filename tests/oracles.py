@@ -6,15 +6,14 @@ sine modes, series values from direct partial sums (in the original
 ``sin(m pi / alpha)`` form, not the library's sinc kernel) with
 summation-by-parts tail bounds, forces from central differences, loop
 areas from the cross-product shoelace formula, and the work integrand as one
-masked force call per stroke, with each stroke's width checks in the order
-they had before the stroke table.
+masked force call per stroke, the form it had before the stroke table.
 """
 
 import math
 
 import numpy as np
 
-from qcarnot.errors import DomainError, IsothermRangeError, ScaleError
+from qcarnot.errors import ScaleError
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 
@@ -153,20 +152,10 @@ def staircase_force(stroke, L):
 
 
 def checked_staircase_force(stroke, L):
-    """:func:`staircase_force` after the checks that ``Stroke.force_at`` made
-    on the float64 widths ``L`` before the stroke table, in its order and with
-    its errors: every width positive and finite, every isotherm width in the
-    window ``[1 - 1e-12, 2**63)`` of ``base_scale``, every force in (0, inf)."""
-    if not (np.isfinite(L) & (L > 0.0)).all():
-        raise DomainError(f"L must be positive and finite, got {L!r}")
-    if stroke.kind.value == "isothermal":
-        ratio = L / stroke.base_scale
-        if not ((ratio >= 1.0 - 1e-12) & (ratio < 2.0 ** 63)).all():
-            base = stroke.base_scale
-            raise IsothermRangeError(
-                f"width {L!r} lies outside the isotherm validity window "
-                f"[{base!r}, 2**63 * {base!r})"
-            )
+    """:func:`staircase_force`, raising :class:`ScaleError` with the text of
+    the work integrand if a force lies outside (0, inf).  The widths are not
+    checked: those of the integrand lie between a built stroke's checked
+    ends."""
     with np.errstate(all="ignore"):
         force = staircase_force(stroke, L)
     if not ((force > 0.0) & (force < math.inf)).all():

@@ -478,6 +478,17 @@ class TestVerifyIdentityCommand:
     def test_budget_exhaustion_exits_2(self, capsys):
         assert cmd_verify_identity(1, 2.0, 1e-6, max_terms=100) == 2
 
+    @pytest.mark.parametrize("alpha, cutoff", [
+        ("1e300", "2.0000000000000001e+300"), ("1e16", "20000000000000000"), ("1e308", "inf"),
+    ])
+    def test_huge_minimum_cutoff_stays_one_short_line(self, alpha, cutoff):
+        code, err = _run_main(["verify-identity", "--n", "1", "--alpha", alpha, "--tol", "1e-6"])
+        assert code == 2
+        assert err.splitlines() == [
+            f"error: budget 100000000 is below the minimum cutoff {cutoff}"
+        ]
+        assert len(err.splitlines()[0]) < 120
+
     def test_failed_verification_reports_on_stderr(self, monkeypatch, capsys):
         report = TruncationReport(terms_used=64, tail_bound=1e-7, achieved_sum=0.5)
 

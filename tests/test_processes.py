@@ -19,7 +19,6 @@ from qcarnot import (
     eigenenergy,
     entropy,
     expectation_energy,
-    isothermal_populations,
     isothermal_state_at,
     isothermal_stroke,
     quadrature,
@@ -88,17 +87,11 @@ def work_strokes(draw):
 
 @st.composite
 def failing_strokes(draw):
-    """A stroke that ``isothermal_stroke`` or ``adiabatic_stroke`` accepts but
-    whose work cannot be integrated: an adiabat whose force over- or
-    underflows at some widths, or an isotherm whose end moved below the
-    window."""
-    if draw(st.booleans()):
-        scale = draw(st.sampled_from([1e-103, 1e103]))
-        L_from, L_to = (scale * draw(st.floats(0.5, 8.0)) for _ in range(2))
-        return adiabatic_stroke(draw(mixed_states()), L_from, L_to)
-    base = draw(st.floats(0.25, 4.0))
-    stroke = isothermal_stroke(eigenenergy(1, base), base * draw(st.floats(1.0, 6.0)), base, base)
-    return dataclasses.replace(stroke, L_end=base * draw(st.floats(0.3, 0.99)))
+    """An adiabat that ``adiabatic_stroke`` accepts but whose work cannot be
+    integrated: its force over- or underflows at some widths."""
+    scale = draw(st.sampled_from([1e-103, 1e103]))
+    L_from, L_to = (scale * draw(st.floats(0.5, 8.0)) for _ in range(2))
+    return adiabatic_stroke(draw(mixed_states()), L_from, L_to)
 
 
 def work_outcome(strokes, integrand=None, calls=None):
@@ -154,7 +147,7 @@ class TestIsothermalState:
     @pytest.mark.parametrize("e_fixed", [str(E_GROUND), True, None])
     def test_rejects_energy_that_is_not_a_real(self, e_fixed):
         with pytest.raises(DomainError, match="e_fixed must be positive and finite"):
-            isothermal_populations(e_fixed, 1.5, 1.0)
+            isothermal_state_at(e_fixed, 1.5, 1.0)
 
     @given(ratio=st.floats(1.0, 12.0))
     def test_holds_energy_fixed_everywhere(self, ratio):
@@ -267,7 +260,7 @@ class TestIsothermalStroke:
             lambda: isothermal_stroke(eigenenergy(1, 1.0), 1.0, 1e20, 1.0),
             lambda: stroke.force_at(beyond),
             lambda: stroke.force_at(np.array([edge, beyond])),
-            lambda: sample_stroke(dataclasses.replace(stroke, L_end=beyond), 3),
+            lambda: dataclasses.replace(stroke, L_end=beyond),
             lambda: isothermal_state_at(e, beyond, base),
         ):
             with pytest.raises(IsothermRangeError, match="validity window"):
@@ -431,13 +424,18 @@ class TestStrokeTable:
     def test_integrand_and_works_match_masked_oracle_bit_for_bit(self, strokes):
         calls = []
         works = work_outcome(strokes, calls=calls)
-        assert works == work_outcome(
-            strokes, lambda s: masked_work_integrand(s, Stroke.force_at, _START_PANELS)
-        )
+        oracle = masked_work_integrand(strokes, staircase_force, _START_PANELS)
+        assert works == work_outcome(strokes, lambda s: oracle)
+        assert isinstance(works, bytes)
         for key_u, values in calls:
-            for force in (Stroke.force_at, staircase_force):
-                oracle = masked_work_integrand(strokes, force, _START_PANELS)(key_u)
-                assert values.tobytes() == oracle.tobytes()
+            assert values.tobytes() == oracle(key_u).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(work_strokes(), st.data())
+    def test_force_at_matches_unchecked_staircase_force_bit_for_bit(self, stroke, data):
+        lo, hi = sorted((stroke.L_start, stroke.L_end))
+        widths = np.array(data.draw(st.lists(st.floats(lo, hi), min_size=1, max_size=8)))
+        assert stroke.force_at(widths).tobytes() == staircase_force(stroke, widths).tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.one_of(work_strokes(), failing_strokes()), min_size=1, max_size=5))
@@ -446,13 +444,38 @@ class TestStrokeTable:
             strokes, lambda s: masked_work_integrand(s, checked_staircase_force, _START_PANELS)
         )
 
-    def test_an_earlier_stroke_out_of_scale_is_reported_before_a_later_window_error(self):
-        adiabat = adiabatic_stroke(MixedState.pure(1), 1e103, 2e103)
-        isotherm = dataclasses.replace(isothermal_stroke(E_GROUND, 1.0, 2.0, 1.0), L_end=0.5)
+    def test_the_first_of_two_strokes_out_of_scale_is_reported(self):
+        wide = adiabatic_stroke(MixedState.pure(1), 1e103, 2e103)
+        narrow = adiabatic_stroke(MixedState.pure(1), 1e-103, 2e-103)
         with pytest.raises(ScaleError, match="at widths array\\(\\[1.00000000e\\+103"):
-            stroke_work_quadrature([adiabat, isotherm])
-        with pytest.raises(IsothermRangeError):
-            stroke_work_quadrature([isotherm, adiabat])
+            stroke_work_quadrature([wide, narrow])
+        with pytest.raises(ScaleError, match="at widths array\\(\\[1.00000000e-103"):
+            stroke_work_quadrature([narrow, wide])
+
+    @settings(max_examples=40, deadline=None)
+    @given(base=st.floats(0.25, 4.0), start=st.floats(1.0, 6.0), end=st.floats(0.3, 0.99))
+    def test_an_isotherm_end_below_the_window_is_rejected_when_built(self, base, start, end):
+        stroke = isothermal_stroke(eigenenergy(1, base), base * start, base, base)
+        with pytest.raises(IsothermRangeError, match="validity window"):
+            dataclasses.replace(stroke, L_end=base * end)
+
+    def test_isotherms_onto_the_window_edge_integrate(self):
+        # The last probe L_start * exp(ln(L_end / L_start)) can round below
+        # an end on the window's lower edge; no probe is checked against the
+        # window, so the work matches the closed form.
+        rng = np.random.default_rng(2024)
+        strokes = []
+        for _ in range(500):
+            base = rng.uniform(0.25, 4.0)
+            edge = base * (1.0 - 1e-12)
+            while edge / base < 1.0 - 1e-12:
+                edge = math.nextafter(edge, math.inf)
+            while math.nextafter(edge, 0.0) / base >= 1.0 - 1e-12:
+                edge = math.nextafter(edge, 0.0)
+            strokes.append(isothermal_stroke(eigenenergy(1, base), base * rng.uniform(1.5, 50.0),
+                                             edge, base))
+        for stroke, work in zip(strokes, stroke_work_quadrature(strokes), strict=True):
+            assert work == pytest.approx(stroke_work(stroke), rel=1e-10, abs=0.0)
 
     @pytest.mark.parametrize("change, text", [
         ({"conserved": 5.0}, "fixed energy 5.0 does not match the ground-state energy "
@@ -460,14 +483,10 @@ class TestStrokeTable:
         ({"base_scale": None}, "base_scale must be positive and finite, got None"),
     ])
     def test_isotherm_errors_keep_their_type_and_text(self, change, text):
-        stroke = dataclasses.replace(isothermal_stroke(E_GROUND, 1.0, 2.0, 1.0), **change)
-        for call in (lambda: stroke_work_quadrature(stroke),
-                     lambda: stroke_work_quadrature([adiabatic_stroke(MixedState.pure(2), 1.0, 3.0),
-                                                     stroke]),
-                     lambda: stroke.force_at(1.5)):
-            with pytest.raises(DomainError) as caught:
-                call()
-            assert type(caught.value) is DomainError and str(caught.value) == text
+        stroke = isothermal_stroke(E_GROUND, 1.0, 2.0, 1.0)
+        with pytest.raises(DomainError) as caught:
+            dataclasses.replace(stroke, **change)
+        assert type(caught.value) is DomainError and str(caught.value) == text
 
     @pytest.mark.parametrize("widths, text", [
         ({"L_start": -1.0}, "L_start must be positive and finite, got -1.0"),
@@ -478,11 +497,23 @@ class TestStrokeTable:
     def test_hand_built_stroke_with_a_bad_width_raises_domain_error(self, widths, text):
         state = MixedState.pure(1)
         ends = {"L_start": 1.0, "L_end": 2.0, **widths}
-        stroke = Stroke(kind=StrokeKind.ADIABATIC, state_start=state,
-                        conserved=expectation_energy(state, 1.0), params=WellParams(), **ends)
         with pytest.raises(DomainError) as caught:
-            stroke_work_quadrature(stroke)
+            Stroke(kind=StrokeKind.ADIABATIC, state_start=state,
+                   conserved=expectation_energy(state, 1.0), params=WellParams(), **ends)
         assert str(caught.value) == text
+
+    @pytest.mark.parametrize("change, field", [
+        ({"state_start": None}, "state_start"),
+        ({"state_start": "x"}, "state_start"),
+        ({"kind": "isothermal"}, "kind"),
+        ({"params": None}, "params"),
+    ])
+    def test_hand_built_stroke_with_a_bad_field_raises_domain_error(self, change, field):
+        state = MixedState.pure(1)
+        fields = dict(kind=StrokeKind.ADIABATIC, L_start=1.0, L_end=2.0, state_start=state,
+                      conserved=expectation_energy(state, 1.0), params=WellParams())
+        with pytest.raises(DomainError, match=f"^{field} must be a "):
+            Stroke(**{**fields, **change})
 
 
 class TestSampleStroke:

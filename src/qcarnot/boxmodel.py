@@ -14,6 +14,7 @@ through :class:`WellParams`.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -200,8 +201,9 @@ class MixedState:
 
     @classmethod
     def pure(cls, n) -> "MixedState":
-        """State fully concentrated on level ``n``."""
-        return cls(np.array([_check_int(n, "n")]), np.array([1.0]))
+        """State fully concentrated on level ``n``.  States are immutable, so
+        the pure states asked for last are cached and shared by callers."""
+        return _pure_state(cls, _check_int(n, "n"))
 
     @classmethod
     def from_pairs(cls, pairs) -> "MixedState":
@@ -227,6 +229,12 @@ class MixedState:
     def __repr__(self):
         body = ", ".join(f"{n}: {w:.6g}" for n, w in self.populations)
         return f"MixedState({{{body}}})"
+
+
+# Pure states by class and level, for MixedState.pure.
+@functools.lru_cache(maxsize=64)
+def _pure_state(cls, n: int) -> MixedState:
+    return cls(np.array([n]), np.array([1.0]))
 
 
 def eigenenergy(n, L, params: WellParams = DEFAULT_PARAMS) -> float:

@@ -169,17 +169,10 @@ class Stroke:
     base_scale: float | None = None
 
     def __post_init__(self):
-        if not isinstance(self.kind, StrokeKind):
-            raise DomainError(f"kind must be a StrokeKind, got {self.kind!r}")
-        if not isinstance(self.params, WellParams):
-            raise DomainError(f"params must be a WellParams, got {self.params!r}")
+        _check_stroke_types(self.kind, self.state_start, self.params)
         for name in ("L_start", "L_end"):
             object.__setattr__(self, name, _check_real(getattr(self, name), name))
         if self.kind is StrokeKind.ADIABATIC:
-            if not isinstance(self.state_start, MixedState):
-                raise DomainError(
-                    f"state_start must be a MixedState on an adiabat, got {self.state_start!r}"
-                )
             return
         base_scale = _isotherm_base(self.conserved, self.base_scale, self.params)
         object.__setattr__(self, "conserved", float(self.conserved))
@@ -204,6 +197,18 @@ class Stroke:
         owner = np.zeros(L.shape, np.intp)
         force = _table_forces(_stroke_table((self,)).take(owner, axis=0), owner, L)
         return float(force) if force.ndim == 0 else force
+
+
+def _check_stroke_types(kind, state_start, params) -> None:
+    """The type rules of a :class:`Stroke`: ``kind`` is a :class:`StrokeKind`,
+    ``params`` a :class:`WellParams` and, on an adiabat, ``state_start`` a
+    :class:`MixedState`.  The builders run them before computing an energy."""
+    if not isinstance(kind, StrokeKind):
+        raise DomainError(f"kind must be a StrokeKind, got {kind!r}")
+    if not isinstance(params, WellParams):
+        raise DomainError(f"params must be a WellParams, got {params!r}")
+    if kind is StrokeKind.ADIABATIC and not isinstance(state_start, MixedState):
+        raise DomainError(f"state_start must be a MixedState on an adiabat, got {state_start!r}")
 
 
 def _isotherm_base(e_fixed, base_scale, params: WellParams) -> float:
@@ -292,6 +297,7 @@ def adiabatic_stroke(state: MixedState, L_from, L_to,
     """Stroke at frozen populations from width ``L_from`` to ``L_to``."""
     L_from = _check_real(L_from, "L_from")
     L_to = _check_real(L_to, "L_to")
+    _check_stroke_types(StrokeKind.ADIABATIC, state, params)
     e_start = expectation_energy(state, L_from, params)
     return Stroke(
         kind=StrokeKind.ADIABATIC,
@@ -313,6 +319,7 @@ def isothermal_state_at(e_fixed, L, base_scale, params: WellParams = DEFAULT_PAR
     beyond, where level ``k`` leaves the int64 range.
     """
     L = _check_real(L, "L")
+    _check_stroke_types(StrokeKind.ISOTHERMAL, None, params)
     base_scale = _isotherm_base(e_fixed, base_scale, params)
     ratio = L / base_scale
     if not _in_window(ratio):

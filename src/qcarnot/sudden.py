@@ -91,6 +91,71 @@ series is within ``gamma_(9K + 17)`` relative of the exact one, with
 order of the benchmark's nine-level expansion.  Its truncation adds at most
 ``2**-56``.
 
+The identity's single-level energy series takes a moment path past the head
+``H = max(2**14, ceil(4 a))``, so that ``a / m <= 1/4`` there; the head keeps
+the per-index path, with its resonances and exact zeros.  Past ``H`` the
+indices run in blocks ``m = s + i``, ``i < w``, with ``w / s <= 1/64``: ``w =
+256`` from ``H + 1``, and ``w = 4096`` from the first start at or past
+``2**18``.  With ``x = i / w``, ``rho = w / s``, ``eps = (a / s)^2`` and ``u =
+m / s = 1 + rho x``, expanding ``u^2 / (u^2 - eps)^2 = sum_j (j + 1) eps^j
+u^(-2j - 2)`` in ``rho x`` gives
+
+    m^2 / (m^2 - a^2)^2 = s^-2 sum_k (-rho x)^k A_k(eps),
+
+    A_k(eps) = sum_j (j + 1) C(2j + 1 + k, k) eps^j,
+
+and ``sin^2(theta m) = (1 - cos(phi_s) cos(2 theta i) + sin(phi_s) sin(2
+theta i)) / 2`` with ``phi_s = 2 theta s`` on ``s`` reduced exactly modulo
+``alpha``.  So a block sums to
+
+    (c^2 / (2 s^2)) sum_k (-rho)^k A_k(eps) (P_k - cos(phi_s) C_k + sin(phi_s) S_k),
+
+where ``P_k``, ``C_k`` and ``S_k`` sum ``x^k``, ``cos(2 theta i) x^k`` and
+``sin(2 theta i) x^k`` over ``i < w``, on ``i`` reduced like the kernel's
+offsets.  They are tabulated once per call and width, so a block costs a few
+hundred flops whatever its width, where the per-index path takes about ten
+passes over each index; each width's blocks are evaluated as arrays, and a
+trailing partial block goes per index.  All block sums, the head's and the
+moment path's, are added by one :func:`math.fsum`.
+
+*Truncation.*  With ``b = a / s <= 1/4``, the partial fractions of
+``u^2 / (u^2 - b^2)^2`` give ``A_k <= (k + 1) (1 - b)^-(k + 2)``, and ``s^2
+m^2 / (m^2 - a^2)^2 >= (1 + rho)^-2`` in the block.  So cutting the sum over
+``k`` after ``rho^K`` errs per index by at most ``((1 + rho) / (1 - b))^2 (K
++ 2) q^(K + 1) / (1 - q)^2`` relative, ``q = rho / (1 - b)``.  As ``sum_k
+C(2j + 1 + k, k) rho^k = (1 - rho)^-(2j + 2)``, cutting every ``A_k`` after
+``eps^J`` errs by at most ``((1 + rho) / (1 - rho))^2 (J + 2) y^(J + 1) / (1
+- y)^2``, ``y = eps / (1 - rho)^2``.  :func:`_moment_orders` takes the least
+``K`` and ``J`` that keep each at most ``2**-57`` for the first block of a
+width, where ``rho`` and ``eps`` are largest (``K <= 11``, ``J <= 15``).  As
+``sin^2 >= 0``, the truncated blocks are within ``2**-56`` relative of the
+exact sum they replace.
+
+*Rounding.*  Let ``delta = (4 pi + 2) u``, ``d = log2(w) + 11`` (the depth
+of numpy's pairwise sums over ``w`` terms) and ``f(m) = m^2 / (m^2 -
+a^2)^2``.  Then:
+
+- the tables: ``x^k`` carries ``k - 1`` roundings; each table sine and
+  cosine, and ``cos(phi_s)`` and ``sin(phi_s)``, is off by at most
+  ``delta`` absolute (an ulp of the reduced argument, the rounded ``2 pi /
+  alpha``, the product, the function); so ``P_k`` is within ``gamma_(k + d)
+  P_k``, and ``C_k`` and ``S_k`` within ``(gamma_(k + d) + delta) P_k``;
+- the Horner steps in ``eps``: ``eps`` takes two roundings and the
+  coefficients are exact integers, so with positive terms ``A_k`` is within
+  ``gamma_(4J + 1)`` relative;
+- the block combination: the bracket is within ``(3 gamma_(K + d + 4) + 5
+  delta) P_k``, and its product with ``A_k``, the Horner steps in ``-rho``
+  and the scale ``c^2 / (2 s^2)`` add ``gamma_(3K + 8)``.
+
+As ``|C_k|, |S_k| <= P_k`` and ``sum_k rho^k A_k x^k = s^2 f(s (1 - rho
+x)) <= 1.08 s^2 f(m)``, a block errs by at most ``1.62 (gamma_N + 5 delta)
+c^2 sum_m f(m)`` over its indices, ``N = 4J + 6K + 3d + 21``.  Past ``H >=
+4 alpha n``, ``c^2 sum_m f(m) <= (16/15)^2 c^2 / H <= 0.116 / n``, so the
+moment path errs by at most ``0.19 (gamma_N + 5 delta) / n`` absolute, about
+``6e-15 / n`` at ``K = 11``, ``J = 15`` and ``w = 4096``; the final
+:func:`math.fsum` adds half an ulp.  That is a worst case: on the tests'
+grid of ratios and levels the two paths differ by at most ``1.2e-16``.
+
 :func:`verify_energy_identity` certifies the identity numerically: it sums
 the series directly up to ``M`` terms and bounds the neglected tail
 rigorously by splitting ``sin^2 = 1/2 - cos/2``, bracketing the monotone
@@ -122,6 +187,15 @@ _BLOCK = 1 << 14
 # cost less than one block of the per-level passes they replace.
 _SERIES_TOL = 2.0 ** -56
 _SERIES_MAX_ORDER = 64
+
+# The identity's series takes its indices past the head max(_MOMENT_HEAD,
+# ceil(4 alpha n)) in blocks of these widths, each from the block start
+# _MOMENT_SPAN times its width on, and cuts each of the block moment path's
+# two power series at _MOMENT_TOL relative (see the module docstring).
+_MOMENT_HEAD = 1 << 14
+_MOMENT_WIDTHS = (256, 4096)
+_MOMENT_SPAN = 64
+_MOMENT_TOL = 2.0 ** -57
 
 # Largest term budget: series indices are float64, exact up to 2**53.
 _MAX_BUDGET = 1 << 53
@@ -206,11 +280,11 @@ def _exact_zero_step(alpha: float, terms: int) -> tuple[int, int, bool] | None:
     return None
 
 
-def _series_order(y: float, cap: int) -> int | None:
-    """Least ``K <= cap`` with ``(K + 2) y^(K + 1) / (1 - y)^2 <= 2**-56``,
-    or ``None``; ``0 < y < 1``.  The far-field series cut after the power
-    ``t^K``, ``t <= y``, then errs by at most ``2**-56`` relative."""
-    bound = _SERIES_TOL * (1.0 - y) ** 2
+def _series_order(y: float, cap: int, tol: float = _SERIES_TOL) -> int | None:
+    """Least ``K <= cap`` with ``(K + 2) y^(K + 1) / (1 - y)^2 <= tol``, or
+    ``None``; ``0 <= y < 1``.  The far-field series cut after the power
+    ``t^K``, ``t <= y``, then errs by at most ``tol`` relative."""
+    bound = tol * (1.0 - y) ** 2
     power = y
     for order in range(cap + 1):
         if (order + 2) * power <= bound:
@@ -231,14 +305,40 @@ def _series_coefficients(poles, weights, top: float, order: int) -> list[float]:
     return coefficients
 
 
+def _reduced_offsets(alpha: float, count: int) -> np.ndarray:
+    """The offsets ``i = 0 .. count - 1`` reduced to ``r = i - alpha k`` in
+    ``[-alpha/2, alpha/2]``, ``k = rint(i / alpha)``, ``count <= 2**14``.
+
+    With ``alpha`` split into a 39-bit head and a tail, ``k < 2**14`` times
+    the head and its difference from ``i`` are exact, so ``r`` is off by an
+    ulp at most.
+    """
+    unit = math.ldexp(1.0, math.frexp(alpha)[1] - 39)
+    head = math.floor(alpha / unit) * unit
+    offsets = np.arange(count, dtype=np.float64)
+    turns = np.rint(offsets / alpha)
+    offsets -= turns * head
+    offsets -= turns * (alpha - head)
+    return offsets
+
+
 def _square_series(alpha: float, terms: int, levels, weights=None, out=None) -> float:
     """Sum of a series of squared overlaps over ``m = 1 .. terms``.
 
     With ``weights``, term ``m`` is ``sum_n w_n b(m, n)^2``; without, it is
     ``sum_n (m / (alpha n))^2 b(m, n)^2``, the energy-weighted terms of the
-    identity.  ``alpha > 1``.  Terms are computed one block of indices at a
-    time and the block sums added with :func:`math.fsum`; ``out``, if given,
-    receives term ``m`` at index ``m - 1``.
+    identity.  ``alpha > 1``.  ``out``, if given, receives term ``m`` at
+    index ``m - 1``.
+    """
+    return math.fsum(_square_block_sums(alpha, terms, levels, weights, out))
+
+
+def _square_block_sums(alpha: float, terms: int, levels, weights=None, out=None,
+                       first: int = 1) -> list[float]:
+    """The block sums of :func:`_square_series` over ``m = first .. terms``.
+
+    Terms are computed one block of indices at a time, from ``first`` on;
+    ``out``, if given, receives term ``m`` at index ``m - first``.
     """
     energy = weights is None
     if energy:
@@ -249,7 +349,7 @@ def _square_series(alpha: float, terms: int, levels, weights=None, out=None) -> 
     near = []
     for j, (n, w, a) in enumerate(zip(levels, weights, poles)):
         for m in (math.floor(a), math.floor(a) + 1):
-            if 1 <= m <= terms and abs(m - a) < 1.0:
+            if first <= m <= terms and abs(m - a) < 1.0:
                 factor = (m / a) ** 2 if energy else float(w)
                 sinc = float(np.sinc((m - a) / alpha))
                 near.append((m, j, factor * 4.0 * n * n * alpha * sinc * sinc / (m + a) ** 2))
@@ -260,34 +360,26 @@ def _square_series(alpha: float, terms: int, levels, weights=None, out=None) -> 
     order_cap = min(2 * len(poles) - 2, _SERIES_MAX_ORDER)
     coefficients = []
 
-    # sin(theta i) and cos(theta i) for the offsets i in a block, on arguments
-    # reduced to r = i - alpha k in [-alpha/2, alpha/2] with k = rint(i / alpha),
-    # both times sqrt(4 alpha / pi^2).  With alpha split into a 39-bit head and
-    # a tail, k < 2**14 times the head and its difference from i are exact, so
-    # r is off by an ulp at most.
+    # sin(theta i) and cos(theta i) for the offsets i in a block, on reduced
+    # arguments, both times sqrt(4 alpha / pi^2).
     theta = math.pi / alpha
-    unit = math.ldexp(1.0, math.frexp(alpha)[1] - 39)
-    head = math.floor(alpha / unit) * unit
-    width = min(_BLOCK, terms)
-    m_buf = np.arange(width, dtype=np.float64)
-    turns = np.rint(m_buf / alpha)
-    phase = m_buf - turns * head
-    phase -= turns * (alpha - head)
+    width = min(_BLOCK, terms + 1 - first)
+    phase = _reduced_offsets(alpha, width)
     phase *= theta
     root_scale = math.sqrt(4.0 * alpha / math.pi ** 2)
     sin_tab, cos_tab = np.sin(phase), np.cos(phase)
     sin_tab *= root_scale
     cos_tab *= root_scale
-    del turns, phase
-    m_buf += 1.0
+    del phase
+    m_buf = np.arange(first, first + width, dtype=np.float64)
     square_buf, sine_buf, d_buf = (np.empty(width) for _ in range(3))
     acc_buf = np.empty(width) if out is None else None
     block_sums = []
-    for start in range(1, terms + 1, _BLOCK):
+    for start in range(first, terms + 1, _BLOCK):
         size = min(_BLOCK, terms + 1 - start)
         m, m2, sine, d = (b[:size] for b in (m_buf, square_buf, sine_buf, d_buf))
-        values = acc_buf[:size] if out is None else out[start - 1:start - 1 + size]
-        if start > 1:
+        values = acc_buf[:size] if out is None else out[start - first:start - first + size]
+        if start > first:
             m += _BLOCK
         np.multiply(m, m, out=m2)
         # sin(theta (start + i)) = sin(theta s) cos(theta i) + cos(theta s) sin(theta i)
@@ -300,12 +392,12 @@ def _square_series(alpha: float, terms: int, levels, weights=None, out=None) -> 
         np.add(sine, d, out=sine)
         if zeros is not None:
             p, turns, every = zeros
-            first = -start % p
+            zero = -start % p
             if every:
-                sine[first::p] = 0.0
+                sine[zero::p] = 0.0
             else:  # only the multiples j p that alpha * j q rounds to
-                candidates = m[first::p]
-                sine[first::p][alpha * (candidates / p * turns) == candidates] = 0.0
+                candidates = m[zero::p]
+                sine[zero::p][alpha * (candidates / p * turns) == candidates] = 0.0
         # The energy-weighted terms square (sine m / d) whole; the weighted
         # ones add up (q / d)^2 and then take the squared sine.
         if energy:
@@ -348,7 +440,89 @@ def _square_series(alpha: float, terms: int, levels, weights=None, out=None) -> 
         for i, _, term in hits:
             values[i] += term
         block_sums.append(float(values.sum()))
-    return math.fsum(block_sums)
+    return block_sums
+
+
+def _moment_orders(rho: float, b: float) -> tuple[int, int]:
+    """Orders ``(K, J)`` of the moment path's series in ``rho`` and ``eps``
+    for blocks with ``w / s <= rho <= 1/64`` and ``a / s <= b <= 1/4``: each
+    series cut there errs by at most ``_MOMENT_TOL`` of the block's terms."""
+    order = _series_order(
+        rho / (1.0 - b), _SERIES_MAX_ORDER, _MOMENT_TOL * ((1.0 - b) / (1.0 + rho)) ** 2
+    )
+    depth = _series_order(
+        (b / (1.0 - rho)) ** 2, _SERIES_MAX_ORDER, _MOMENT_TOL * ((1.0 - rho) / (1.0 + rho)) ** 2
+    )
+    return order, depth
+
+
+def _moment_tables(alpha: float, width: int, order: int) -> np.ndarray:
+    """Rows ``(P_k, C_k, S_k)``, ``k = 0 .. order``: the sums over the offsets
+    ``i < width`` of ``x^k``, ``cos(2 theta i) x^k`` and ``sin(2 theta i) x^k``,
+    with ``x = i / width`` and ``theta = pi / alpha``, on reduced ``i``."""
+    powers = np.empty((order + 1, width))
+    powers[0] = 1.0
+    x = np.arange(width) / width
+    for k in range(1, order + 1):
+        np.multiply(powers[k - 1], x, out=powers[k])
+    angle = _reduced_offsets(alpha, width)
+    angle *= 2.0 * math.pi / alpha
+    trig = np.stack((np.ones(width), np.cos(angle), np.sin(angle)))
+    return (powers[:, None, :] * trig).sum(axis=2)
+
+
+def _moment_block_sums(alpha: float, a: float, starts: np.ndarray, width: int,
+                       order: int, depth: int) -> np.ndarray:
+    """Sums of the identity's terms over the blocks ``m = s .. s + width - 1``,
+    ``s`` in ``starts``, each from the moment tables: the series in ``rho =
+    width / s`` cut after ``rho^order``, each ``A_k`` after ``eps^depth``."""
+    tables = _moment_tables(alpha, width, order)
+    coefficients = np.array([[(j + 1) * math.comb(2 * j + 1 + k, k) for j in range(depth + 1)]
+                             for k in range(order + 1)], dtype=np.float64)
+    eps = a / starts
+    eps *= eps
+    # A_k(eps) by Horner's rule, for every k and block at once.
+    moments = np.zeros((order + 1, starts.size))
+    for j in reversed(range(depth + 1)):
+        moments *= eps
+        moments += coefficients[:, j, None]
+    # Times the block's sin^2 moments 2 W_k = P_k - cos(phi) C_k + sin(phi) S_k.
+    # cos(2 theta s) and sin(2 theta s) on s reduced exactly modulo alpha.
+    phase = np.fmod(starts, alpha)
+    phase *= 2.0 * math.pi / alpha
+    moments *= tables[:, 0, None] - tables[:, 1, None] * np.cos(phase) + tables[:, 2, None] * np.sin(phase)
+    # Horner's rule in -rho on the sum over k.
+    rho = -width / starts
+    sums = np.zeros(starts.size)
+    for k in reversed(range(order + 1)):
+        sums *= rho
+        sums += moments[k]
+    sums *= (2.0 * alpha / math.pi ** 2) / (starts * starts)
+    return sums
+
+
+def _energy_series(alpha: float, n: int, terms: int) -> float:
+    """The identity's partial sum over ``m = 1 .. terms``: per index up to
+    the head ``max(2**14, ceil(4 alpha n))``, then from block moments, with a
+    trailing partial block per index again."""
+    a = alpha * n
+    head = max(_MOMENT_HEAD, math.ceil(4.0 * a))
+    if terms <= head:
+        return _square_series(alpha, terms, [n])
+    sums = _square_block_sums(alpha, head, [n])
+    start = head + 1
+    # A width's blocks end where the next width may start, or at the terms.
+    ends = [_MOMENT_SPAN * width for width in _MOMENT_WIDTHS[1:]] + [terms + 1]
+    for width, end in zip(_MOMENT_WIDTHS, ends):
+        count = min(max(0, -((start - end) // width)), (terms + 1 - start) // width)
+        if count:
+            order, depth = _moment_orders(width / start, a / start)
+            starts = start + width * np.arange(count, dtype=np.float64)
+            sums.extend(_moment_block_sums(alpha, a, starts, width, order, depth).tolist())
+            start += count * width
+    if start <= terms:
+        sums.extend(_square_block_sums(alpha, terms, [n], first=start))
+    return math.fsum(sums)
 
 
 def level_overlap_squares(n, alpha, m_count: int) -> np.ndarray:
@@ -448,7 +622,8 @@ def verify_energy_identity(n, alpha, tol, max_terms: int = IDENTITY_TERM_BUDGET)
     """Certify that the energy-weighted squared overlaps for level ``n`` sum to 1.
 
     Sums the series directly until the certified tail bound drops below
-    ``tol``, then checks ``|achieved_sum - 1| <= tol``.  Raises
+    ``tol``, past its head from block moments (see the module docstring),
+    then checks ``|achieved_sum - 1| <= tol``.  Raises
     :class:`TruncationError` if the budget cannot certify the tolerance and
     :class:`VerificationError` (carrying the report) if the residual exceeds
     ``tol``.
@@ -464,7 +639,7 @@ def verify_energy_identity(n, alpha, tol, max_terms: int = IDENTITY_TERM_BUDGET)
         max_terms,
         0.95 * tol,
     )
-    achieved = _square_series(alpha, terms, [n])
+    achieved = _energy_series(alpha, n, terms)
     bound = _energy_tail_enclosure(n, alpha, terms)[1]
     report = TruncationReport(terms_used=terms, tail_bound=bound, achieved_sum=achieved)
     if abs(achieved - 1.0) > tol:

@@ -143,6 +143,21 @@ class TestMixedState:
         assert s.populations == ((3, 1.0),)
         assert np.count_nonzero(s.weights) == 1
 
+    def test_cached_pure_state_is_shared_and_read_only(self):
+        s = MixedState.pure(3)
+        assert MixedState.pure(np.int64(3)) is s
+        assert MixedState.pure(4) is not s
+        for array in (s.levels, s.weights):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 2
+        assert s.populations == ((3, 1.0),)
+
+    def test_pure_rejects_a_bad_level_every_time(self):
+        for _ in range(2):
+            with pytest.raises(DomainError, match=r"^n must be an integer"):
+                MixedState.pure(0)
+
     def test_from_dict_sorts_levels(self):
         s = MixedState.from_pairs({5: 0.25, 2: 0.75})
         assert s.populations == ((2, 0.75), (5, 0.25))

@@ -515,6 +515,16 @@ class TestStrokeTable:
         with pytest.raises(DomainError, match=f"^{field} must be a "):
             Stroke(**{**fields, **change})
 
+    @pytest.mark.parametrize("build, field", [
+        (lambda: adiabatic_stroke(None, 1, 2), "state_start"),
+        (lambda: adiabatic_stroke("x", 1, 2), "state_start"),
+        (lambda: adiabatic_stroke(MixedState.pure(1), 1, 2, None), "params"),
+        (lambda: isothermal_state_at(E_GROUND, 1.5, 1.0, None), "params"),
+    ], ids=["adiabat-state-None", "adiabat-state-str", "adiabat-params-None", "isotherm-params-None"])
+    def test_builders_check_types_before_any_energy(self, build, field):
+        with pytest.raises(DomainError, match=f"^{field} must be a "):
+            build()
+
 
 class TestSampleStroke:
     def test_two_samples_are_endpoints(self):

@@ -414,6 +414,117 @@ class TestFarFieldSeries:
             np.testing.assert_allclose(series, passes, rtol=2e-15, atol=0)
 
 
+class TestMomentPath:
+    """The identity's series past the head, summed from block moments."""
+
+    # Fixed before any comparison was run: four ulps of 1 from below.
+    ABS_TOL = 4.4e-16
+
+    @staticmethod
+    def _cutoffs(alpha, n):
+        """``M`` at the head and one past it, at each width boundary and one
+        either side of it, and in a partial last block."""
+        head = max(sudden._MOMENT_HEAD, math.ceil(4.0 * alpha * n))
+        narrow, wide = sudden._MOMENT_WIDTHS
+        start = head + 1
+        # The first start of a wide block: narrow blocks run up to it.
+        switch = start + narrow * max(0, -((start - sudden._MOMENT_SPAN * wide) // narrow))
+        edges = [head + narrow, switch - 1, switch - 1 + wide]
+        return [head, head + 1, *(e + d for e in edges for d in (-1, 0, 1)),
+                switch - 1 + 3 * wide + 1234]
+
+    @staticmethod
+    def _block_mpmath(alpha, a, start, width, order=None, depth=None):
+        """A block's sum of the identity's terms at 50 digits; with ``order``
+        and ``depth``, of its moment series cut after ``rho^order`` and
+        ``eps^depth``."""
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            alpha, a, s = mpmath.mpf(alpha), mpmath.mpf(a), mpmath.mpf(start)
+            scale = 4 * alpha / mpmath.pi ** 2
+            if order is None:
+                rational = [(s + i) ** 2 / ((s + i) ** 2 - a * a) ** 2 for i in range(width)]
+            else:
+                eps, rho = (a / s) ** 2, mpmath.mpf(width) / s
+                moments = [sum((j + 1) * math.comb(2 * j + 1 + k, k) * eps ** j
+                               for j in range(depth + 1)) for k in range(order + 1)]
+                rational = [sum(A * (-rho * i / width) ** k for k, A in enumerate(moments)) / s ** 2
+                            for i in range(width)]
+            return float(scale * mpmath.fsum(mpmath.sin(mpmath.pi * (s + i) / alpha) ** 2 * r
+                                             for i, r in enumerate(rational)))
+
+    @pytest.mark.parametrize("alpha", [1.05, 1.3, 2.0, 2.6, 3.7, 10.0, 1e3])
+    def test_matches_the_per_index_sum(self, alpha):
+        for n in range(1, 9):
+            for terms in self._cutoffs(alpha, n):
+                reference = sudden._square_series(alpha, terms, [n])
+                assert abs(sudden._energy_series(alpha, n, terms) - reference) <= self.ABS_TOL, (n, terms)
+
+    def test_cutoffs_cover_every_path(self):
+        # alpha 1e3 at n = 8 has a head past 2**14.
+        head = math.ceil(4.0 * 1e3 * 8)
+        assert head > sudden._MOMENT_HEAD
+        assert self._cutoffs(1e3, 8)[0] == head
+        cutoffs = self._cutoffs(2.0, 1)
+        assert cutoffs[:2] == [2 ** 14, 2 ** 14 + 1]
+        assert cutoffs[5:8] == [262_143, 262_144, 262_145]
+
+    def test_matches_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        alpha, n, terms = 2.6, 3, 40_000
+        with mpmath.workdps(50):
+            a, an = mpmath.mpf(alpha), mpmath.mpf(alpha) * n
+            exact = 4 * a / mpmath.pi ** 2 * mpmath.fsum(
+                m * m * mpmath.sin(m * mpmath.pi / a) ** 2 / (m * m - an * an) ** 2
+                for m in range(1, terms + 1))
+        assert abs(sudden._energy_series(alpha, n, terms) - float(exact)) <= self.ABS_TOL
+
+    @pytest.mark.parametrize("order, depth", [(0, 0), (1, 1), (3, 2)])
+    def test_sums_every_kept_power(self, order, depth):
+        # Far from the cut-offs the series picks, so that each kept power
+        # shows, including rho^order and its sign.
+        alpha, a, width = 2.6, 4096.0, 256
+        starts = np.array([16384.0, 16384.0 + 37 * width])
+        sums = sudden._moment_block_sums(alpha, a, starts, width, order, depth)
+        for start, value in zip(starts, sums):
+            expected = self._block_mpmath(alpha, a, start, width, order, depth)
+            assert value == pytest.approx(expected, rel=1e-14, abs=0), start
+
+    @pytest.mark.parametrize("alpha, n, start", [
+        (1.3, 1, 2.0 ** 40), (2.6, 5, 2.0 ** 40 + 4096 * 7), (10.0, 2, 2.0 ** 45 + 3),
+    ])
+    def test_far_blocks_match_mpmath(self, alpha, n, start):
+        # The phase of a block start near 2**45 is wrong in its leading
+        # digits unless the start is reduced modulo alpha first.
+        width = sudden._MOMENT_WIDTHS[-1]
+        a = alpha * n
+        order, depth = sudden._moment_orders(width / start, a / start)
+        value = sudden._moment_block_sums(alpha, a, np.array([start]), width, order, depth)[0]
+        expected = self._block_mpmath(alpha, a, start, width)
+        assert value == pytest.approx(expected, rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("alpha, n, width, start", [
+        (2.0, 1, 256, 16385), (3.7, 1107, 256, 16385), (1e3, 8, 256, 32001),
+        (1.05, 3, 4096, 262_145), (10.0, 6553, 4096, 262_145),
+    ])
+    def test_truncation_within_bound(self, alpha, n, width, start):
+        # The series cut at the orders _moment_orders picks for a block, on
+        # the binary64 pole, at its first, middle and last index: within
+        # 2**-56 of the exact rational factor, as every index's is.
+        mpmath = pytest.importorskip("mpmath")
+        a = alpha * n
+        order, depth = sudden._moment_orders(width / start, a / start)
+        with mpmath.workdps(50):
+            s, pole = mpmath.mpf(start), mpmath.mpf(a)
+            eps, rho = (pole / s) ** 2, mpmath.mpf(width) / s
+            for i in (0, width // 2, width - 1):
+                m = s + i
+                exact = m * m / (m * m - pole * pole) ** 2
+                kept = sum((j + 1) * math.comb(2 * j + 1 + k, k) * eps ** j * (-rho * i / width) ** k
+                           for k in range(order + 1) for j in range(depth + 1)) / s ** 2
+                assert abs(kept - exact) / exact <= mpmath.mpf(2) ** -56, i
+
+
 class TestPostExpansionDistribution:
     def test_pure_ground_doubling(self):
         out, report = post_expansion_distribution(MixedState.pure(1), 2.0, 1e-6)
@@ -639,6 +750,15 @@ class TestVerifyEnergyIdentity:
         assert report.terms_used >= 64
         assert 0.0 < report.tail_bound <= 1e-5
         assert report.achieved_sum == pytest.approx(1.0, abs=1e-5)
+
+    @pytest.mark.parametrize("tol", [1e-4, 1e-6, 3e-7])
+    @pytest.mark.parametrize("alpha", [1.05, 1.3, 1.5, 2.0, 2.5, 3.7, 10.0])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    def test_grid_meets_the_benchmark_identity_conditions(self, n, alpha, tol):
+        report = verify_energy_identity(n, alpha, tol)
+        assert 0.0 <= 1.0 - report.achieved_sum <= report.tail_bound <= tol
+        direct = sudden._square_series(alpha, report.terms_used, [n])
+        assert abs(report.achieved_sum - direct) <= 4.4e-16
 
     def test_near_unity_ratio_still_certifies(self):
         # The oscillation bound grows like 1/sin(pi/alpha) as alpha -> 1, so

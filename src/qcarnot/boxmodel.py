@@ -125,6 +125,7 @@ def check_energy_scale(params: WellParams, top_level, L_min, L_max) -> None:
     Every such quantity is a monomial in ``hbar, mass, n, L``, so checking
     its decimal exponent at the corners of the range covers the interior.
     """
+    _check_params(params)
     lg_m = math.log10(params.mass)
     lg_num = [2.0 * math.log10(math.pi * params.hbar * n) for n in (1, top_level)]
     # (pi hbar n)^2, and the adiabatic invariant E * L^2 = (pi hbar n)^2 / (2 m).
@@ -237,21 +238,25 @@ def _pure_state(cls, n: int) -> MixedState:
     return cls(np.array([n]), np.array([1.0]))
 
 
+def _check_state(state, name: str = "state", where: str = "") -> None:
+    """Raise :class:`DomainError` unless ``state`` is a :class:`MixedState`;
+    ``where`` qualifies the rule in the message."""
+    if not isinstance(state, MixedState):
+        raise DomainError(f"{name} must be a MixedState{where}, got {state!r}")
+
+
+def _check_params(params) -> None:
+    """Raise :class:`DomainError` unless ``params`` is a :class:`WellParams`."""
+    if not isinstance(params, WellParams):
+        raise DomainError(f"params must be a WellParams, got {params!r}")
+
+
 def eigenenergy(n, L, params: WellParams = DEFAULT_PARAMS) -> float:
     """Energy of level ``n`` in a box of width ``L``: pi^2 hbar^2 n^2 / (2 m L^2)."""
     n = _check_int(n, "n")
     L = _check_real(L, "L")
+    _check_params(params)
     return 0.5 * (math.pi * params.hbar * n) ** 2 / (params.mass * L * L)
-
-
-def eigenfunction_value(n, L, x) -> float:
-    """Value of the normalized mode ``n`` at position ``x`` in ``[0, L]``."""
-    n = _check_int(n, "n")
-    L = _check_real(L, "L")
-    x = _check_real(x, "x", -math.inf)
-    if not 0.0 <= x <= L:
-        raise DomainError(f"x must lie in [0, {L}], got {x!r}")
-    return math.sqrt(2.0 / L) * math.sin(n * math.pi * x / L)
 
 
 def _level_square_sum(state: MixedState) -> float:
@@ -261,7 +266,9 @@ def _level_square_sum(state: MixedState) -> float:
 
 def expectation_energy(state: MixedState, L, params: WellParams = DEFAULT_PARAMS) -> float:
     """Population-weighted mean energy of ``state`` at width ``L``."""
+    _check_state(state)
     L = _check_real(L, "L")
+    _check_params(params)
     return _energy_from_square_sum(_level_square_sum(state), L, params)
 
 
@@ -285,7 +292,9 @@ def wall_force(state: MixedState, L, params: WellParams = DEFAULT_PARAMS) -> flo
     Satisfies ``wall_force(s, L) * L == 2 * expectation_energy(s, L)`` up to
     rounding, since both are the same weighted sum of ``n^2``.
     """
+    _check_state(state)
     L = _check_real(L, "L")
+    _check_params(params)
     return _force_from_square_sum(
         _level_square_sum(state), L ** 3, (math.pi * params.hbar) ** 2, params.mass
     )
@@ -293,5 +302,6 @@ def wall_force(state: MixedState, L, params: WellParams = DEFAULT_PARAMS) -> flo
 
 def entropy(state: MixedState) -> float:
     """Population entropy ``-sum(w ln w)`` with ``0 ln 0 := 0`` (dimensionless)."""
+    _check_state(state)
     w = state.weights[state.weights > 0.0]
     return float(-(w * np.log(w)).sum()) + 0.0

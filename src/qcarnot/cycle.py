@@ -29,6 +29,7 @@ from .boxmodel import (
     MixedState,
     WellParams,
     _check_int,
+    _check_params,
     _check_real,
     check_energy_scale,
     eigenenergy,
@@ -71,6 +72,7 @@ class CarnotSpec:
         for name in ("L1", "L3"):
             object.__setattr__(self, name, _check_real(getattr(self, name), name))
         _check_int(self.samples_per_stroke, "samples_per_stroke", 2, MAX_SAMPLES_PER_STROKE)
+        _check_params(self.params)
         if self.L3 < self.top_level * self.L1:
             raise CycleGeometryError(
                 f"L3 must exceed top_level*L1: got L3={self.L3!r}, "

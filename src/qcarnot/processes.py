@@ -46,7 +46,9 @@ from .boxmodel import (
     MixedState,
     WellParams,
     _check_int,
+    _check_params,
     _check_real,
+    _check_state,
     _check_widths,
     _energy_from_square_sum,
     _force_from_square_sum,
@@ -205,10 +207,9 @@ def _check_stroke_types(kind, state_start, params) -> None:
     :class:`MixedState`.  The builders run them before computing an energy."""
     if not isinstance(kind, StrokeKind):
         raise DomainError(f"kind must be a StrokeKind, got {kind!r}")
-    if not isinstance(params, WellParams):
-        raise DomainError(f"params must be a WellParams, got {params!r}")
-    if kind is StrokeKind.ADIABATIC and not isinstance(state_start, MixedState):
-        raise DomainError(f"state_start must be a MixedState on an adiabat, got {state_start!r}")
+    _check_params(params)
+    if kind is StrokeKind.ADIABATIC:
+        _check_state(state_start, "state_start", " on an adiabat")
 
 
 def _isotherm_base(e_fixed, base_scale, params: WellParams) -> float:

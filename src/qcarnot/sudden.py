@@ -48,20 +48,25 @@ alpha`` flips the sign of its sine and cosine by ``(-1)^k``, which the
 square removes.  Each sine is then off by less than about 1e-15 in absolute
 terms for every ``m``, and the error does not grow from block to block; a
 sine of ``m - alpha * rint(m / alpha)`` reduced in binary64 is off by up to
-about ``m * 1e-16``.  The error is
-absolute, not relative, so where ``sin(pi m / alpha)`` is itself at
-rounding level only its smallness counts; at the ``m`` that ``alpha * k``
-rounds to for an integer ``k`` the factor is set to exactly 0
-(:func:`_exact_zero_step`).  The denominator ``m^2 - a^2`` takes ``a`` and
-``a^2`` rounded, so near ``m = a`` it cancels: against the exact
-``alpha n`` it is off by up to ``0.75 eps a / |m - a|`` relative (``eps =
-2**-52``), and the term by twice that.  Rounding ``alpha n`` alone already
-puts ``eps a / |m - a|`` on the term; both are a few ulps unless ``m`` is
-within a small fraction of ``a`` of the resonance.  The one or two ``m``
-within one of ``a`` (the exact resonance among them, where the quotient is
-0/0) take the sinc form above instead.  Indices run in blocks that fit a
-per-core L2 cache, with preallocated buffers, and block sums are added with
-:func:`math.fsum`.
+about ``m * 1e-16``.  The error is absolute, not relative, so where ``sin(pi
+m / alpha)`` is itself small only its smallness counts.  The sine is exactly
+0 where ``m / alpha`` is an integer: with the binary64 ``alpha = p / q`` in
+lowest terms (:meth:`float.as_integer_ratio`), where ``p`` divides ``m``.
+The kernel writes exact zeros there and nowhere else, so the 1e-15 holds
+for every ``m``, those zeros included.  Only a short fraction, such as 2.5
+or ``1 + 2**-20``, has ``p`` within reach; the binary64 value of 1.3 has
+``p`` near ``1.3 * 2**52``, and its sine at ``m = 13``, about 1.1e-15, is
+computed like any other.
+
+The denominator ``m^2 - a^2`` takes ``a`` and ``a^2`` rounded, so near ``m =
+a`` it cancels: against the exact ``alpha n`` it is off by up to ``0.75 eps
+a / |m - a|`` relative (``eps = 2**-52``), and the term by twice that.
+Rounding ``alpha n`` alone already puts ``eps a / |m - a|`` on the term;
+both are a few ulps unless ``m`` is within a small fraction of ``a`` of the
+resonance.  The one or two ``m`` within one of ``a`` (the exact resonance
+among them, where the quotient is 0/0) take the sinc form above instead.
+Indices run in blocks that fit a per-core L2 cache, with preallocated
+buffers, and block sums are added with :func:`math.fsum`.
 
 With weights ``w_n``, the rational factor of an index above the largest
 pole ``a_max`` is also a series of positive terms in ``t = a_max^2 / m^2``:
@@ -157,7 +162,7 @@ moment path errs by at most ``0.19 (gamma_N + 5 delta) / n`` absolute, about
 grid of ratios and levels the two paths differ by at most ``1.2e-16``.
 
 :func:`verify_energy_identity` certifies the identity numerically: it sums
-the series directly up to ``M`` terms and bounds the neglected tail
+the series up to ``M`` terms, as above, and bounds the neglected tail
 rigorously by splitting ``sin^2 = 1/2 - cos/2``, bracketing the monotone
 half between integrals of its closed-form antiderivative and bounding the
 oscillatory half by summation by parts against the Dirichlet-kernel bound
@@ -172,7 +177,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxmodel import MixedState, _check_int, _check_real
+from .boxmodel import MixedState, _check_int, _check_real, _check_state
 from .errors import DomainError, TruncationError, VerificationError
 
 # Indices per block of the series kernel: its four float64 buffers (m, m^2,
@@ -208,9 +213,10 @@ IDENTITY_TERM_BUDGET = 100_000_000
 class TruncationReport:
     """Outcome of a certified series truncation.
 
-    ``terms_used`` is the direct-summation cutoff ``M``; ``tail_bound`` is a
-    rigorous upper bound on what the truncation neglects; ``achieved_sum`` is
-    the directly summed mass.
+    ``terms_used`` is the cutoff ``M``; ``tail_bound`` is a rigorous upper
+    bound on what the truncation neglects; ``achieved_sum`` is the partial
+    sum over the ``M`` kept terms (for the energy identity, its terms past
+    the head are summed from block moments, not one by one).
     """
 
     terms_used: int
@@ -253,31 +259,6 @@ def overlap_coefficient(n, m, alpha) -> float:
     return sign * 2.0 * math.sqrt(alpha) / math.pi * math.sin(math.pi * r / alpha) * (
         a / (m - a) / (m + a)
     )
-
-
-def _exact_zero_step(alpha: float, terms: int) -> tuple[int, int, bool] | None:
-    """The indices ``m <= terms`` whose sine factor is set to exactly 0.
-
-    They are the ``m`` that ``alpha * k`` rounds to in binary64 for an
-    integer ``k``, where the reduced argument ``m - alpha k`` rounds to 0 and
-    ``sin(pi m / alpha)`` is 0 or at rounding level (every second ``m`` at
-    ``alpha = 2``, every thirteenth at ``alpha = 2.6``).  With ``p / q`` the
-    first continued-fraction convergent of ``alpha`` with ``|alpha q - p| <=
-    p 2**-53``, they are multiples ``m = j p`` with ``k = j q``; by
-    Legendre's theorem no other ``m`` qualifies while ``terms**2 < 2**52
-    alpha``.  Returns ``(p, q, every)``, where ``every`` tells that all
-    multiples qualify (``|alpha q - p| < p 2**-54``), or ``None``.
-    """
-    num, den = alpha.as_integer_ratio()
-    p0, q0, p, q = 1, 0, num // den, 1
-    x, y = den, num % den
-    while p <= terms:
-        gap = abs(num * q - p * den)
-        if gap * 2 ** 53 <= p * den:  # always once p / q is alpha itself
-            return p, q, gap * 2 ** 54 < p * den
-        a, (x, y) = x // y, (y, x % y)
-        p0, q0, p, q = p, q, a * p + p0, a * q + q0
-    return None
 
 
 def _series_order(y: float, cap: int, tol: float = _SERIES_TOL) -> int | None:
@@ -353,7 +334,9 @@ def _square_block_sums(alpha: float, terms: int, levels, weights=None, out=None,
                 factor = (m / a) ** 2 if energy else float(w)
                 sinc = float(np.sinc((m - a) / alpha))
                 near.append((m, j, factor * 4.0 * n * n * alpha * sinc * sinc / (m + a) ** 2))
-    zeros = _exact_zero_step(alpha, terms)
+    # alpha = p / q in lowest terms, so sin(pi m / alpha) = sin(pi m q / p) is
+    # exactly 0 where p divides m, and only there.
+    period = alpha.as_integer_ratio()[0]
     # Weighted blocks above the largest pole may take the far-field series.
     top = max(poles)
     far_field = not energy and len(poles) >= 3
@@ -390,14 +373,8 @@ def _square_block_sums(alpha: float, terms: int, levels, weights=None, out=None,
         np.multiply(cos_tab[:size], math.sin(theta * s), out=sine)
         np.multiply(sin_tab[:size], math.cos(theta * s), out=d)
         np.add(sine, d, out=sine)
-        if zeros is not None:
-            p, turns, every = zeros
-            zero = -start % p
-            if every:
-                sine[zero::p] = 0.0
-            else:  # only the multiples j p that alpha * j q rounds to
-                candidates = m[zero::p]
-                sine[zero::p][alpha * (candidates / p * turns) == candidates] = 0.0
+        if period <= terms:
+            sine[-start % period::period] = 0.0
         # The energy-weighted terms square (sine m / d) whole; the weighted
         # ones add up (q / d)^2 and then take the squared sine.
         if energy:
@@ -621,9 +598,9 @@ def _smallest_terms(bound_at, floor_terms: int, budget: int, target: float) -> i
 def verify_energy_identity(n, alpha, tol, max_terms: int = IDENTITY_TERM_BUDGET) -> TruncationReport:
     """Certify that the energy-weighted squared overlaps for level ``n`` sum to 1.
 
-    Sums the series directly until the certified tail bound drops below
-    ``tol``, past its head from block moments (see the module docstring),
-    then checks ``|achieved_sum - 1| <= tol``.  Raises
+    Sums the series until the certified tail bound drops below ``tol``,
+    past its head from block moments (see the module docstring), then
+    checks ``|achieved_sum - 1| <= tol``.  Raises
     :class:`TruncationError` if the budget cannot certify the tolerance and
     :class:`VerificationError` (carrying the report) if the residual exceeds
     ``tol``.
@@ -663,6 +640,7 @@ def post_expansion_distribution(state: MixedState, alpha, tail_tol,
     captured mass is reported as ``achieved_sum`` (raw weights are
     ``weights * achieved_sum``) and the certified bound as ``tail_bound``.
     """
+    _check_state(state)
     alpha = _check_alpha(alpha)
     tail_tol = _check_real(tail_tol, "tail_tol", 0.0, 1e-3)
     term_budget = _check_int(term_budget, "term_budget", 1, _MAX_BUDGET)
@@ -688,9 +666,11 @@ def post_expansion_distribution(state: MixedState, alpha, tail_tol,
         alpha, terms, state.levels.tolist(), weights.tolist(), out=new_weights
     )
     np.divide(new_weights, achieved, out=new_weights)
-    # Levels whose sine factor is exactly 0 carry no population and are
-    # dropped: the weights are compacted in place, one block at a time, and
-    # then shrunk, which is safe as no view of them is left.
+    # Levels of weight exactly 0 carry no population and are dropped: with
+    # alpha = p / q in lowest terms, the multiples of p, whose sine factor is
+    # exactly 0 (every second level at alpha = 2).  The weights are compacted
+    # in place, one block at a time, and then shrunk, which is safe as no
+    # view of them is left.
     kept = np.count_nonzero(new_weights)
     if kept == terms:
         new_levels = np.arange(1, terms + 1, dtype=np.int64)

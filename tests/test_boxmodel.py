@@ -12,7 +12,6 @@ from qcarnot import (
     StateError,
     WellParams,
     eigenenergy,
-    eigenfunction_value,
     entropy,
     expectation_energy,
     wall_force,
@@ -24,7 +23,20 @@ INF = math.inf
 
 
 class TestCheckers:
-    """The two type-and-range checkers behind every public entry point."""
+    """The type-and-range checkers behind every public entry point."""
+
+    @pytest.mark.parametrize("call, text", [
+        (lambda: expectation_energy("x", 1.0), "state must be a MixedState, got 'x'"),
+        (lambda: wall_force("x", 1.0), "state must be a MixedState, got 'x'"),
+        (lambda: entropy("x"), "state must be a MixedState, got 'x'"),
+        (lambda: expectation_energy(MixedState.pure(1), 1.0, None),
+         "params must be a WellParams, got None"),
+        (lambda: eigenenergy(1, 1.0, None), "params must be a WellParams, got None"),
+    ], ids=["energy-state", "force-state", "entropy-state", "energy-params", "eigenenergy-params"])
+    def test_state_and_params_types(self, call, text):
+        with pytest.raises(DomainError) as caught:
+            call()
+        assert str(caught.value) == text
 
     @pytest.mark.parametrize("value, lo, hi, expected", [
         # Rejected: not an integer, or outside the closed range.
@@ -107,27 +119,8 @@ class TestEigenenergy:
         assert eigenenergy(n, lam * L) == pytest.approx(eigenenergy(n, L) / lam ** 2, rel=1e-12)
 
 
-class TestEigenfunction:
-    def test_vanishes_at_walls(self):
-        assert eigenfunction_value(1, 1.0, 0.0) == 0.0
-        assert abs(eigenfunction_value(1, 1.0, 1.0)) < 1e-15
-
-    def test_peak_of_ground_mode(self):
-        assert eigenfunction_value(1, 1.0, 0.5) == pytest.approx(math.sqrt(2), rel=1e-15)
-
-    def test_node_of_second_mode(self):
-        assert abs(eigenfunction_value(2, 1.0, 0.5)) < 1e-15
-
-    @pytest.mark.parametrize("x", ["0.5", True, None])
-    def test_rejects_bad_position_types(self, x):
-        with pytest.raises(DomainError, match="x must be finite"):
-            eigenfunction_value(1, 1.0, x)
-
-    def test_outside_box_rejected(self):
-        with pytest.raises(DomainError):
-            eigenfunction_value(1, 1.0, 1.5)
-        with pytest.raises(DomainError):
-            eigenfunction_value(1, 1.0, -0.1)
+class TestBoxModeOracle:
+    """The tests' normalized mode ``sqrt(2/L) sin(n pi x / L)``."""
 
     @given(n=st.integers(1, 8), L=widths(0.5, 4.0))
     def test_unit_norm(self, n, L):

@@ -94,6 +94,11 @@ class TestBuild:
         with pytest.raises(DomainError):
             CarnotSpec(top_level, 1.0, 1e300, samples_per_stroke=samples)
 
+    @pytest.mark.parametrize("params", [None, "x", {"hbar": 1.0, "mass": 1.0}])
+    def test_params_rejection(self, params):
+        with pytest.raises(DomainError, match=r"^params must be a WellParams, got "):
+            CarnotSpec(2, 1.0, 4.0, params=params)
+
     def test_largest_top_level_builds(self):
         # float(MAX_TOP_LEVEL) is 2**63 - 1024, the largest binary64 value
         # below 2**63; the width ratio that picks the cold isotherm's top level

@@ -275,18 +275,58 @@ class TestSquareKernel:
                 allowed = 1.5 * eps * a / abs(m - a) + 1e-14
                 assert abs(row[m - 1] - float(exact)) <= allowed * float(exact), m
 
-    @pytest.mark.parametrize("alpha", [2.0, 2.5, 2.6, 3.0, 1.05, 3.03, 10 / 3, 2.6 + 1e-9, 3.7])
-    def test_exact_zeros_follow_rounding_rule(self, alpha):
-        # A term is exactly 0 where alpha * k rounds to m for an integer k:
-        # every m = 2j at alpha = 2, every 13j at 2.6 (5 * 2.6 rounds to 13),
-        # some of the 303j at 3.03, none at 3.7 in this range.
+    @pytest.mark.parametrize("alpha", [2.0, 2.5, 2.6, 3.0, 1.05, 3.03, 10 / 3, 2.6 + 1e-9, 3.7,
+                                       1 + 2 ** -14])
+    def test_exact_zeros_only_where_the_ratio_is_exact(self, alpha):
+        # With alpha = p / q in lowest terms, sin(pi m / alpha) is exactly 0
+        # where p divides m, and a term is exactly 0 there, outside the
+        # resonance, and nowhere else: every second m at alpha = 2, every
+        # fifth at 2.5, and at 1 + 2**-14 one m = 16385 j in each of the
+        # last three blocks.  The binary64 values of 2.6, 1.05, 3.03, 10/3
+        # and 3.7 are not short fractions, and none of their terms is 0.
         terms = 3 * sudden._BLOCK + 5
         row = level_overlap_squares(1, alpha, terms)
-        m = np.arange(1.0, terms + 1.0)
-        rule = (alpha * np.rint(m / alpha) == m) & (np.abs(m - alpha) >= 1.0)
+        m = np.arange(1, terms + 1)
+        p = alpha.as_integer_ratio()[0]
+        rule = (m % p == 0) & (np.abs(m - alpha) >= 1.0)
         np.testing.assert_array_equal(row == 0.0, rule)
-        if alpha == 3.03:
-            assert 0 < rule.sum() < terms // 303
+        assert rule.any() == (alpha in (2.0, 2.5, 3.0, 1 + 2 ** -14))
+
+    # Indices where sin(pi m / alpha) is small but not 0: m = 13 j at the
+    # binary64 1.3, and a continued-fraction convergent of a ratio that the
+    # sudden_certify workload draws with seed 1.
+    @pytest.mark.parametrize("alpha, m", [(1.3, 13), (1.3, 130_000), (1.3, 9_100_000),
+                                          (1.3006147244844135, 97_566_762)])
+    @pytest.mark.parametrize("weights", [None, [1.0]])
+    def test_small_sines_match_mpmath(self, alpha, m, weights):
+        # The kernel's sine is off by less than about 1e-15 in absolute
+        # terms, however small the exact sine; there it is 1.1e-15 to 2.1e-9.
+        mpmath = pytest.importorskip("mpmath")
+        n = 3
+        row = np.empty(3)
+        sudden._square_block_sums(alpha, m + 1, [n], weights, out=row, first=m - 1)
+        a = alpha * n
+        factor = (m if weights is None else a) / abs(m * m - a * a)
+        sine = math.sqrt(row[1]) / (math.sqrt(4.0 * alpha) / math.pi * factor)
+        with mpmath.workdps(50):
+            exact = abs(float(mpmath.sin(m * mpmath.pi / mpmath.mpf(alpha))))
+        assert 1e-15 < exact < 1e-8
+        assert abs(sine - exact) <= 1e-15
+
+    @pytest.mark.parametrize("alpha", [1.3, 1.3006147244844135])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_row_matches_scalar_overlap_at_small_sines(self, alpha, n):
+        # overlap_coefficient reduces m exactly; the row agrees with its
+        # square to the row's sine error, 1e-15 absolute, at every 13th m and
+        # at the first thousand.
+        count = 130_000
+        row = level_overlap_squares(n, alpha, count)
+        m = np.unique(np.r_[np.arange(1, 1001), np.arange(13, count + 1, 13)])
+        b = np.array([overlap_coefficient(n, int(k), alpha) for k in m])
+        a = alpha * n
+        scale = math.sqrt(4.0 * alpha) / math.pi * a / np.abs(m * m - a * a)
+        np.testing.assert_array_less(np.abs(np.sqrt(row[m - 1]) - np.abs(b)),
+                                     1e-15 * scale + 1e-14 * np.abs(b))
 
     @pytest.mark.parametrize(
         "n, alpha",
@@ -535,14 +575,15 @@ class TestPostExpansionDistribution:
     @pytest.mark.parametrize("alpha, support, terms, tail", [
         (2.0, 202644, 405286, 9.999993450745245e-07),
         (2.5, 405286, 506607, 9.999999401424408e-07),
-        (2.6, 486344, 526872, 9.99998527993597e-07),
+        (2.6, 526872, 526872, 9.99998527993597e-07),
         (3.0, 405287, 607929, 9.99998777089151e-07),
     ])
     def test_exact_zeros_pinned(self, alpha, support, terms, tail):
         # Levels whose sine factor is exactly 0 are dropped: every second at
         # alpha = 2 (the resonant m = 2 stays), every fifth at 2.5, every
-        # thirteenth at 2.6, every third at 3.  Each tail is the bound's
-        # formula at the given cutoff evaluated with 50 digits.
+        # third at 3.  The binary64 2.6 is no short fraction, so every level
+        # is kept.  Each tail is the bound's formula at the given cutoff
+        # evaluated with 50 digits.
         out, report = post_expansion_distribution(MixedState.pure(1), alpha, 1e-6)
         assert out.levels.size == support
         assert report.terms_used == terms
@@ -640,6 +681,11 @@ class TestPostExpansionDistribution:
     def test_rejects_bad_argument_types(self, alpha, tail_tol, term_budget):
         with pytest.raises(DomainError):
             post_expansion_distribution(MixedState.pure(1), alpha, tail_tol, term_budget)
+
+    def test_rejects_a_state_that_is_not_a_mixed_state(self):
+        with pytest.raises(DomainError) as caught:
+            post_expansion_distribution("x", 2.0, 1e-6)
+        assert str(caught.value) == "state must be a MixedState, got 'x'"
 
     def test_accepts_numpy_scalars(self):
         out, report = post_expansion_distribution(

@@ -14,8 +14,9 @@ Exit codes: 0 success, 1 input or verification failure, 2 runtime or
 numerical failure.  All floats are emitted with 17 significant digits, '.'
 decimal separator, and '\\n' line endings; identical inputs give
 byte-identical outputs.  Every float is the text of ``'%.17g' % x``, as
-:func:`format_float` gives it; samples.csv gets that text from an array path
-over the table's numpy columns, ``_CSV_BLOCK_ROWS`` rows at a time.
+:func:`format_float` gives it; this module is the one place that text is
+chosen.  samples.csv gets it from an array path over the table's numpy
+columns, ``_CSV_BLOCK_ROWS`` rows at a time.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .cycle import (
     CycleReport,
     build_carnot_cycle,
     evaluate_cycle,
-    format_float,
     parse_spec,
     sample_cycle,
 )
@@ -73,6 +73,11 @@ _SPLIT = 2.0 ** 27 + 1
 # The 16 digits after the first come in four groups of four; the position
 # of each group's first digit among the 17.
 _GROUP_START = np.array([[1], [5], [9], [13]], np.int8)
+
+
+def format_float(x: float) -> str:
+    """``x`` as ``'%.17g'`` text, which reads back as the same double."""
+    return format(float(x), ".17g")
 
 
 def _words(texts) -> np.ndarray:

@@ -90,10 +90,6 @@ _SECTION_KEYS = {
 _INT_KEYS = {"top_level", "samples_per_stroke"}
 
 
-def format_float(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _scan(text: str) -> tuple[dict[str, int], dict[str, tuple[int, str]]]:
     """Tokenize the spec text into the line of each section header and
     ``{key: (line, raw value)}``."""
@@ -175,23 +171,6 @@ def parse_spec(text: str) -> CarnotSpec:
     except DomainError as exc:
         field = str(exc).split(" ", 1)[0]
         raise SpecFormatError(str(exc), entries[field][0] if field in entries else None) from exc
-
-
-def render_spec(spec: CarnotSpec) -> str:
-    """Canonical text for ``spec``; ``parse_spec(render_spec(s)) == s``."""
-    lines = [
-        "[well]",
-        f"hbar = {format_float(spec.params.hbar)}",
-        f"mass = {format_float(spec.params.mass)}",
-        "",
-        "[cycle]",
-        "type = carnot",
-        f"top_level = {spec.top_level}",
-        f"L1 = {format_float(spec.L1)}",
-        f"L3 = {format_float(spec.L3)}",
-        f"samples_per_stroke = {spec.samples_per_stroke}",
-    ]
-    return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)

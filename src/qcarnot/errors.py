@@ -26,25 +26,13 @@ class ScaleError(EngineError):
 
 
 class QuadratureError(EngineError):
-    """Adaptive quadrature could not meet its tolerance within the subdivision budget.
-
-    Carries the partial integral and the accumulated error estimate at the
-    point of failure.
-    """
-
-    def __init__(self, message, partial=None, error_estimate=None):
-        super().__init__(message)
-        self.partial = partial
-        self.error_estimate = error_estimate
+    """Adaptive quadrature could not meet its tolerance within the subdivision
+    budget; the message names the budget, or the estimate and the bound it missed."""
 
 
 class TruncationError(EngineError):
-    """A series truncation could not certify the requested tolerance within budget."""
-
-    def __init__(self, message, terms_used=None, tail_bound=None):
-        super().__init__(message)
-        self.terms_used = terms_used
-        self.tail_bound = tail_bound
+    """A series truncation could not certify the requested tolerance within
+    budget; the message names the budget and the cutoff or bound it missed."""
 
 
 class VerificationError(EngineError):
@@ -56,8 +44,8 @@ class VerificationError(EngineError):
 
 
 class SpecFormatError(EngineError, ValueError):
-    """Spec-file parse or validation failure with a source line number."""
+    """Spec-file parse or validation failure; a message about one line of the
+    file starts with ``line N: ``."""
 
     def __init__(self, message, line=None):
         super().__init__(message if line is None else f"line {line}: {message}")
-        self.line = line

@@ -412,11 +412,7 @@ def stroke_work_quadrature(strokes: Stroke | Sequence[Stroke],
     errors = estimates.reshape(len(strokes), _START_PANELS).sum(axis=1).tolist()
     for work, error in zip(works, errors):
         if error > rel_tol * abs(work):
-            raise QuadratureError(
-                f"quadrature error estimate {error!r} exceeds {rel_tol!r} * |{work!r}|",
-                partial=work,
-                error_estimate=error,
-            )
+            raise QuadratureError(f"quadrature error estimate {error!r} exceeds {rel_tol!r} * |{work!r}|")
     return works[0] if single else works
 
 

@@ -54,8 +54,8 @@ def integrate(f, a, b, rel_tol: float = DEFAULT_REL_TOL,
     final panel of its key; for smooth integrands it bounds the true error.
     A panel of width ``h`` on key ``k`` is final once ``|delta| / 15 <=
     rel_tol * |value[k]| * h / |b[k] - a[k]|``, or once it is too narrow to
-    split.  Raises :class:`QuadratureError`, carrying the partial results,
-    once more than ``max_intervals`` panels would be evaluated.
+    split.  Raises :class:`QuadratureError` once more than ``max_intervals``
+    panels would be evaluated.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -92,15 +92,10 @@ def integrate(f, a, b, rel_tol: float = DEFAULT_REL_TOL,
         tol = rel_tol * np.maximum(np.abs(value), 1e-300)
         split = (span[keys] * panels[RESIDUAL] > tol[keys]) & (panels[H] > min_width[keys])
         n = int(np.count_nonzero(split))
-        if n == 0 or used + 2 * n > max_intervals:
-            estimate = np.bincount(keys, panels[H] * panels[RESIDUAL], count)
-            if n == 0:
-                return sign * value, estimate
-            raise QuadratureError(
-                f"quadrature did not converge within {max_intervals} intervals",
-                partial=sign * value,
-                error_estimate=estimate,
-            )
+        if n == 0:
+            return sign * value, np.bincount(keys, panels[H] * panels[RESIDUAL], count)
+        if used + 2 * n > max_intervals:
+            raise QuadratureError(f"quadrature did not converge within {max_intervals} intervals")
         used += 2 * n
         # Halve every split panel; the halves share three of its points and
         # need f at their own quarter points, all in one call.

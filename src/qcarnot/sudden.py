@@ -561,11 +561,7 @@ def _floor_terms(alpha: float, n_max: int, budget: int) -> int:
         floor_terms = math.inf
     if floor_terms > budget:
         shown = floor_terms if floor_terms <= _MAX_BUDGET else "%.17g" % floor_terms
-        raise TruncationError(
-            f"budget {budget} is below the minimum cutoff {shown}",
-            terms_used=budget,
-            tail_bound=math.inf,
-        )
+        raise TruncationError(f"budget {budget} is below the minimum cutoff {shown}")
     return floor_terms
 
 
@@ -581,9 +577,7 @@ def _smallest_terms(bound_at, floor_terms: int, budget: int, target: float) -> i
     if worst > target:
         raise TruncationError(
             f"cannot certify tail <= {target!r} within {budget} terms "
-            f"(bound at budget: {worst!r})",
-            terms_used=budget,
-            tail_bound=worst,
+            f"(bound at budget: {worst!r})"
         )
     lo, hi = floor_terms, budget
     while lo < hi:

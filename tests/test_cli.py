@@ -21,7 +21,6 @@ from qcarnot import (
     eigenenergy,
     isothermal_stroke,
     parse_spec,
-    render_spec,
     sample_stroke,
 )
 from qcarnot.cli import (
@@ -138,39 +137,15 @@ class TestParseSpec:
         lines = ["# every key on its own line", "[well]", "hbar", "mass", "", "[cycle]",
                  "type = carnot", "top_level", "L1", "L3", "samples_per_stroke"]
         text = "\n".join(f"{k} = {values[k]}" if k in values else k for k in lines)
-        with pytest.raises(SpecFormatError) as info:
+        with pytest.raises(SpecFormatError,
+                           match=f"^line {lines.index(key) + 1}: {key} must "):
             parse_spec(text)
-        assert info.value.line == lines.index(key) + 1
-        assert str(info.value).startswith(f"line {info.value.line}: {key} must ")
-
-
-class TestRenderRoundTrip:
-    def test_simple_round_trip(self):
-        spec = parse_spec(MINIMAL)
-        assert parse_spec(render_spec(spec)) == spec
-
-    @given(
-        hbar=st.floats(0.1, 10.0),
-        mass=st.floats(0.1, 10.0),
-        top_level=st.integers(2, 6),
-        L1=st.floats(0.1, 2.0),
-        ratio=st.floats(1.0, 5.0),
-        samples=st.integers(2, 4096),
-    )
-    @settings(max_examples=60)
-    def test_round_trip_randomized(self, hbar, mass, top_level, L1, ratio, samples):
-        spec = CarnotSpec(
-            top_level=top_level, L1=L1, L3=top_level * L1 * ratio,
-            params=WellParams(hbar, mass), samples_per_stroke=samples,
-        )
-        assert parse_spec(render_spec(spec)) == spec
 
     def test_shipped_spec_files(self, tmp_path):
         paths = sorted((Path(__file__).resolve().parents[1] / "specs").glob("*.spec"))
         assert paths
         for path in paths:
-            spec = parse_spec(path.read_text(encoding="utf-8"))
-            assert parse_spec(render_spec(spec)) == spec
+            assert isinstance(parse_spec(path.read_text(encoding="utf-8")), CarnotSpec)
             code, err = _run_main(["simulate", str(path), "--out", str(tmp_path / path.stem)])
             assert (code, err) == (0, ""), path.name
 
@@ -199,7 +174,6 @@ class TestPackageImport:
             "assert paths\n"
             "for path in paths:\n"
             "    spec = qcarnot.parse_spec(path.read_text(encoding='utf-8'))\n"
-            "    assert qcarnot.parse_spec(qcarnot.render_spec(spec)) == spec\n"
             "    assert isinstance(spec, qcarnot.CarnotSpec)\n"
         )
         assert _run_fresh(program) == (0, "")
@@ -477,6 +451,16 @@ class TestVerifyIdentityCommand:
 
     def test_budget_exhaustion_exits_2(self, capsys):
         assert cmd_verify_identity(1, 2.0, 1e-6, max_terms=100) == 2
+
+    def test_raised_budget_certifies_past_the_default(self, capsys):
+        # The default 1e8-term budget cannot certify this case; 1e9 can, and
+        # cheaply: past the identity's head, terms are summed from block
+        # moments, with no terms-sized array.
+        argv = ["verify-identity", "--n", "1", "--alpha", "2", "--tol", "1e-9"]
+        assert main(argv) == 2
+        assert "within 100000000 terms" in capsys.readouterr().err
+        assert main(argv + ["--max-terms", "1000000000"]) == 0
+        assert "terms_used = 426615512" in capsys.readouterr().out.splitlines()
 
     @pytest.mark.parametrize("alpha, cutoff", [
         ("1e300", "2.0000000000000001e+300"), ("1e16", "20000000000000000"), ("1e308", "inf"),

@@ -41,12 +41,10 @@ def test_zero_length_interval():
     assert (values.tolist(), estimates.tolist()) == ([0.0], [0.0])
 
 
-def test_budget_exhaustion_carries_partial():
-    with pytest.raises(QuadratureError) as excinfo:
+def test_budget_exhaustion_raises():
+    with pytest.raises(QuadratureError, match=r"^quadrature did not converge within 8 intervals$"):
         integrate(keyed(lambda x: np.sin(50 * x) ** 2 / (x + 0.01)), [0.0], [10.0],
                   rel_tol=1e-14, max_intervals=8)
-    assert excinfo.value.partial is not None
-    assert math.isfinite(excinfo.value.partial[0])
 
 
 def test_estimate_bounds_true_error():

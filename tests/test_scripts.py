@@ -38,3 +38,18 @@ def test_area_convergence_is_second_order():
     assert [int(row[0]) for row in rows] == [64, 128, 256]
     orders = [float(row[2]) for row in rows[1:]]
     assert orders == pytest.approx([2.0, 2.0], abs=0.05)
+
+
+def test_output_digest_is_stable_and_covers_the_grid():
+    runs = [run_script("output_digest.py") for _ in range(2)]
+    for done in runs:
+        assert done.returncode == 0, done.stderr
+    assert runs[0].stdout == runs[1].stdout
+    lines = runs[0].stdout.splitlines()
+    assert all(re.fullmatch(r"[0-9a-f]{64}  \S.*", line) for line in lines)
+    names = [line[66:] for line in lines]
+    assert len(set(names)) == len(names)
+    specs = len(list((SCRIPTS.parent / "specs").glob("*.spec")))
+    # simulate: the run, samples.csv and report.csv per spec; two sweeps;
+    # verify-identity at 5 levels x 7 ratios x 3 tolerances.
+    assert len(names) == 3 * specs + 2 + 5 * 7 * 3

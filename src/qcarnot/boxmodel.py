@@ -6,7 +6,8 @@ normalized modes ``sqrt(2/L) sin(n pi x / L)`` with energies
 here purely by its populations ``w_n``; every observable this package
 computes is phase-independent, so amplitudes are never stored.  Letting the
 wall at ``x = L`` move defines the force on it as ``-dE/dL`` at frozen
-populations, which evaluates level by level to ``pi^2 hbar^2 n^2 / (m L^3)``.
+populations.  Every level's energy scales as ``L^-2``, so that force is
+``2 E / L``, and this package evaluates it from the mean energy ``E`` alone.
 
 Default units are natural (``hbar = m = 1``); both constants are overridable
 through :class:`WellParams`.
@@ -251,17 +252,30 @@ def _check_params(params) -> None:
         raise DomainError(f"params must be a WellParams, got {params!r}")
 
 
+def _in_scale(what: str, formula, *args) -> float:
+    """``formula(*args)`` if it lies in ``(0, inf)``, else :class:`ScaleError` naming ``what``."""
+    try:
+        value = formula(*args)
+    except (OverflowError, ZeroDivisionError):  # Python's float ** and / raise for inf
+        value = math.inf
+    if not 0.0 < value < math.inf:
+        raise ScaleError(f"{what} over- or underflows binary64")
+    return value
+
+
 def eigenenergy(n, L, params: WellParams = DEFAULT_PARAMS) -> float:
     """Energy of level ``n`` in a box of width ``L``: pi^2 hbar^2 n^2 / (2 m L^2)."""
     n = _check_int(n, "n")
     L = _check_real(L, "L")
     _check_params(params)
-    return 0.5 * (math.pi * params.hbar * n) ** 2 / (params.mass * L * L)
+    return _in_scale(f"energy of level {n} at width {L!r}",
+                     lambda: 0.5 * (math.pi * params.hbar * n) ** 2 / (params.mass * L * L))
 
 
 def _level_square_sum(state: MixedState) -> float:
+    """``sum(w_n n^2)``, two levels as ``w_k k^2 + w_(k+1) (k+1)^2``, no FMA."""
     n = state.levels.astype(np.float64)
-    return float(np.dot(state.weights, n * n))
+    return float((state.weights * (n * n)).sum())
 
 
 def expectation_energy(state: MixedState, L, params: WellParams = DEFAULT_PARAMS) -> float:
@@ -269,35 +283,23 @@ def expectation_energy(state: MixedState, L, params: WellParams = DEFAULT_PARAMS
     _check_state(state)
     L = _check_real(L, "L")
     _check_params(params)
-    return _energy_from_square_sum(_level_square_sum(state), L, params)
+    return _in_scale(f"mean energy at width {L!r}", _energy_from_square_sum,
+                     _level_square_sum(state), L, 0.5 * (math.pi * params.hbar) ** 2, params.mass)
 
 
-def _energy_from_square_sum(square_sum, L, params: WellParams = DEFAULT_PARAMS):
-    """Mean energy ``pi^2 hbar^2 s / (2 m L^2)`` for the weighted level-square
-    sum ``s = sum(w_n n^2)``; elementwise on arrays, unvalidated."""
-    return 0.5 * (math.pi * params.hbar) ** 2 * square_sum / (params.mass * L * L)
-
-
-def _force_from_square_sum(square_sum, L_cubed, pi_hbar_squared, mass):
-    """Wall force ``pi^2 hbar^2 s / (m L^3)`` from ``s`` as above, ``L_cubed =
-    L^3``, ``pi_hbar_squared = (pi hbar)^2`` and ``mass``; elementwise on
-    arrays, unvalidated.  The caller takes the cube, as Python's float ``**``
-    and numpy's array ``**`` can round it differently."""
-    return pi_hbar_squared * square_sum / (mass * L_cubed)
+def _energy_from_square_sum(square_sum, L, scale, mass):
+    """``scale * s / (m L^2)`` for the level-square sum ``s = sum(w_n n^2)``:
+    the mean energy for ``scale = (pi hbar)^2 / 2``, twice it (bit for bit,
+    barring subnormals) for ``(pi hbar)^2``.  Elementwise, unvalidated."""
+    return scale * square_sum / (mass * L * L)
 
 
 def wall_force(state: MixedState, L, params: WellParams = DEFAULT_PARAMS) -> float:
-    """Force on the moving wall at frozen populations, ``-dE/dL``.
-
-    Satisfies ``wall_force(s, L) * L == 2 * expectation_energy(s, L)`` up to
-    rounding, since both are the same weighted sum of ``n^2``.
-    """
-    _check_state(state)
-    L = _check_real(L, "L")
-    _check_params(params)
-    return _force_from_square_sum(
-        _level_square_sum(state), L ** 3, (math.pi * params.hbar) ** 2, params.mass
-    )
+    """Force on the moving wall at frozen populations, ``-dE/dL = 2 E / L``
+    with ``E = expectation_energy(state, L, params)``."""
+    twice_energy = 2.0 * expectation_energy(state, L, params)
+    L = float(L)
+    return _in_scale(f"wall force at width {L!r}", lambda: twice_energy / L)
 
 
 def entropy(state: MixedState) -> float:

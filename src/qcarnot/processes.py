@@ -1,10 +1,9 @@
 """Reversible strokes: adiabatic and isothermal wall motion.
 
-An adiabatic stroke freezes the populations, so the mean energy follows
-``E(L) = E(L0) * L0^2 / L^2`` and the wall obeys ``F * L^3 = const``.  An
-isothermal stroke instead holds the mean energy fixed while the populations
-redistribute; any population path satisfying the constraint yields the same
-equation of state ``F(L) = 2 E / L``, i.e. ``L * F = const``.
+Every force comes from the one equation of state ``F = 2 E / L``.  An
+adiabatic stroke freezes the populations, so ``E(L) = E(L0) * L0^2 / L^2``
+and ``F * L^3 = const``.  An isothermal stroke holds ``E`` fixed while the
+populations redistribute, so any population path gives ``L * F = const``.
 
 The concrete isothermal population path used here is the staircase through
 adjacent level pairs: on ``L in [k*L_base, (k+1)*L_base]`` only levels ``k``
@@ -22,12 +21,13 @@ the path is continuous; work, heat and efficiency are path-independent.
 any width ratio.  All strokes passed together share one keyed
 :func:`quadrature.integrate` call, each starting on 64 equal panels.
 
-The force comes from a stroke table, built once per call with one row per
-stroke: start width, isotherm flag, base width, the adiabat's level-square
-sum, ``(pi hbar)^2`` and mass.  A :class:`Stroke` checks itself once, at
-construction, so the table just reads its fields; the integrand is one array
-expression over the widths of every key, which checks only that each force
-lies in (0, inf).  :meth:`Stroke.force_at` is the one-row case of the table.
+The integrand comes from a stroke table, built once per call with one row
+per stroke: start width, isotherm flag, base width, the adiabat's
+level-square sum, ``(pi hbar)^2`` and mass.  A :class:`Stroke` checks itself
+once, at construction, so the table just reads its fields; the integrand is
+one array expression over the widths of every key, and :func:`_check_forces`
+checks only that each force lies in (0, inf).  :meth:`Stroke.force_at` is
+the one-row case of the table.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ from .boxmodel import (
     _check_state,
     _check_widths,
     _energy_from_square_sum,
-    _force_from_square_sum,
     _level_square_sum,
     eigenenergy,
     entropy,
@@ -186,18 +185,17 @@ class Stroke:
         """Population-weighted wall force at width ``L``, elementwise on arrays.
 
         The one-row case of the stroke table that
-        :func:`stroke_work_quadrature` builds.  Only the caller's ``L`` is
-        checked, since the stroke was checked when it was built: with
-        :func:`_check_widths`, then, on an isotherm, against its window.
-        Builds no :class:`MixedState`: the adiabat's level-square sum is
-        fixed, and the isotherm's comes from the population staircase.
-        Returns a float for scalar ``L`` and an ndarray otherwise.
+        :func:`stroke_work_quadrature` builds, with no :class:`MixedState`.
+        Only the caller's ``L`` is checked, since the stroke was checked when
+        it was built: with :func:`_check_widths`, then, on an isotherm,
+        against its window.  Returns a float for scalar ``L`` and an ndarray
+        otherwise.
         """
         L = _check_widths(L)
         if self.kind is StrokeKind.ISOTHERMAL and not _in_window(L / self.base_scale).all():
             raise _window_error(L, self.base_scale)
-        owner = np.zeros(L.shape, np.intp)
-        force = _table_forces(_stroke_table((self,)).take(owner, axis=0), owner, L)
+        _, force = _table_forces(_stroke_table((self,))[0], L)
+        _check_forces(force, np.zeros(L.shape, np.intp), (self.L_start,))
         return float(force) if force.ndim == 0 else force
 
 
@@ -247,9 +245,16 @@ def _staircase(ratio):
     return k, (ratio * ratio - k * k) / (2.0 * k + 1.0)
 
 
+def _staircase_square_sum(k, w_upper):
+    """Level-square sum ``(1 - w) k^2 + w (k + 1)^2`` of staircase states,
+    elementwise; bit for bit :func:`_level_square_sum` of each state."""
+    return (1.0 - w_upper) * (k * k) + w_upper * ((k + 1.0) * (k + 1.0))
+
+
 # Fields of a stroke-table row: start width, 1 on an isotherm and 0 on an
 # adiabat, base width (inf on an adiabat, so that its width ratios are 0),
-# the adiabat's level-square sum (1 on an isotherm), (pi hbar)^2 and mass.
+# the adiabat's level-square sum s (1 on an isotherm), (pi hbar)^2 and mass,
+# which give 2 E = (pi hbar)^2 s / (mass L^2) and the force 2 E / L.
 L_START, ISOTHERM, BASE, SQUARES, PI_HBAR_SQUARED, MASS = range(6)
 
 
@@ -265,32 +270,23 @@ def _stroke_table(strokes) -> np.ndarray:
     return np.array(rows)
 
 
-def _table_forces(rows, owner, L):
-    """Wall force at the float64 widths ``L``: width ``i`` lies on stroke
-    ``owner[i]`` of a stroke table, whose row is ``rows[i]``.  One array
-    expression over all widths, which lie between the stroke's checked ends.
-
-    Raises :class:`ScaleError`, naming the widths of the first stroke, in
-    table order, where a force lies outside (0, inf).
-    """
-    isotherm = rows[..., ISOTHERM] > 0.0
-    # Overflow and underflow give a force outside (0, inf), caught below.
+def _table_forces(rows, L):
+    """``2 E`` and the force ``2 E / L`` at widths ``L`` on stroke-table ``rows``, one per width or one for all."""
     with np.errstate(all="ignore"):
-        k, w_upper = _staircase(L / rows[..., BASE])
-        square_sum = np.where(
-            isotherm, (1.0 - w_upper) * (k * k) + w_upper * ((k + 1.0) * (k + 1.0)),
-            rows[..., SQUARES],
-        )
-        force = _force_from_square_sum(
-            square_sum, L ** 3, rows[..., PI_HBAR_SQUARED], rows[..., MASS]
-        )
+        square_sum = np.where(rows[..., ISOTHERM] > 0.0,
+                              _staircase_square_sum(*_staircase(L / rows[..., BASE])), rows[..., SQUARES])
+        twice_energy = _energy_from_square_sum(square_sum, L, rows[..., PI_HBAR_SQUARED], rows[..., MASS])
+        return twice_energy, twice_energy / L
+
+
+def _check_forces(force, owner, starts) -> None:
+    """Raise :class:`ScaleError` unless every force lies in (0, inf).  Force
+    ``i`` lies on stroke ``owner[i]``, which starts at ``starts[owner[i]]``;
+    the message names the first failing stroke, in order, by that width."""
     ok = (force > 0.0) & (force < math.inf)
     if not ok.all():
-        mine = owner == owner[~ok].min()
-        raise ScaleError(
-            f"wall force over- or underflows binary64 at widths {L if mine.all() else L[mine]!r}"
-        )
-    return force
+        start = float(starts[owner[~ok].min()])
+        raise ScaleError(f"wall force over- or underflows binary64 on the stroke from width {start!r}")
 
 
 def adiabatic_stroke(state: MixedState, L_from, L_to,
@@ -365,26 +361,24 @@ def stroke_work(stroke: Stroke) -> float:
 
 def stroke_work_quadrature(strokes: Stroke | Sequence[Stroke],
                            rel_tol: float = 1e-10) -> float | list[float]:
-    """Work by adaptive quadrature of the sampled wall force.
-
-    Independent of the closed forms in :func:`stroke_work`: the integrand is
-    the population-weighted force at each sampled width.  ``strokes`` is one
-    :class:`Stroke`, which gives a float, or a sequence of them, which gives
-    a list with one work per stroke from a single :func:`quadrature.integrate`
-    call.  Each stroke integrates ``g(u) = L * force_at(L)`` over
-    ``L = L_start * e^u``, ``u`` from 0 to ``ln(L_end / L_start)``: ``g`` is
-    constant on an isotherm and ``e^(-2u)`` times a constant on an adiabat,
-    smooth at every width ratio.  Each stroke starts on ``_START_PANELS``
-    equal panels, passed as keys of their own, so even an isotherm, which
-    Boole's rule would accept from five points, has its force probed at
-    ``4 * _START_PANELS + 1`` widths across the population staircase.  Every
-    stroke's a-posteriori estimate must come out below ``rel_tol`` times its
-    integral, else a :class:`QuadratureError` is raised.
+    """Work by adaptive quadrature over the populations, independent of the
+    closed forms in :func:`stroke_work`.  ``strokes`` is one :class:`Stroke`,
+    which gives a float, or a sequence of them, which gives a list with one
+    work per stroke from a single :func:`quadrature.integrate` call.  Each
+    stroke integrates ``g(u) = L F = 2 E``, with ``E`` from the populations at
+    ``L = L_start * e^u``, over ``u`` from 0 to ``ln(L_end / L_start)``: ``g``
+    is constant on an isotherm and ``e^(-2u)`` times a constant on an adiabat,
+    smooth at every width ratio.  Each stroke starts on ``_START_PANELS`` equal
+    panels, passed as keys of their own, so even an isotherm, which Boole's
+    rule would accept from five points, is probed at ``4 * _START_PANELS + 1``
+    widths across the population staircase.  Every stroke's a-posteriori
+    estimate must come out below ``rel_tol`` times its integral, else
+    :class:`QuadratureError` is raised.
 
     Each stroke was checked when it was built, and every probed width lies
-    between its checked ends, so no width is checked again.  A force outside
-    (0, inf) raises :class:`ScaleError` for the first stroke, in order, that
-    has one.
+    between its checked ends, so no width is checked again.  A force ``2 E /
+    L`` outside (0, inf) raises :class:`ScaleError` naming the start width of
+    the first stroke, in order, that has one.
     """
     rel_tol = _check_real(rel_tol, "rel_tol", 0.0, 1e-4)
     single = isinstance(strokes, Stroke)
@@ -398,8 +392,9 @@ def stroke_work_quadrature(strokes: Stroke | Sequence[Stroke],
         key, u = key_u
         owner = key // _START_PANELS
         rows = table.take(owner, axis=0)
-        L = rows[:, L_START] * np.exp(u)
-        return L * _table_forces(rows, owner, L)
+        twice_energy, force = _table_forces(rows, rows[:, L_START] * np.exp(u))
+        _check_forces(force, owner, table[:, L_START])
+        return twice_energy
 
     # Integrate at a quarter of the requested tolerance, which each key's
     # estimate meets relative to its refined value.  g has one sign along a
@@ -419,11 +414,12 @@ def stroke_work_quadrature(strokes: Stroke | Sequence[Stroke],
 def sample_stroke(stroke: Stroke, count: int, stroke_index: int = 1) -> SampleTable:
     """Column table of ``count`` samples at uniformly spaced widths, endpoints included.
 
-    Builds no :class:`MixedState` and checks nothing but ``count``: the
-    stroke was checked when it was built, and every width lies between its
-    ends.  An adiabat's fixed state is broadcast over all rows; an isotherm's
-    populations come from one population staircase over all widths, as
-    levels ``k, k + 1`` (``k`` alone where the state is pure).  Every value
+    Builds no :class:`MixedState` and checks only ``count`` and the forces,
+    with :func:`_check_forces`: the stroke was checked when it was built, and
+    every width lies between its ends.  An adiabat's fixed state is broadcast
+    over all rows; an isotherm's populations come from one population
+    staircase over all widths, as levels ``k, k + 1`` (``k`` alone where the
+    state is pure), and so does its level-square sum.  Every value
     equals, bit for bit, what ``wall_force``, ``expectation_energy``,
     ``entropy`` and ``.populations`` give for the state at ``L``:
     ``stroke.state_start`` on an adiabat, :func:`isothermal_state_at` on an
@@ -441,20 +437,19 @@ def sample_stroke(stroke: Stroke, count: int, stroke_index: int = 1) -> SampleTa
         k, w_upper = _staircase(widths / stroke.base_scale)
         levels = np.stack([k, np.where(w_upper == 0.0, 0.0, k + 1.0)], axis=1).astype(np.int64)
         weights = np.stack([1.0 - w_upper, w_upper], axis=1)
-        n = levels.astype(np.float64)
-        # A stacked matmul takes each row's dot product through the same BLAS
-        # call as np.dot in _level_square_sum; elementwise sums can round apart.
-        square_sum = (weights[:, None, :] @ (n * n)[:, :, None])[:, 0, 0]
+        square_sum = _staircase_square_sum(k, w_upper)
         row_entropy = -(weights * np.log(np.where(weights > 0.0, weights, 1.0))).sum(axis=1) + 0.0
-    cubes = np.array([L ** 3 for L in widths.tolist()])  # Python's pow, as in wall_force
+    with np.errstate(all="ignore"):
+        energy = _energy_from_square_sum(square_sum, widths, 0.5 * (math.pi * stroke.params.hbar) ** 2,
+                                         stroke.params.mass)
+        force = 2.0 * energy / widths
+    _check_forces(force, np.zeros(widths.size, np.intp), (stroke.L_start,))
     return SampleTable(
         stroke_index=np.full(widths.size, stroke_index),
         stroke_kind=np.full(widths.size, stroke.kind.value),
         L=widths,
-        force=_force_from_square_sum(
-            square_sum, cubes, (math.pi * stroke.params.hbar) ** 2, stroke.params.mass
-        ),
-        energy=_energy_from_square_sum(square_sum, widths, stroke.params),
+        force=force,
+        energy=energy,
         entropy=row_entropy,
         levels=levels,
         weights=weights,

@@ -6,7 +6,7 @@ sine modes, series values from direct partial sums (in the original
 ``sin(m pi / alpha)`` form, not the library's sinc kernel) with
 summation-by-parts tail bounds, forces from central differences, loop
 areas from the cross-product shoelace formula, and the work integrand as one
-masked force call per stroke, the form it had before the stroke table.
+masked call per stroke, the form it had before the stroke table.
 """
 
 import math
@@ -114,10 +114,11 @@ def shoelace_area(L, F):
     return 0.5 * float(np.sum(L * np.roll(F, -1) - np.roll(L, -1) * F))
 
 
-def masked_work_integrand(strokes, force, panels):
-    """The work integrand ``g((key, u)) = L * force(stroke, L)``, ``L =
+def masked_work_integrand(strokes, twice_energy, panels):
+    """The work integrand ``g((key, u)) = twice_energy(stroke, L)``, ``L =
     L_start * e^u``, of keys ``panels`` to a stroke, one boolean mask and one
-    ``force`` call per stroke: the form it had before the stroke table."""
+    ``twice_energy`` call per stroke: the form it had before the stroke
+    table.  Twice the mean energy is ``L F`` by the equation of state."""
 
     def g(key_u):
         key, u = key_u
@@ -126,38 +127,46 @@ def masked_work_integrand(strokes, force, panels):
         for i, stroke in enumerate(strokes):
             mine = owner == i
             if mine.any():
-                L = stroke.L_start * np.exp(u[mine])
-                out[mine] = L * force(stroke, L)
+                out[mine] = twice_energy(stroke, stroke.L_start * np.exp(u[mine]))
         return out
 
     return g
 
 
-def staircase_force(stroke, L):
-    """Wall force along ``stroke`` at the float64 widths ``L``, unchecked.
+def staircase_twice_energy(stroke, L):
+    """Twice the mean energy along ``stroke`` at the float64 widths ``L``, unchecked.
 
     The frozen state's ``sum w n^2`` on an adiabat, the staircase through
     levels ``k = floor(L / base_scale)`` and ``k + 1`` on an isotherm, and
-    ``(pi hbar)^2 sum / (mass L^3)``, in the order of the library's roundings.
+    ``(pi hbar)^2 sum / (mass L^2)``, in the order of the library's roundings.
     """
     if stroke.kind.value == "adiabatic":
         n = stroke.state_start.levels.astype(np.float64)
-        square_sum = float(np.dot(stroke.state_start.weights, n * n))
+        square_sum = float((stroke.state_start.weights * (n * n)).sum())
     else:
         ratio = np.maximum(L / stroke.base_scale, 1.0)
         k = np.floor(ratio)
         w = (ratio * ratio - k * k) / (2.0 * k + 1.0)
         square_sum = (1.0 - w) * (k * k) + w * ((k + 1.0) * (k + 1.0))
-    return (math.pi * stroke.params.hbar) ** 2 * square_sum / (stroke.params.mass * L ** 3)
+    return (math.pi * stroke.params.hbar) ** 2 * square_sum / (stroke.params.mass * L * L)
 
 
-def checked_staircase_force(stroke, L):
-    """:func:`staircase_force`, raising :class:`ScaleError` with the text of
-    the work integrand if a force lies outside (0, inf).  The widths are not
-    checked: those of the integrand lie between a built stroke's checked
-    ends."""
+def staircase_force(stroke, L):
+    """The wall force ``2 E / L`` along ``stroke`` at the float64 widths
+    ``L``, from :func:`staircase_twice_energy`, unchecked."""
+    return staircase_twice_energy(stroke, L) / L
+
+
+def checked_twice_energy(stroke, L):
+    """:func:`staircase_twice_energy`, raising :class:`ScaleError` with the
+    text of the work integrand if a force ``2 E / L`` lies outside (0, inf).
+    The widths are not checked: those of the integrand lie between a built
+    stroke's checked ends."""
     with np.errstate(all="ignore"):
-        force = staircase_force(stroke, L)
+        twice_energy = staircase_twice_energy(stroke, L)
+        force = twice_energy / L
     if not ((force > 0.0) & (force < math.inf)).all():
-        raise ScaleError(f"wall force over- or underflows binary64 at widths {L!r}")
-    return force
+        raise ScaleError(
+            f"wall force over- or underflows binary64 on the stroke from width {stroke.L_start!r}"
+        )
+    return twice_energy

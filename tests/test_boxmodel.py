@@ -9,6 +9,7 @@ import oracles
 from qcarnot import (
     DomainError,
     MixedState,
+    ScaleError,
     StateError,
     WellParams,
     eigenenergy,
@@ -334,6 +335,21 @@ class TestWallForce:
         h = 1e-6 * L
         fd = -oracles.central_difference(lambda w: expectation_energy(s, w), L, h)
         assert wall_force(s, L) == pytest.approx(fd, rel=1e-6)
+
+
+class TestScaleErrors:
+    @pytest.mark.parametrize("call, text", [
+        (lambda: eigenenergy(1, 1.0, WellParams(hbar=1e160)), "energy of level 1 at width 1.0"),
+        (lambda: eigenenergy(1, 1e-170), "energy of level 1 at width 1e-170"),
+        (lambda: expectation_energy(MixedState.pure(1), 1e-170), "mean energy at width 1e-170"),
+        (lambda: wall_force(MixedState.pure(1), 1e-110), "wall force at width 1e-110"),
+    ], ids=["hbar-overflow", "eigenenergy-width", "mean-energy-width", "force-width"])
+    def test_results_outside_binary64_raise_one_line_scale_error(self, call, text):
+        # Python's float ** raises OverflowError and / by zero ZeroDivisionError
+        # here; 2 E / L at 1e-110 would be inf.
+        with pytest.raises(ScaleError) as caught:
+            call()
+        assert str(caught.value) == text + " over- or underflows binary64"
 
 
 class TestEntropy:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -30,7 +31,12 @@ from qcarnot import (
 from qcarnot.cli import write_samples_csv
 from qcarnot.cycle import MAX_TOP_LEVEL
 from qcarnot.processes import _START_PANELS, MAX_SAMPLES_PER_STROKE
-from oracles import checked_staircase_force, masked_work_integrand, staircase_force
+from oracles import (
+    checked_twice_energy,
+    masked_work_integrand,
+    staircase_force,
+    staircase_twice_energy,
+)
 from strategies import mixed_states
 
 E_GROUND = math.pi ** 2 / 2
@@ -88,8 +94,8 @@ def work_strokes(draw):
 @st.composite
 def failing_strokes(draw):
     """An adiabat that ``adiabatic_stroke`` accepts but whose work cannot be
-    integrated: its force over- or underflows at some widths."""
-    scale = draw(st.sampled_from([1e-103, 1e103]))
+    integrated: its force ``2 E / L`` over- or underflows at some widths."""
+    scale = draw(st.sampled_from([1e-110, 1e110]))
     L_from, L_to = (scale * draw(st.floats(0.5, 8.0)) for _ in range(2))
     return adiabatic_stroke(draw(mixed_states()), L_from, L_to)
 
@@ -318,7 +324,6 @@ class TestForceArrayPath:
             with pytest.raises(DomainError):
                 stroke.force_at(bad)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflow_raises_instead_of_inf(self):
         stroke = adiabatic_stroke(MixedState.pure(1), 1e-103, 2e-103)
         with pytest.raises(ScaleError):
@@ -424,7 +429,7 @@ class TestStrokeTable:
     def test_integrand_and_works_match_masked_oracle_bit_for_bit(self, strokes):
         calls = []
         works = work_outcome(strokes, calls=calls)
-        oracle = masked_work_integrand(strokes, staircase_force, _START_PANELS)
+        oracle = masked_work_integrand(strokes, staircase_twice_energy, _START_PANELS)
         assert works == work_outcome(strokes, lambda s: oracle)
         assert isinstance(works, bytes)
         for key_u, values in calls:
@@ -441,16 +446,30 @@ class TestStrokeTable:
     @given(st.lists(st.one_of(work_strokes(), failing_strokes()), min_size=1, max_size=5))
     def test_errors_name_the_first_failing_stroke_as_the_masked_oracle(self, strokes):
         assert work_outcome(strokes) == work_outcome(
-            strokes, lambda s: masked_work_integrand(s, checked_staircase_force, _START_PANELS)
+            strokes, lambda s: masked_work_integrand(s, checked_twice_energy, _START_PANELS)
         )
 
     def test_the_first_of_two_strokes_out_of_scale_is_reported(self):
-        wide = adiabatic_stroke(MixedState.pure(1), 1e103, 2e103)
-        narrow = adiabatic_stroke(MixedState.pure(1), 1e-103, 2e-103)
-        with pytest.raises(ScaleError, match="at widths array\\(\\[1.00000000e\\+103"):
-            stroke_work_quadrature([wide, narrow])
-        with pytest.raises(ScaleError, match="at widths array\\(\\[1.00000000e-103"):
-            stroke_work_quadrature([narrow, wide])
+        # 2 E / L underflows to 0 on the wide adiabat and overflows on the narrow one.
+        wide = adiabatic_stroke(MixedState.pure(1), 1e110, 2e110)
+        narrow = adiabatic_stroke(MixedState.pure(1), 1e-110, 2e-110)
+        text = "wall force over- or underflows binary64 on the stroke from width "
+        for strokes, start in [((wide, narrow), "1e+110"), ((narrow, wide), "1e-110")]:
+            with pytest.raises(ScaleError) as caught:
+                stroke_work_quadrature(strokes)
+            assert str(caught.value) == text + start
+
+    def test_sample_stroke_and_the_integrand_share_one_scale_check(self):
+        stroke = adiabatic_stroke(MixedState.pure(1), 1e-110, 1e-100)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (lambda: sample_stroke(stroke, 3), lambda: stroke_work_quadrature(stroke),
+                         lambda: stroke.force_at(1e-110)):
+                with pytest.raises(ScaleError) as caught:
+                    call()
+                assert str(caught.value) == (
+                    "wall force over- or underflows binary64 on the stroke from width 1e-110"
+                )
 
     @settings(max_examples=40, deadline=None)
     @given(base=st.floats(0.25, 4.0), start=st.floats(1.0, 6.0), end=st.floats(0.3, 0.99))
@@ -628,3 +647,50 @@ class TestSampleTableBitwise:
                 assert line.split(",")[-1] == f"{int(k)}:1"
             else:
                 assert len(row.populations) == 2
+
+
+def exact_energy_and_force(state, L, params):
+    """``E = (pi hbar)^2 s / (2 m L^2)`` and ``(pi hbar)^2 s / (m L^3)``, with
+    ``s = sum(w_n n^2)`` of the binary64 inputs, in 50-digit ``mpmath``."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        s = mpmath.fsum(mpmath.mpf(w) * n * n for n, w in state.populations)
+        c = (mpmath.pi * params.hbar) ** 2
+        L, mass = mpmath.mpf(L), mpmath.mpf(params.mass)
+        return c * s / (2 * mass * L * L), c * s / (mass * L ** 3)
+
+
+def ulps_off(value, exact):
+    return float(abs(value - exact) / math.ulp(float(exact)))
+
+
+class TestForceAccuracy:
+    """Every force is ``2 E / L`` from the mean energy: within 5 ulps of the
+    exact ``(pi hbar)^2 s / (m L^3)`` of its state, as the energy is of ``E``."""
+
+    def test_forces_and_energies_against_mpmath(self):
+        rng = np.random.default_rng(2000)
+        worst = {"wall_force": 0.0, "force_at": 0.0, "force": 0.0, "energy": 0.0}
+        for trial in range(60):
+            params = random_params(rng)
+            if trial % 2:
+                support = int(rng.integers(1, 7))
+                levels = np.sort(rng.choice(np.arange(1, 40), size=support, replace=False))
+                weights = rng.random(support) + 0.01
+                stroke = adiabatic_stroke(MixedState(levels, weights / weights.sum()),
+                                          *rng.uniform(0.2, 5.0, size=2), params)
+            else:
+                base = rng.uniform(0.3, 3.0)
+                stroke = isothermal_stroke(eigenenergy(1, base, params),
+                                           *rng.uniform(base, 9.0 * base, size=2), base, params)
+            for row in sample_stroke(stroke, 50):
+                state = state_at(stroke, row.L)
+                energy, force = exact_energy_and_force(state, row.L, params)
+                for name, value, exact in [
+                    ("wall_force", wall_force(state, row.L, params), force),
+                    ("force_at", stroke.force_at(row.L), force),
+                    ("force", row.force, force),
+                    ("energy", row.energy, energy),
+                ]:
+                    worst[name] = max(worst[name], ulps_off(value, exact))
+        assert max(worst.values()) <= 5.0, worst

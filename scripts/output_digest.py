@@ -1,19 +1,22 @@
 #!/usr/bin/env python3
-"""SHA-256 digest of every CLI output over a fixed grid of runs.
+"""SHA-256 digest of every CLI and expansion output over a fixed grid of runs.
 
-Runs ``qcarnot.cli.main`` in-process and prints one ``sha256  name`` line per
-output, so two source trees print the same lines exactly when their outputs
-on the grid are byte-identical.  Takes no options.  It imports the
-``qcarnot`` that ``PYTHONPATH`` finds, so one run with each tree's ``src`` on
-``PYTHONPATH`` and a ``diff`` of the two compare the trees; the spec files
-are always this tree's.  The grid:
+Runs ``qcarnot.cli.main`` and ``post_expansion_distribution`` in-process and
+prints one ``sha256  name`` line per output, so two source trees print the
+same lines exactly when their outputs on the grid are byte-identical.  Takes
+no options.  It imports the ``qcarnot`` that ``PYTHONPATH`` finds, so one run
+with each tree's ``src`` on ``PYTHONPATH`` and a ``diff`` of the two compare
+the trees; the spec files are always this tree's.  The grid:
 
 - ``simulate`` on each ``specs/*.spec``: the exit code with stdout and
   stderr, then ``samples.csv`` and ``report.csv``;
 - the README sweep, and a 50-step ``three_state.spec`` sweep with L3 from 3
   to 300: the exit code, stdout, stderr and the CSV, one digest each;
 - ``verify-identity`` at every ``(n, alpha, tol)`` of ``N`` x ``ALPHAS`` x
-  ``TOLS``: the exit code with stdout and stderr.
+  ``TOLS``: the exit code with stdout and stderr;
+- ``post_expansion_distribution`` on each of ``EXPANSIONS``: ``terms_used``,
+  ``tail_bound`` and ``achieved_sum`` in ``repr`` form with the bytes of the
+  state's levels and weights, or the error's class and text.
 """
 
 import hashlib
@@ -22,7 +25,7 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
-from qcarnot import cli
+from qcarnot import EngineError, MixedState, cli, post_expansion_distribution
 
 SPECS = Path(__file__).resolve().parents[1] / "specs"
 SWEEPS = (
@@ -32,6 +35,16 @@ SWEEPS = (
 N = ("1", "2", "3", "5", "8")
 ALPHAS = ("1.05", "1.3", "1.5", "2", "2.5", "3.7", "10")
 TOLS = ("1e-4", "1e-6", "3e-7")
+# (levels, alpha, tail_tol, term_budget), weights proportional to 1, 2, ...:
+# the nine-, five- and two-level shapes of the benchmark's expansions, then a
+# budget below the least cutoff and one too small to certify the tolerance.
+EXPANSIONS = (
+    ((1, 2, 3, 5, 6, 8, 9, 11, 12), 3.0, 1e-6, 10_000_000),
+    ((2, 4, 7, 10, 12), 2.0, 1e-6, 10_000_000),
+    ((3, 8), 1.3, 1e-6, 10_000_000),
+    ((3, 8), 1.3, 1e-6, 20),
+    ((3, 8), 1.3, 1e-6, 1000),
+)
 
 
 def run(*argv) -> bytes:
@@ -45,6 +58,19 @@ def run(*argv) -> bytes:
 def read(path: Path) -> bytes:
     """The bytes of the file at ``path``, or a marker if the run wrote none."""
     return path.read_bytes() if path.exists() else b"(no file)"
+
+
+def expand(levels, alpha, tail_tol, term_budget) -> bytes:
+    """The report and state of one expansion, or its error, as one byte string."""
+    ranks = range(1, len(levels) + 1)
+    weights = [k / sum(ranks) for k in ranks]
+    try:
+        state, report = post_expansion_distribution(
+            MixedState.from_pairs(zip(levels, weights)), alpha, tail_tol, term_budget)
+    except EngineError as error:
+        return f"{type(error).__name__}: {error}".encode()
+    text = f"{report.terms_used!r} {report.tail_bound!r} {report.achieved_sum!r}\n"
+    return text.encode() + state.levels.tobytes() + state.weights.tobytes()
 
 
 def digests(work: Path):
@@ -64,6 +90,8 @@ def digests(work: Path):
             for tol in TOLS:
                 argv = ["verify-identity", "--n", n, "--alpha", alpha, "--tol", tol]
                 yield " ".join(argv), run(*argv)
+    for case in EXPANSIONS:
+        yield "expand " + " ".join(map(repr, case)), expand(*case)
 
 
 def main():

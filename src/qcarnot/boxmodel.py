@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,6 +89,15 @@ def _check_real(value, name: str, lo: float = 0.0, hi: float = math.inf) -> floa
     return x
 
 
+def _check_type(value, cls, name: str, where: str = ""):
+    """``value``, if it is an instance of ``cls``, else :class:`DomainError`;
+    ``where`` qualifies the rule in the message."""
+    if not isinstance(value, cls):
+        article = "an" if cls.__name__[0] in "AEIOU" else "a"
+        raise DomainError(f"{name} must be {article} {cls.__name__}{where}, got {value!r}")
+    return value
+
+
 def _check_widths(L) -> np.ndarray:
     """Array form of :func:`_check_real`: a float64 array of positive
     finite widths from real (not bool or string) input."""
@@ -120,13 +130,14 @@ DEFAULT_PARAMS = WellParams()
 
 def check_energy_scale(params: WellParams, top_level, L_min, L_max) -> None:
     """Raise :class:`ScaleError` unless levels ``1..top_level`` at widths in
-    ``[L_min, L_max]`` keep energies, forces and their intermediate products
-    within ``1e-300 .. 1e300``.
+    ``[L_min, L_max]`` keep energies, forces ``2 E / L`` and the products
+    that energies are formed from (``m``, ``(pi hbar n)^2``, ``m L^2`` and
+    ``E L^2``) within ``1e-300 .. 1e300``.
 
     Every such quantity is a monomial in ``hbar, mass, n, L``, so checking
     its decimal exponent at the corners of the range covers the interior.
     """
-    _check_params(params)
+    _check_type(params, WellParams, "params")
     lg_m = math.log10(params.mass)
     lg_num = [2.0 * math.log10(math.pi * params.hbar * n) for n in (1, top_level)]
     # (pi hbar n)^2, and the adiabatic invariant E * L^2 = (pi hbar n)^2 / (2 m).
@@ -135,7 +146,7 @@ def check_energy_scale(params: WellParams, top_level, L_min, L_max) -> None:
         lg_L = math.log10(L)
         lg_mL2 = lg_m + 2.0 * lg_L
         lg_mL3 = lg_m + 3.0 * lg_L
-        exponents += [3.0 * lg_L, lg_mL2, lg_mL3]
+        exponents.append(lg_mL2)
         for lg in lg_num:
             exponents += [math.log10(0.5) + lg - lg_mL2, lg - lg_mL3]
     if max(abs(e) for e in exponents) > _SCALE_EXPONENT_LIMIT:
@@ -212,6 +223,7 @@ class MixedState:
         """Build from ``{level: weight}`` or an iterable of ``(level, weight)`` pairs."""
         if isinstance(pairs, dict):
             pairs = pairs.items()
+        _check_type(pairs, Iterable, "pairs")
         items = sorted((_check_int(n, "level"), _check_real(w, "weight", -math.inf))
                        for n, w in pairs)
         levels = np.array([n for n, _ in items], dtype=np.int64)
@@ -239,19 +251,6 @@ def _pure_state(cls, n: int) -> MixedState:
     return cls(np.array([n]), np.array([1.0]))
 
 
-def _check_state(state, name: str = "state", where: str = "") -> None:
-    """Raise :class:`DomainError` unless ``state`` is a :class:`MixedState`;
-    ``where`` qualifies the rule in the message."""
-    if not isinstance(state, MixedState):
-        raise DomainError(f"{name} must be a MixedState{where}, got {state!r}")
-
-
-def _check_params(params) -> None:
-    """Raise :class:`DomainError` unless ``params`` is a :class:`WellParams`."""
-    if not isinstance(params, WellParams):
-        raise DomainError(f"params must be a WellParams, got {params!r}")
-
-
 def _in_scale(what: str, formula, *args) -> float:
     """``formula(*args)`` if it lies in ``(0, inf)``, else :class:`ScaleError` naming ``what``."""
     try:
@@ -267,7 +266,7 @@ def eigenenergy(n, L, params: WellParams = DEFAULT_PARAMS) -> float:
     """Energy of level ``n`` in a box of width ``L``: pi^2 hbar^2 n^2 / (2 m L^2)."""
     n = _check_int(n, "n")
     L = _check_real(L, "L")
-    _check_params(params)
+    _check_type(params, WellParams, "params")
     return _in_scale(f"energy of level {n} at width {L!r}",
                      lambda: 0.5 * (math.pi * params.hbar * n) ** 2 / (params.mass * L * L))
 
@@ -280,9 +279,9 @@ def _level_square_sum(state: MixedState) -> float:
 
 def expectation_energy(state: MixedState, L, params: WellParams = DEFAULT_PARAMS) -> float:
     """Population-weighted mean energy of ``state`` at width ``L``."""
-    _check_state(state)
+    _check_type(state, MixedState, "state")
     L = _check_real(L, "L")
-    _check_params(params)
+    _check_type(params, WellParams, "params")
     return _in_scale(f"mean energy at width {L!r}", _energy_from_square_sum,
                      _level_square_sum(state), L, 0.5 * (math.pi * params.hbar) ** 2, params.mass)
 
@@ -304,6 +303,6 @@ def wall_force(state: MixedState, L, params: WellParams = DEFAULT_PARAMS) -> flo
 
 def entropy(state: MixedState) -> float:
     """Population entropy ``-sum(w ln w)`` with ``0 ln 0 := 0`` (dimensionless)."""
-    _check_state(state)
+    _check_type(state, MixedState, "state")
     w = state.weights[state.weights > 0.0]
     return float(-(w * np.log(w)).sum()) + 0.0

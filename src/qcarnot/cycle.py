@@ -29,8 +29,8 @@ from .boxmodel import (
     MixedState,
     WellParams,
     _check_int,
-    _check_params,
     _check_real,
+    _check_type,
     check_energy_scale,
     eigenenergy,
 )
@@ -59,7 +59,8 @@ class CarnotSpec:
     """Geometry of one cycle: level reached on the hot isotherm and the two
     extreme widths.  ``L3 == top_level * L1`` is the degenerate zero-work
     boundary; anything smaller is rejected.  The widths are stored as Python
-    floats, whichever real type they are given as."""
+    floats and the integers as Python ints, whichever real type they are
+    given as."""
 
     top_level: int
     L1: float
@@ -68,11 +69,11 @@ class CarnotSpec:
     samples_per_stroke: int = 256
 
     def __post_init__(self):
-        _check_int(self.top_level, "top_level", 2, MAX_TOP_LEVEL)
-        for name in ("L1", "L3"):
-            object.__setattr__(self, name, _check_real(getattr(self, name), name))
-        _check_int(self.samples_per_stroke, "samples_per_stroke", 2, MAX_SAMPLES_PER_STROKE)
-        _check_params(self.params)
+        checks = {"top_level": (_check_int, 2, MAX_TOP_LEVEL), "L1": (_check_real,), "L3": (_check_real,),
+                  "samples_per_stroke": (_check_int, 2, MAX_SAMPLES_PER_STROKE)}
+        for name, (check, *bounds) in checks.items():
+            object.__setattr__(self, name, check(getattr(self, name), name, *bounds))
+        _check_type(self.params, WellParams, "params")
         if self.L3 < self.top_level * self.L1:
             raise CycleGeometryError(
                 f"L3 must exceed top_level*L1: got L3={self.L3!r}, "
@@ -208,6 +209,7 @@ def build_carnot_cycle(spec: CarnotSpec) -> Cycle:
     :class:`ScaleError` first if the spec's energies or forces would leave
     binary64 range anywhere on the cycle.
     """
+    _check_type(spec, CarnotSpec, "spec")
     n = spec.top_level
     L1, L3, p = spec.L1, spec.L3, spec.params
     check_energy_scale(p, n, L1, L3)
@@ -226,6 +228,7 @@ def build_carnot_cycle(spec: CarnotSpec) -> Cycle:
 
 def evaluate_cycle(cycle: Cycle) -> CycleReport:
     """Closed-form work and heat for the cycle, cross-checked by quadrature."""
+    _check_type(cycle, Cycle, "cycle")
     works = [stroke_work(s) for s in cycle.strokes]
     quads = stroke_work_quadrature(cycle.strokes)
     W, Q_H = sum(works), works[0]
@@ -242,6 +245,7 @@ def evaluate_cycle(cycle: Cycle) -> CycleReport:
 def sample_cycle(cycle: Cycle, samples_per_stroke: int | None = None) -> SampleTable:
     """One :class:`SampleTable` tracing the closed force-width loop, strokes
     in order and told apart by the ``stroke_index``/``stroke_kind`` columns."""
+    _check_type(cycle, Cycle, "cycle")
     count = cycle.spec.samples_per_stroke if samples_per_stroke is None else samples_per_stroke
     return SampleTable.concatenate([
         sample_stroke(stroke, count, stroke_index=index)
@@ -256,6 +260,7 @@ def polyline_work(samples: SampleTable) -> float:
     polygon and converges to the cycle work at second order in the sample
     count.  Reversed traversal flips the sign.
     """
+    _check_type(samples, SampleTable, "samples")
     L, F = samples.L, samples.force
     L_next = np.roll(L, -1)
     F_next = np.roll(F, -1)

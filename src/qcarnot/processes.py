@@ -21,20 +21,21 @@ the path is continuous; work, heat and efficiency are path-independent.
 any width ratio.  All strokes passed together share one keyed
 :func:`quadrature.integrate` call, each starting on 64 equal panels.
 
-The integrand comes from a stroke table, built once per call with one row
+The stroke table is the one evaluator of energy and force.  It has one row
 per stroke: start width, isotherm flag, base width, the adiabat's
 level-square sum, ``(pi hbar)^2`` and mass.  A :class:`Stroke` checks itself
-once, at construction, so the table just reads its fields; the integrand is
-one array expression over the widths of every key, and :func:`_check_forces`
-checks only that each force lies in (0, inf).  :meth:`Stroke.force_at` is
-the one-row case of the table.
+once, at construction, so the table just reads its fields; the work
+integrand is one array expression over the widths of every key, and
+:func:`_check_forces` checks only that each force lies in (0, inf).
+:meth:`Stroke.force_at` and :func:`sample_stroke` take the one-row table of
+their stroke.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -46,9 +47,8 @@ from .boxmodel import (
     MixedState,
     WellParams,
     _check_int,
-    _check_params,
     _check_real,
-    _check_state,
+    _check_type,
     _check_widths,
     _energy_from_square_sum,
     _level_square_sum,
@@ -202,12 +202,12 @@ class Stroke:
 def _check_stroke_types(kind, state_start, params) -> None:
     """The type rules of a :class:`Stroke`: ``kind`` is a :class:`StrokeKind`,
     ``params`` a :class:`WellParams` and, on an adiabat, ``state_start`` a
-    :class:`MixedState`.  The builders run them before computing an energy."""
-    if not isinstance(kind, StrokeKind):
-        raise DomainError(f"kind must be a StrokeKind, got {kind!r}")
-    _check_params(params)
+    :class:`MixedState`.  :func:`adiabatic_stroke` runs them before computing
+    an energy."""
+    _check_type(kind, StrokeKind, "kind")
+    _check_type(params, WellParams, "params")
     if kind is StrokeKind.ADIABATIC:
-        _check_state(state_start, "state_start", " on an adiabat")
+        _check_type(state_start, MixedState, "state_start", " on an adiabat")
 
 
 def _isotherm_base(e_fixed, base_scale, params: WellParams) -> float:
@@ -245,12 +245,6 @@ def _staircase(ratio):
     return k, (ratio * ratio - k * k) / (2.0 * k + 1.0)
 
 
-def _staircase_square_sum(k, w_upper):
-    """Level-square sum ``(1 - w) k^2 + w (k + 1)^2`` of staircase states,
-    elementwise; bit for bit :func:`_level_square_sum` of each state."""
-    return (1.0 - w_upper) * (k * k) + w_upper * ((k + 1.0) * (k + 1.0))
-
-
 # Fields of a stroke-table row: start width, 1 on an isotherm and 0 on an
 # adiabat, base width (inf on an adiabat, so that its width ratios are 0),
 # the adiabat's level-square sum s (1 on an isotherm), (pi hbar)^2 and mass,
@@ -271,10 +265,13 @@ def _stroke_table(strokes) -> np.ndarray:
 
 
 def _table_forces(rows, L):
-    """``2 E`` and the force ``2 E / L`` at widths ``L`` on stroke-table ``rows``, one per width or one for all."""
+    """``2 E`` and the force ``2 E / L`` at widths ``L`` on stroke-table
+    ``rows``, one per width or one for all.  An isotherm's level-square sum
+    ``(1 - w) k^2 + w (k + 1)^2`` is bit for bit :func:`_level_square_sum`."""
     with np.errstate(all="ignore"):
-        square_sum = np.where(rows[..., ISOTHERM] > 0.0,
-                              _staircase_square_sum(*_staircase(L / rows[..., BASE])), rows[..., SQUARES])
+        k, w_upper = _staircase(L / rows[..., BASE])
+        staircase = (1.0 - w_upper) * (k * k) + w_upper * ((k + 1.0) * (k + 1.0))
+        square_sum = np.where(rows[..., ISOTHERM] > 0.0, staircase, rows[..., SQUARES])
         twice_energy = _energy_from_square_sum(square_sum, L, rows[..., PI_HBAR_SQUARED], rows[..., MASS])
         return twice_energy, twice_energy / L
 
@@ -316,7 +313,6 @@ def isothermal_state_at(e_fixed, L, base_scale, params: WellParams = DEFAULT_PAR
     beyond, where level ``k`` leaves the int64 range.
     """
     L = _check_real(L, "L")
-    _check_stroke_types(StrokeKind.ISOTHERMAL, None, params)
     base_scale = _isotherm_base(e_fixed, base_scale, params)
     ratio = L / base_scale
     if not _in_window(ratio):
@@ -352,6 +348,7 @@ def stroke_work(stroke: Stroke) -> float:
     Expansion is positive; zero-length strokes give exactly 0.  Isothermal:
     ``2 E ln(L_end/L_start)``.  Adiabatic: ``E(L_start) - E(L_end)``.
     """
+    _check_type(stroke, Stroke, "stroke")
     if stroke.kind is StrokeKind.ISOTHERMAL:
         return 2.0 * stroke.conserved * math.log(stroke.L_end / stroke.L_start)
     start, end = (expectation_energy(stroke.state_start, L, stroke.params)
@@ -375,14 +372,18 @@ def stroke_work_quadrature(strokes: Stroke | Sequence[Stroke],
     estimate must come out below ``rel_tol`` times its integral, else
     :class:`QuadratureError` is raised.
 
-    Each stroke was checked when it was built, and every probed width lies
-    between its checked ends, so no width is checked again.  A force ``2 E /
-    L`` outside (0, inf) raises :class:`ScaleError` naming the start width of
-    the first stroke, in order, that has one.
+    Each stroke was checked when it was built (an item that is not a
+    :class:`Stroke` raises :class:`DomainError` naming it as ``strokes[i]``),
+    and every probed width lies between its checked ends, so no width is
+    checked again.  A force ``2 E / L`` outside (0, inf) raises
+    :class:`ScaleError` naming the start width of the first stroke, in order,
+    that has one.
     """
     rel_tol = _check_real(rel_tol, "rel_tol", 0.0, 1e-4)
     single = isinstance(strokes, Stroke)
-    strokes = (strokes,) if single else tuple(strokes)
+    strokes = (strokes,) if single else tuple(_check_type(strokes, Iterable, "strokes"))
+    for i, stroke in enumerate(strokes):
+        _check_type(stroke, Stroke, f"strokes[{i}]")
     table = _stroke_table(strokes)
     # Each u-span from the width ratio, not as a difference of two logs.
     spans = np.array([math.log(s.L_end / s.L_start) for s in strokes])
@@ -414,42 +415,39 @@ def stroke_work_quadrature(strokes: Stroke | Sequence[Stroke],
 def sample_stroke(stroke: Stroke, count: int, stroke_index: int = 1) -> SampleTable:
     """Column table of ``count`` samples at uniformly spaced widths, endpoints included.
 
-    Builds no :class:`MixedState` and checks only ``count`` and the forces,
-    with :func:`_check_forces`: the stroke was checked when it was built, and
+    Force and ``2 E`` come from the stroke's one-row stroke table, as in
+    :meth:`Stroke.force_at`, and the energy is half of ``2 E``.  Builds no
+    :class:`MixedState` and checks only ``count`` and the forces, with
+    :func:`_check_forces`: the stroke was checked when it was built, and
     every width lies between its ends.  An adiabat's fixed state is broadcast
     over all rows; an isotherm's populations come from one population
     staircase over all widths, as levels ``k, k + 1`` (``k`` alone where the
-    state is pure), and so does its level-square sum.  Every value
-    equals, bit for bit, what ``wall_force``, ``expectation_energy``,
-    ``entropy`` and ``.populations`` give for the state at ``L``:
-    ``stroke.state_start`` on an adiabat, :func:`isothermal_state_at` on an
-    isotherm.
+    state is pure).  Every value equals, bit for bit, what ``wall_force``,
+    ``expectation_energy``, ``entropy`` and ``.populations`` give for the
+    state at ``L``: ``stroke.state_start`` on an adiabat,
+    :func:`isothermal_state_at` on an isotherm.
     """
+    _check_type(stroke, Stroke, "stroke")
     count = _check_int(count, "count", 2, MAX_SAMPLES_PER_STROKE)
     widths = np.linspace(stroke.L_start, stroke.L_end, count)
+    twice_energy, force = _table_forces(_stroke_table((stroke,))[0], widths)
+    _check_forces(force, np.zeros(widths.size, np.intp), (stroke.L_start,))
     if stroke.kind is StrokeKind.ADIABATIC:
         state = stroke.state_start
         levels = np.broadcast_to(state.levels, (widths.size, state.support_size))
         weights = np.broadcast_to(state.weights, levels.shape)
-        square_sum = _level_square_sum(state)
         row_entropy = np.full(widths.size, entropy(state))
     else:
         k, w_upper = _staircase(widths / stroke.base_scale)
         levels = np.stack([k, np.where(w_upper == 0.0, 0.0, k + 1.0)], axis=1).astype(np.int64)
         weights = np.stack([1.0 - w_upper, w_upper], axis=1)
-        square_sum = _staircase_square_sum(k, w_upper)
         row_entropy = -(weights * np.log(np.where(weights > 0.0, weights, 1.0))).sum(axis=1) + 0.0
-    with np.errstate(all="ignore"):
-        energy = _energy_from_square_sum(square_sum, widths, 0.5 * (math.pi * stroke.params.hbar) ** 2,
-                                         stroke.params.mass)
-        force = 2.0 * energy / widths
-    _check_forces(force, np.zeros(widths.size, np.intp), (stroke.L_start,))
     return SampleTable(
         stroke_index=np.full(widths.size, stroke_index),
         stroke_kind=np.full(widths.size, stroke.kind.value),
         L=widths,
         force=force,
-        energy=energy,
+        energy=0.5 * twice_energy,
         entropy=row_entropy,
         levels=levels,
         weights=weights,

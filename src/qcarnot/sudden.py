@@ -177,7 +177,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxmodel import MixedState, _check_int, _check_real, _check_state
+from .boxmodel import MixedState, _check_int, _check_real, _check_type
 from .errors import DomainError, TruncationError, VerificationError
 
 # Indices per block of the series kernel: its four float64 buffers (m, m^2,
@@ -550,29 +550,30 @@ def _energy_tail_enclosure(n: int, alpha: float, terms: int) -> tuple[float, flo
     return lo, hi
 
 
-def _floor_terms(alpha: float, n_max: int, budget: int) -> int:
-    """Least cutoff :func:`_energy_tail_enclosure` admits for levels up to
-    ``n_max``, ``max(64, ceil(2 alpha n_max) + 2)``.  Raises
-    :class:`TruncationError` when it exceeds ``budget``; a cutoff beyond
-    ``_MAX_BUDGET`` is named in ``%.17g`` form, not with all its digits."""
+def _certified_cutoff(alpha: float, pairs, budget: int, target: float) -> tuple[int, float]:
+    """Least cutoff ``M`` in ``[floor, budget]``, and its bound, with
+    ``sum(share * hi_n(M)) <= target`` over the ``(level n, energy share)``
+    ``pairs``; ``hi_n``, the upper end of :func:`_energy_tail_enclosure`,
+    must be non-increasing in ``M``.  The floor ``max(64, ceil(2 alpha n_max)
+    + 2)`` is the least cutoff the enclosure admits for levels up to
+    ``n_max``.  Raises :class:`TruncationError` when the floor exceeds
+    ``budget`` (a floor beyond ``_MAX_BUDGET`` is named in ``%.17g`` form, not
+    with all its digits) or when even ``budget`` terms cannot certify the
+    target."""
     try:
-        floor_terms = max(64, math.ceil(2.0 * alpha * n_max) + 2)
+        floor_terms = max(64, math.ceil(2.0 * alpha * max(n for n, _ in pairs)) + 2)
     except OverflowError:
         floor_terms = math.inf
     if floor_terms > budget:
         shown = floor_terms if floor_terms <= _MAX_BUDGET else "%.17g" % floor_terms
         raise TruncationError(f"budget {budget} is below the minimum cutoff {shown}")
-    return floor_terms
 
+    def bound_at(terms: int) -> float:
+        return sum(share * _energy_tail_enclosure(n, alpha, terms)[1] for n, share in pairs)
 
-def _smallest_terms(bound_at, floor_terms: int, budget: int, target: float) -> int:
-    """Least term count in [floor_terms, budget] with ``bound_at(terms) <= target``.
-
-    ``bound_at`` must be non-increasing.  Raises :class:`TruncationError` when
-    even ``budget`` terms cannot certify the target.
-    """
-    if bound_at(floor_terms) <= target:
-        return floor_terms
+    bound = bound_at(floor_terms)
+    if bound <= target:
+        return floor_terms, bound
     worst = bound_at(budget)
     if worst > target:
         raise TruncationError(
@@ -586,7 +587,7 @@ def _smallest_terms(bound_at, floor_terms: int, budget: int, target: float) -> i
             hi = mid
         else:
             lo = mid + 1
-    return lo
+    return lo, bound_at(lo)
 
 
 def verify_energy_identity(n, alpha, tol, max_terms: int = IDENTITY_TERM_BUDGET) -> TruncationReport:
@@ -604,14 +605,8 @@ def verify_energy_identity(n, alpha, tol, max_terms: int = IDENTITY_TERM_BUDGET)
     tol = _check_real(tol, "tol", 0.0, 1e-4)
     max_terms = _check_int(max_terms, "max_terms", 1, _MAX_BUDGET)
 
-    terms = _smallest_terms(
-        lambda M: _energy_tail_enclosure(n, alpha, M)[1],
-        _floor_terms(alpha, n, max_terms),
-        max_terms,
-        0.95 * tol,
-    )
+    terms, bound = _certified_cutoff(alpha, [(n, 1.0)], max_terms, 0.95 * tol)
     achieved = _energy_series(alpha, n, terms)
-    bound = _energy_tail_enclosure(n, alpha, terms)[1]
     report = TruncationReport(terms_used=terms, tail_bound=bound, achieved_sum=achieved)
     if abs(achieved - 1.0) > tol:
         raise VerificationError(
@@ -634,7 +629,7 @@ def post_expansion_distribution(state: MixedState, alpha, tail_tol,
     captured mass is reported as ``achieved_sum`` (raw weights are
     ``weights * achieved_sum``) and the certified bound as ``tail_bound``.
     """
-    _check_state(state)
+    _check_type(state, MixedState, "state")
     alpha = _check_alpha(alpha)
     tail_tol = _check_real(tail_tol, "tail_tol", 0.0, 1e-3)
     term_budget = _check_int(term_budget, "term_budget", 1, _MAX_BUDGET)
@@ -647,13 +642,8 @@ def post_expansion_distribution(state: MixedState, alpha, tail_tol,
     weights = state.weights
     energy_share = weights * levels * levels
     energy_share = energy_share / energy_share.sum()
-    floor_terms = _floor_terms(alpha, int(state.levels[-1]), term_budget)
     pairs = [(int(n), float(es)) for n, es in zip(state.levels, energy_share)]
-
-    def bound_at(terms: int) -> float:
-        return sum(es * _energy_tail_enclosure(n, alpha, terms)[1] for n, es in pairs)
-
-    terms = _smallest_terms(bound_at, floor_terms, term_budget, tail_tol)
+    terms, bound = _certified_cutoff(alpha, pairs, term_budget, tail_tol)
 
     new_weights = np.empty(terms, dtype=np.float64)
     achieved = _square_series(
@@ -685,9 +675,7 @@ def post_expansion_distribution(state: MixedState, alpha, tail_tol,
     new_levels.setflags(write=False)
     new_weights.setflags(write=False)
     out = MixedState(new_levels, new_weights)
-    return out, TruncationReport(
-        terms_used=terms, tail_bound=bound_at(terms), achieved_sum=achieved
-    )
+    return out, TruncationReport(terms_used=terms, tail_bound=bound, achieved_sum=achieved)
 
 
 def cosine_series(x, u) -> float:

@@ -346,6 +346,17 @@ class TestSimulate:
         assert len(err) == 1 and err[0].startswith("error: energy scale out of range")
         assert not (tmp_path / "out").exists()
 
+    def test_energy_scale_needs_no_width_cubed(self, tmp_path, capsys):
+        # L^3 = 1e-303 and m L^3 = 1e-293 here, but no formula forms them: the
+        # energies reach 2e193, the forces 2E/L 4e294 and m L^2 1e-192.
+        path = tmp_path / "large.spec"
+        path.write_text("[well]\nhbar = 1\nmass = 1e10\n"
+                        "[cycle]\ntop_level = 2\nL1 = 1e-101\nL3 = 4e-101\n")
+        assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 0
+        out = capsys.readouterr().out
+        assert "eta_closed_form = 0.75\n" in out and "W = 5.13" in out
+        assert (tmp_path / "out" / "samples.csv").exists()
+
     @pytest.mark.parametrize("top_level", [MAX_TOP_LEVEL + 1, 2 ** 63 - 1])
     def test_top_level_beyond_largest_exits_1(self, top_level, tmp_path):
         path = tmp_path / "huge.spec"

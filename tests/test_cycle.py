@@ -11,6 +11,7 @@ from qcarnot import (
     CarnotSpec,
     CycleGeometryError,
     DomainError,
+    MixedState,
     ProcessSample,
     SampleTable,
     WellParams,
@@ -19,7 +20,9 @@ from qcarnot import (
     isothermal_state_at,
     polyline_work,
     sample_cycle,
+    sample_stroke,
     stroke_work,
+    stroke_work_quadrature,
 )
 from qcarnot.cycle import MAX_SAMPLES_PER_STROKE, MAX_TOP_LEVEL
 
@@ -73,6 +76,19 @@ class TestBuild:
         spec = CarnotSpec(2, L1, 4.0)
         assert type(spec.L1) is float and spec.L1 == 1.0
         assert evaluate_cycle(build_carnot_cycle(spec)) == evaluate_cycle(build_carnot_cycle(FLAGSHIP))
+
+    @pytest.mark.parametrize("top_level, samples", [
+        (2.0, 256), (np.int64(2), np.int64(8)), (np.float64(2.0), 8.0), (np.int32(2), np.uint16(8)),
+    ])
+    def test_integers_stored_as_python_ints(self, top_level, samples):
+        spec = CarnotSpec(top_level, 1.0, 4.0, samples_per_stroke=samples)
+        assert type(spec.top_level) is int and spec.top_level == 2
+        assert type(spec.samples_per_stroke) is int and spec.samples_per_stroke == samples
+
+    def test_geometry_message_uses_the_stored_level(self):
+        with pytest.raises(CycleGeometryError) as info:
+            CarnotSpec(np.int64(2), 1.0, 1.5)
+        assert str(info.value) == "L3 must exceed top_level*L1: got L3=1.5, top_level*L1=2.0"
 
     @pytest.mark.parametrize("bad", [
         True, np.bool_(True), math.nan, np.float32("nan"), math.inf, np.float64(-np.inf),
@@ -289,3 +305,22 @@ class TestSampleTableProtocol:
         reverse = reversed_table(table)
         assert list(reverse) == list(reversed(table))
         assert polyline_work(reverse) == pytest.approx(-polyline_work(table), rel=1e-12)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: stroke_work("x"), "stroke"),
+    (lambda: stroke_work_quadrature("x"), r"strokes\[0\]"),
+    (lambda: stroke_work_quadrature([build_carnot_cycle(FLAGSHIP).strokes[0], "x"]), r"strokes\[1\]"),
+    (lambda: stroke_work_quadrature(3), "strokes"),
+    (lambda: sample_stroke("x", 3), "stroke"),
+    (lambda: build_carnot_cycle("x"), "spec"),
+    (lambda: evaluate_cycle("x"), "cycle"),
+    (lambda: sample_cycle("x"), "cycle"),
+    (lambda: polyline_work("x"), "samples"),
+    (lambda: MixedState.from_pairs(3), "pairs"),
+], ids=["stroke_work", "stroke_work_quadrature", "stroke_work_quadrature-item",
+        "stroke_work_quadrature-int", "sample_stroke", "build_carnot_cycle", "evaluate_cycle",
+        "sample_cycle", "polyline_work", "from_pairs"])
+def test_wrong_type_argument_raises_domain_error_naming_it(call, name):
+    with pytest.raises(DomainError, match=f"^{name} must be an? [A-Z]\\w+, got "):
+        call()

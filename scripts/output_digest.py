@@ -13,7 +13,8 @@ the trees; the spec files are always this tree's.  The grid:
 - the README sweep, and a 50-step ``three_state.spec`` sweep with L3 from 3
   to 300: the exit code, stdout, stderr and the CSV, one digest each;
 - ``verify-identity`` at every ``(n, alpha, tol)`` of ``N`` x ``ALPHAS`` x
-  ``TOLS``: the exit code with stdout and stderr;
+  ``TOLS``, and at each ``(n, alpha, tol, max_terms)`` of ``LONG_IDENTITIES``:
+  the exit code with stdout and stderr;
 - ``post_expansion_distribution`` on each of ``EXPANSIONS``: ``terms_used``,
   ``tail_bound`` and ``achieved_sum`` in ``repr`` form with the bytes of the
   state's levels and weights, or the error's class and text.
@@ -35,6 +36,13 @@ SWEEPS = (
 N = ("1", "2", "3", "5", "8")
 ALPHAS = ("1.05", "1.3", "1.5", "2", "2.5", "3.7", "10")
 TOLS = ("1e-4", "1e-6", "3e-7")
+# Cutoffs past the default budget of 1e8 terms: (1, 2, 1e-9) at the least
+# budget that certifies it, then two near 1e9 terms.
+LONG_IDENTITIES = (
+    ("1", "2", "1e-9", "426615512"),
+    ("3", "2.6", "3e-9", "1000000000"),
+    ("5", "1.05", "1e-9", "1000000000"),
+)
 # (levels, alpha, tail_tol, term_budget), weights proportional to 1, 2, ...:
 # the nine-, five- and two-level shapes of the benchmark's expansions, then a
 # budget below the least cutoff and one too small to certify the tolerance.
@@ -90,6 +98,9 @@ def digests(work: Path):
             for tol in TOLS:
                 argv = ["verify-identity", "--n", n, "--alpha", alpha, "--tol", tol]
                 yield " ".join(argv), run(*argv)
+    for n, alpha, tol, budget in LONG_IDENTITIES:
+        argv = ["verify-identity", "--n", n, "--alpha", alpha, "--tol", tol, "--max-terms", budget]
+        yield " ".join(argv), run(*argv)
     for case in EXPANSIONS:
         yield "expand " + " ".join(map(repr, case)), expand(*case)
 

@@ -224,8 +224,15 @@ class MixedState:
         if isinstance(pairs, dict):
             pairs = pairs.items()
         _check_type(pairs, Iterable, "pairs")
-        items = sorted((_check_int(n, "level"), _check_real(w, "weight", -math.inf))
-                       for n, w in pairs)
+        items = []
+        for i, pair in enumerate(pairs):
+            try:
+                n, w = pair
+            except (TypeError, ValueError):
+                raise DomainError(
+                    f"pairs[{i}] must be a (level, weight) pair, got {pair!r}") from None
+            items.append((_check_int(n, "level"), _check_real(w, "weight", -math.inf)))
+        items.sort()
         levels = np.array([n for n, _ in items], dtype=np.int64)
         weights = np.array([w for _, w in items], dtype=np.float64)
         if levels.size > 1 and np.any(np.diff(levels) == 0):

@@ -289,7 +289,8 @@ def _fail(message: str, code: int) -> int:
 
 # Exit code of each failure a command raises, looked up along the exception's
 # MRO.  A spec file that cannot be read raises SpecFormatError, so an OSError
-# comes from writing the output.
+# comes from writing the output.  A MemoryError is an allocation the host
+# cannot meet, such as the sample table of a large samples_per_stroke.
 _EXIT_CODES = {
     SpecFormatError: 1,
     DomainError: 1,
@@ -297,6 +298,7 @@ _EXIT_CODES = {
     VerificationError: 1,
     EngineError: 2,
     OSError: 2,
+    MemoryError: 2,
 }
 
 
@@ -311,9 +313,13 @@ def _exit_code(command):
         except tuple(_EXIT_CODES) as exc:
             if isinstance(exc, VerificationError):
                 _print_identity(exc.report, sys.stderr)
-            prefix = "cannot write output: " if isinstance(exc, OSError) else ""
+            message = str(exc)
+            if isinstance(exc, OSError):
+                message = f"cannot write output: {message}"
+            elif isinstance(exc, MemoryError):  # whose text may be empty
+                message = f"out of memory: {message}" if message else "out of memory"
             code = next(_EXIT_CODES[c] for c in type(exc).__mro__ if c in _EXIT_CODES)
-            return _fail(f"{prefix}{exc}", code)
+            return _fail(message, code)
         return 0
 
     return run

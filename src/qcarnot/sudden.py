@@ -99,10 +99,14 @@ order of the benchmark's nine-level expansion.  Its truncation adds at most
 The identity's single-level energy series takes a moment path past the head
 ``H = max(2**14, ceil(4 a))``, so that ``a / m <= 1/4`` there; the head keeps
 the per-index path, with its resonances and exact zeros.  Past ``H`` the
-indices run in blocks ``m = s + i``, ``i < w``, with ``w / s <= 1/64``: ``w =
-256`` from ``H + 1``, and ``w = 4096`` from the first start at or past
-``2**18``.  With ``x = i / w``, ``rho = w / s``, ``eps = (a / s)^2`` and ``u =
-m / s = 1 + rho x``, expanding ``u^2 / (u^2 - eps)^2 = sum_j (j + 1) eps^j
+indices run in blocks ``m = s + i``, ``i < w``, up to the cutoff ``M``: a
+block at ``s`` takes the largest power of two ``w`` with ``64 w <= s`` and
+``s + w - 1 <= M`` (:func:`_moment_schedule`).  So ``w / s <= 1/64`` in
+every block, the width doubles every 64 blocks, and the end of the range
+steps down through smaller widths, to 1 if need be.  The block count grows
+with ``log M``, not ``M``: 525 blocks at ``M = 4.6e6``, 2,541 at ``M = 2**53
+- 1``.  With ``x = i / w``, ``rho = w / s``, ``eps = (a / s)^2`` and ``u = m
+/ s = 1 + rho x``, expanding ``u^2 / (u^2 - eps)^2 = sum_j (j + 1) eps^j
 u^(-2j - 2)`` in ``rho x`` gives
 
     m^2 / (m^2 - a^2)^2 = s^-2 sum_k (-rho x)^k A_k(eps),
@@ -116,12 +120,19 @@ theta i)) / 2`` with ``phi_s = 2 theta s`` on ``s`` reduced exactly modulo
     (c^2 / (2 s^2)) sum_k (-rho)^k A_k(eps) (P_k - cos(phi_s) C_k + sin(phi_s) S_k),
 
 where ``P_k``, ``C_k`` and ``S_k`` sum ``x^k``, ``cos(2 theta i) x^k`` and
-``sin(2 theta i) x^k`` over ``i < w``, on ``i`` reduced like the kernel's
-offsets.  They are tabulated once per call and width, so a block costs a few
-hundred flops whatever its width, where the per-index path takes about ten
-passes over each index; each width's blocks are evaluated as arrays, and a
-trailing partial block goes per index.  All block sums, the head's and the
-moment path's, are added by one :func:`math.fsum`.
+``sin(2 theta i) x^k`` over ``i < w``.  The tables start at width 1, where
+``x = 0`` alone, and each width ``2w`` comes from width ``w`` by one
+doubling (:func:`_moment_tables`): with ``T_k = C_k + i S_k``,
+
+    T_k(2w) = 2^-k [T_k(w) + e^(2i theta w) sum_l C(k, l) T_l(w)],
+
+and ``P_k`` alike without the rotation, whose ``w`` is reduced exactly
+modulo ``alpha`` with :func:`math.fmod`.  A doubling is a few elementwise
+numpy passes over ``(K + 1)^2`` entries, with no BLAS call, and a block
+costs a few hundred flops whatever its width, where the per-index path
+takes about ten passes over each index.  Every block is summed at the one
+order pair below, all of them as arrays in one call, and all block sums,
+the head's and the moment path's, are added by one :func:`math.fsum`.
 
 *Truncation.*  With ``b = a / s <= 1/4``, the partial fractions of
 ``u^2 / (u^2 - b^2)^2`` give ``A_k <= (k + 1) (1 - b)^-(k + 2)``, and ``s^2
@@ -131,35 +142,43 @@ m^2 / (m^2 - a^2)^2 >= (1 + rho)^-2`` in the block.  So cutting the sum over
 C(2j + 1 + k, k) rho^k = (1 - rho)^-(2j + 2)``, cutting every ``A_k`` after
 ``eps^J`` errs by at most ``((1 + rho) / (1 - rho))^2 (J + 2) y^(J + 1) / (1
 - y)^2``, ``y = eps / (1 - rho)^2``.  :func:`_moment_orders` takes the least
-``K`` and ``J`` that keep each at most ``2**-57`` for the first block of a
-width, where ``rho`` and ``eps`` are largest (``K <= 11``, ``J <= 15``).  As
-``sin^2 >= 0``, the truncated blocks are within ``2**-56`` relative of the
-exact sum they replace.
+``K`` and ``J`` that keep each at most ``2**-57`` at ``rho = 1/64`` and ``b =
+1/4``, the largest any block has: ``K = 11``, ``J = 15``.  As ``sin^2 >=
+0``, the truncated blocks are within ``2**-56`` relative of the exact sum
+they replace.
 
-*Rounding.*  Let ``delta = (4 pi + 2) u``, ``d = log2(w) + 11`` (the depth
-of numpy's pairwise sums over ``w`` terms) and ``f(m) = m^2 / (m^2 -
+*Rounding.*  Let ``delta = (4 pi + 2) u`` and ``f(m) = m^2 / (m^2 -
 a^2)^2``.  Then:
 
-- the tables: ``x^k`` carries ``k - 1`` roundings; each table sine and
-  cosine, and ``cos(phi_s)`` and ``sin(phi_s)``, is off by at most
-  ``delta`` absolute (an ulp of the reduced argument, the rounded ``2 pi /
-  alpha``, the product, the function); so ``P_k`` is within ``gamma_(k + d)
-  P_k``, and ``C_k`` and ``S_k`` within ``(gamma_(k + d) + delta) P_k``;
+- the tables: the cosine and sine of the rotation ``2 theta w`` and of
+  ``phi_s`` are each off by at most ``delta`` absolute (the rounded ``2 pi
+  / alpha``, the product, the function, on an exactly reduced argument).
+  As ``|C_l|, |S_l| <= P_l``, a doubling's binomial sums, rotation and add
+  put at most about ``1.5 gamma_(K + 4) + 2 delta`` of the ``P``-scaled
+  tables on each entry, and carry the errors of width ``w`` over unchanged
+  relative to ``P_k``.  Width ``2**D`` takes ``D`` doublings, ``D <= 47``
+  for ``M <= 2**53``, so every entry is within ``tau P_k``, ``tau = D (1.5
+  gamma_(K + 4) + 2 delta)``;
 - the Horner steps in ``eps``: ``eps`` takes two roundings and the
   coefficients are exact integers, so with positive terms ``A_k`` is within
   ``gamma_(4J + 1)`` relative;
-- the block combination: the bracket is within ``(3 gamma_(K + d + 4) + 5
+- the block combination: the bracket is within ``(3 tau + 3 gamma_4 + 2
   delta) P_k``, and its product with ``A_k``, the Horner steps in ``-rho``
   and the scale ``c^2 / (2 s^2)`` add ``gamma_(3K + 8)``.
 
-As ``|C_k|, |S_k| <= P_k`` and ``sum_k rho^k A_k x^k = s^2 f(s (1 - rho
-x)) <= 1.08 s^2 f(m)``, a block errs by at most ``1.62 (gamma_N + 5 delta)
-c^2 sum_m f(m)`` over its indices, ``N = 4J + 6K + 3d + 21``.  Past ``H >=
-4 alpha n``, ``c^2 sum_m f(m) <= (16/15)^2 c^2 / H <= 0.116 / n``, so the
-moment path errs by at most ``0.19 (gamma_N + 5 delta) / n`` absolute, about
-``6e-15 / n`` at ``K = 11``, ``J = 15`` and ``w = 4096``; the final
-:func:`math.fsum` adds half an ulp.  That is a worst case: on the tests'
-grid of ratios and levels the two paths differ by at most ``1.2e-16``.
+As ``sum_k rho^k A_k x^k = s^2 f(s (1 - rho x)) <= 1.08 s^2 f(m)``, a block
+errs by at most ``1.62 (gamma_N + 3 tau + 2 delta) c^2 sum_m f(m)`` over its
+indices, ``N = 4J + 3K + 21``.  Past ``H >= 4 alpha n``, ``c^2 sum_m f(m) <=
+(16/15)^2 c^2 / H <= 0.116 / n``, so the moment path errs by at most ``0.19
+(gamma_N + 3 tau + 2 delta) / n`` absolute, with ``D`` that of the widest
+block: about ``4.2e-14 / n`` at ``K = 11``, ``J = 15`` and ``D = 12`` (``w
+= 4096``), and ``1.6e-13 / n`` at ``D = 47``; the final :func:`math.fsum`
+adds half an ulp.  That is a worst case.  The tables' entries stay within
+a few ulps of their own size at every width, as each rotation is by an
+exactly reduced ``w``; by the unreduced ``2 theta w`` a rotation would err
+by about ``w`` ulps.  On the tests' grid of ratios and levels the two paths differ by at most ``1.2e-16``, and
+its blocks of width ``2**12`` and ``2**14`` at starts near ``2**45`` and
+``2**52`` match 50-digit sums to within an ulp.
 
 :func:`verify_energy_identity` certifies the identity numerically: it sums
 the series up to ``M`` terms, as above, and bounds the neglected tail
@@ -194,11 +213,10 @@ _SERIES_TOL = 2.0 ** -56
 _SERIES_MAX_ORDER = 64
 
 # The identity's series takes its indices past the head max(_MOMENT_HEAD,
-# ceil(4 alpha n)) in blocks of these widths, each from the block start
-# _MOMENT_SPAN times its width on, and cuts each of the block moment path's
-# two power series at _MOMENT_TOL relative (see the module docstring).
+# ceil(4 alpha n)) in blocks of power-of-two widths at most 1/_MOMENT_SPAN of
+# their start, and cuts each of the block moment path's two power series at
+# _MOMENT_TOL relative (see the module docstring).
 _MOMENT_HEAD = 1 << 14
-_MOMENT_WIDTHS = (256, 4096)
 _MOMENT_SPAN = 64
 _MOMENT_TOL = 2.0 ** -57
 
@@ -433,31 +451,54 @@ def _moment_orders(rho: float, b: float) -> tuple[int, int]:
     return order, depth
 
 
-def _moment_tables(alpha: float, width: int, order: int) -> np.ndarray:
-    """Rows ``(P_k, C_k, S_k)``, ``k = 0 .. order``: the sums over the offsets
-    ``i < width`` of ``x^k``, ``cos(2 theta i) x^k`` and ``sin(2 theta i) x^k``,
-    with ``x = i / width`` and ``theta = pi / alpha``, on reduced ``i``."""
-    powers = np.empty((order + 1, width))
-    powers[0] = 1.0
-    x = np.arange(width) / width
-    for k in range(1, order + 1):
-        np.multiply(powers[k - 1], x, out=powers[k])
-    angle = _reduced_offsets(alpha, width)
-    angle *= 2.0 * math.pi / alpha
-    trig = np.stack((np.ones(width), np.cos(angle), np.sin(angle)))
-    return (powers[:, None, :] * trig).sum(axis=2)
+def _moment_schedule(head: int, terms: int) -> tuple[list[int], list[int]]:
+    """Starts and widths of the blocks that tile ``m = head + 1 .. terms``,
+    ``head >= 63``: a block at ``s`` takes the largest power of two ``w``
+    with ``64 w <= s`` and ``s + w - 1 <= terms``."""
+    starts, widths = [], []
+    start = head + 1
+    while start <= terms:
+        width = 1 << (min(start // _MOMENT_SPAN, terms + 1 - start).bit_length() - 1)
+        starts.append(start)
+        widths.append(width)
+        start += width
+    return starts, widths
 
 
-def _moment_block_sums(alpha: float, a: float, starts: np.ndarray, width: int,
+def _moment_tables(alpha: float, levels: int, order: int) -> np.ndarray:
+    """Rows ``(P_k, C_k, S_k)``, ``k = 0 .. order``, for the widths ``w =
+    2**0 .. 2**levels``: the sums over the offsets ``i < w`` of ``x^k``,
+    ``cos(2 theta i) x^k`` and ``sin(2 theta i) x^k``, with ``x = i / w`` and
+    ``theta = pi / alpha``.
+
+    Width 1 holds ``x = 0`` alone.  Width ``2w`` holds the offsets of ``w``
+    at ``x / 2`` and, shifted by ``w``, at ``(1 + x) / 2``, which gives the
+    doubling of the module docstring."""
+    ks = range(order + 1)
+    binomials = np.array([[math.comb(k, l) for l in ks] for k in ks], dtype=np.float64)
+    halves = 0.5 ** np.arange(order + 1)
+    tables = np.zeros((levels + 1, 3, order + 1))
+    tables[0, :2, 0] = 1.0
+    for level in range(levels):
+        phase = math.fmod(2.0 ** level, alpha) * (2.0 * math.pi / alpha)
+        cos, sin = math.cos(phase), math.sin(phase)
+        p, c, s = (binomials * tables[level][:, None, :]).sum(axis=2)
+        tables[level + 1] = (tables[level] + (p, cos * c - sin * s, sin * c + cos * s)) * halves
+    return tables
+
+
+def _moment_block_sums(alpha: float, a: float, starts: list[int], widths: list[int],
                        order: int, depth: int) -> np.ndarray:
-    """Sums of the identity's terms over the blocks ``m = s .. s + width - 1``,
-    ``s`` in ``starts``, each from the moment tables: the series in ``rho =
-    width / s`` cut after ``rho^order``, each ``A_k`` after ``eps^depth``."""
-    tables = _moment_tables(alpha, width, order)
+    """Sums of the identity's terms over the blocks ``m = s .. s + w - 1``,
+    ``(s, w)`` in ``zip(starts, widths)``, ``w`` a power of two, each from the
+    moment tables: the series in ``rho = w / s`` cut after ``rho^order``,
+    each ``A_k`` after ``eps^depth``."""
+    rows = [w.bit_length() - 1 for w in widths]
+    tables = _moment_tables(alpha, max(rows), order)[rows].transpose(1, 2, 0)
+    starts = np.array(starts, dtype=np.float64)
     coefficients = np.array([[(j + 1) * math.comb(2 * j + 1 + k, k) for j in range(depth + 1)]
                              for k in range(order + 1)], dtype=np.float64)
-    eps = a / starts
-    eps *= eps
+    eps = (a / starts) ** 2
     # A_k(eps) by Horner's rule, for every k and block at once.
     moments = np.zeros((order + 1, starts.size))
     for j in reversed(range(depth + 1)):
@@ -465,11 +506,10 @@ def _moment_block_sums(alpha: float, a: float, starts: np.ndarray, width: int,
         moments += coefficients[:, j, None]
     # Times the block's sin^2 moments 2 W_k = P_k - cos(phi) C_k + sin(phi) S_k.
     # cos(2 theta s) and sin(2 theta s) on s reduced exactly modulo alpha.
-    phase = np.fmod(starts, alpha)
-    phase *= 2.0 * math.pi / alpha
-    moments *= tables[:, 0, None] - tables[:, 1, None] * np.cos(phase) + tables[:, 2, None] * np.sin(phase)
+    phase = np.fmod(starts, alpha) * (2.0 * math.pi / alpha)
+    moments *= tables[0] - tables[1] * np.cos(phase) + tables[2] * np.sin(phase)
     # Horner's rule in -rho on the sum over k.
-    rho = -width / starts
+    rho = -np.array(widths, dtype=np.float64) / starts
     sums = np.zeros(starts.size)
     for k in reversed(range(order + 1)):
         sums *= rho
@@ -480,26 +520,16 @@ def _moment_block_sums(alpha: float, a: float, starts: np.ndarray, width: int,
 
 def _energy_series(alpha: float, n: int, terms: int) -> float:
     """The identity's partial sum over ``m = 1 .. terms``: per index up to
-    the head ``max(2**14, ceil(4 alpha n))``, then from block moments, with a
-    trailing partial block per index again."""
+    the head ``max(2**14, ceil(4 alpha n))``, then from block moments over
+    the blocks of :func:`_moment_schedule`."""
     a = alpha * n
     head = max(_MOMENT_HEAD, math.ceil(4.0 * a))
     if terms <= head:
         return _square_series(alpha, terms, [n])
-    sums = _square_block_sums(alpha, head, [n])
-    start = head + 1
-    # A width's blocks end where the next width may start, or at the terms.
-    ends = [_MOMENT_SPAN * width for width in _MOMENT_WIDTHS[1:]] + [terms + 1]
-    for width, end in zip(_MOMENT_WIDTHS, ends):
-        count = min(max(0, -((start - end) // width)), (terms + 1 - start) // width)
-        if count:
-            order, depth = _moment_orders(width / start, a / start)
-            starts = start + width * np.arange(count, dtype=np.float64)
-            sums.extend(_moment_block_sums(alpha, a, starts, width, order, depth).tolist())
-            start += count * width
-    if start <= terms:
-        sums.extend(_square_block_sums(alpha, terms, [n], first=start))
-    return math.fsum(sums)
+    # Every block has w / s <= 1/64 and, past the head, a / s < 1/4.
+    order, depth = _moment_orders(1.0 / _MOMENT_SPAN, 0.25)
+    sums = _moment_block_sums(alpha, a, *_moment_schedule(head, terms), order, depth)
+    return math.fsum(_square_block_sums(alpha, head, [n]) + sums.tolist())
 
 
 def level_overlap_squares(n, alpha, m_count: int) -> np.ndarray:

@@ -33,7 +33,16 @@ class TestCheckers:
         (lambda: expectation_energy(MixedState.pure(1), 1.0, None),
          "params must be a WellParams, got None"),
         (lambda: eigenenergy(1, 1.0, None), "params must be a WellParams, got None"),
-    ], ids=["energy-state", "force-state", "entropy-state", "energy-params", "eigenenergy-params"])
+        (lambda: MixedState.from_pairs([3]), "pairs[0] must be a (level, weight) pair, got 3"),
+        (lambda: MixedState.from_pairs([None]),
+         "pairs[0] must be a (level, weight) pair, got None"),
+        (lambda: MixedState.from_pairs("ab"), "pairs[0] must be a (level, weight) pair, got 'a'"),
+        (lambda: MixedState.from_pairs([(1,)]),
+         "pairs[0] must be a (level, weight) pair, got (1,)"),
+        (lambda: MixedState.from_pairs([(2, 0.5), (1, 0.5, 2)]),
+         "pairs[1] must be a (level, weight) pair, got (1, 0.5, 2)"),
+    ], ids=["energy-state", "force-state", "entropy-state", "energy-params", "eigenenergy-params",
+            "pairs-int", "pairs-none", "pairs-str", "pairs-single", "pairs-triple"])
     def test_state_and_params_types(self, call, text):
         with pytest.raises(DomainError) as caught:
             call()

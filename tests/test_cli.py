@@ -334,6 +334,20 @@ class TestSimulate:
         assert cmd_simulate(spec_path, blocker / "sub") == 2
         assert "cannot write" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("error, line", [
+        (MemoryError(), "error: out of memory"),
+        (MemoryError("Unable to allocate 8.00 GiB"),
+         "error: out of memory: Unable to allocate 8.00 GiB"),
+    ], ids=["empty", "numpy"])
+    def test_memory_exhaustion_exits_2(self, spec_path, tmp_path, monkeypatch, error, line):
+        def sample(cycle):
+            raise error
+
+        monkeypatch.setattr(cli, "sample_cycle", sample)
+        code, err = _run_main(["simulate", str(spec_path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert err.splitlines() == [line]
+
     @pytest.mark.parametrize("text", [
         "[well]\nhbar = 1e160\n" + MINIMAL,
         "[cycle]\ntop_level = 2\nL1 = 1e-170\nL3 = 4e-170\n",
@@ -745,8 +759,8 @@ class TestExitCodeContract:
 
     @given(n=_mostly(st.integers(1, 8).map(str), _LEVEL),
            alpha=_mostly(_floats(1.01, 5.0), _REAL),
-           tol=_mostly(_floats(1e-7, 1e-4), _REAL),
-           budget=_mostly(st.integers(64, 10 ** 6).map(str), _BUDGET), stray=_STRAY)
+           tol=_mostly(_floats(1e-15, 1e-4), _REAL),
+           budget=_mostly(st.integers(64, 2 ** 53).map(str), _BUDGET), stray=_STRAY)
     @settings(max_examples=300, deadline=None)
     def test_verify_identity_flags(self, n, alpha, tol, budget, stray):
         argv = ["verify-identity", "--n", n, "--alpha", alpha, "--tol", tol, "--max-terms", budget]

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -459,39 +460,49 @@ class TestMomentPath:
 
     # Fixed before any comparison was run: four ulps of 1 from below.
     ABS_TOL = 4.4e-16
+    # The one order pair of every block: w / s <= 1/64 and a / s < 1/4.
+    ORDERS = sudden._moment_orders(1.0 / 64, 0.25)
 
     @staticmethod
     def _cutoffs(alpha, n):
-        """``M`` at the head and one past it, at each width boundary and one
-        either side of it, and in a partial last block."""
+        """``M`` at the head and one past it, at the end of the last block
+        before each width change of the ladder up to 2**17 and one either
+        side of it, and one whose last blocks step down to width 1."""
         head = max(sudden._MOMENT_HEAD, math.ceil(4.0 * alpha * n))
-        narrow, wide = sudden._MOMENT_WIDTHS
-        start = head + 1
-        # The first start of a wide block: narrow blocks run up to it.
-        switch = start + narrow * max(0, -((start - sudden._MOMENT_SPAN * wide) // narrow))
-        edges = [head + narrow, switch - 1, switch - 1 + wide]
-        return [head, head + 1, *(e + d for e in edges for d in (-1, 0, 1)),
-                switch - 1 + 3 * wide + 1234]
+        starts, widths = sudden._moment_schedule(head, 2 ** 17)
+        changes = [s for s, w, before in zip(starts[1:], widths[1:], widths) if w > before]
+        return [head, head + 1, *(s - 1 + d for s in changes for d in (-1, 0, 1)),
+                2 ** 17 + 2047]
 
     @staticmethod
     def _block_mpmath(alpha, a, start, width, order=None, depth=None):
-        """A block's sum of the identity's terms at 50 digits; with ``order``
-        and ``depth``, of its moment series cut after ``rho^order`` and
+        """A block's sum of the identity's terms at 50 digits, the exact
+        resonance ``m = a`` at its limit ``1 / alpha``; with ``order`` and
+        ``depth``, of its moment series cut after ``rho^order`` and
         ``eps^depth``."""
         mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(50):
             alpha, a, s = mpmath.mpf(alpha), mpmath.mpf(a), mpmath.mpf(start)
             scale = 4 * alpha / mpmath.pi ** 2
-            if order is None:
-                rational = [(s + i) ** 2 / ((s + i) ** 2 - a * a) ** 2 for i in range(width)]
-            else:
+            if order is not None:
                 eps, rho = (a / s) ** 2, mpmath.mpf(width) / s
                 moments = [sum((j + 1) * math.comb(2 * j + 1 + k, k) * eps ** j
                                for j in range(depth + 1)) for k in range(order + 1)]
-                rational = [sum(A * (-rho * i / width) ** k for k, A in enumerate(moments)) / s ** 2
-                            for i in range(width)]
-            return float(scale * mpmath.fsum(mpmath.sin(mpmath.pi * (s + i) / alpha) ** 2 * r
-                                             for i, r in enumerate(rational)))
+            # cos(2 theta m) by the three-term recurrence, sin^2 = (1 - cos) / 2.
+            step = 2 * mpmath.cos(2 * mpmath.pi / alpha)
+            before, cosine = (mpmath.cos(2 * mpmath.pi * (s + d) / alpha) for d in (-1, 0))
+            total = 0
+            for i in range(width):
+                m = s + i
+                if order is not None:
+                    total += scale * (1 - cosine) / 2 * sum(
+                        A * (-rho * i / width) ** k for k, A in enumerate(moments)) / s ** 2
+                elif m == a:
+                    total += 1 / alpha
+                else:
+                    total += scale * (1 - cosine) / 2 * m * m / (m * m - a * a) ** 2
+                before, cosine = cosine, step * cosine - before
+            return float(total)
 
     @pytest.mark.parametrize("alpha", [1.05, 1.3, 2.0, 2.6, 3.7, 10.0, 1e3])
     def test_matches_the_per_index_sum(self, alpha):
@@ -506,8 +517,86 @@ class TestMomentPath:
         assert head > sudden._MOMENT_HEAD
         assert self._cutoffs(1e3, 8)[0] == head
         cutoffs = self._cutoffs(2.0, 1)
-        assert cutoffs[:2] == [2 ** 14, 2 ** 14 + 1]
-        assert cutoffs[5:8] == [262_143, 262_144, 262_145]
+        assert cutoffs[:5] == [2 ** 14, 2 ** 14 + 1, 2 ** 15 - 1, 2 ** 15, 2 ** 15 + 1]
+        assert cutoffs[5:8] == [2 ** 16 - 1, 2 ** 16, 2 ** 16 + 1]
+        widths = sudden._moment_schedule(2 ** 14, cutoffs[-1])[1]
+        assert widths[-11:] == [2 ** k for k in range(10, -1, -1)]
+
+    @given(head=st.integers(63, 2 ** 14),
+           terms=st.one_of(st.integers(0, 2 ** 20), st.integers(0, 2 ** 53 - 1)))
+    @settings(max_examples=60, deadline=None)
+    def test_schedule_takes_the_widest_block_that_fits(self, head, terms):
+        starts, widths = sudden._moment_schedule(head, terms)
+        end = head
+        for s, w in zip(starts, widths):
+            assert s == end + 1
+            assert w & (w - 1) == 0 and 64 * w <= s and s + w - 1 <= terms
+            assert 64 * (2 * w) > s or s + 2 * w - 1 > terms
+            end = s + w - 1
+        assert end == max(head, terms)
+
+    @pytest.mark.parametrize("alpha", [1.3, 2.6, 10.0])
+    def test_tables_match_direct_sums(self, alpha):
+        # Within the docstring's bound: each doubling adds at most
+        # 1.5 gamma_(K + 4) + 2 delta of the P-scaled tables.  And as each
+        # rotation is by an exactly reduced w, the C and S rows stay within
+        # 2**-46 of the bound 1 / sin(pi / alpha) on their partial sums,
+        # whatever the width; a rotation by the unreduced 2 theta w errs by
+        # about w ulps.
+        mpmath = pytest.importorskip("mpmath")
+        order, levels = self.ORDERS[0], 12
+        tables = sudden._moment_tables(alpha, levels, order)
+        u = 2.0 ** -53
+        per_doubling = 1.5 * (order + 4) * u / (1 - (order + 4) * u) + 2 * (4 * math.pi + 2) * u
+        swing = 1.0 / math.sin(math.pi / alpha)
+        # cos(2 theta i) and sin(2 theta i) at 50 digits, as integers in units
+        # of 2**-200, so that the sums below are exact.
+        with mpmath.workdps(50):
+            phi = 2 * mpmath.pi / mpmath.mpf(alpha)
+            trig = [[int(mpmath.nint(f(phi * i) * 2 ** 200)) for f in (mpmath.cos, mpmath.sin)]
+                    for i in range(2 ** levels)]
+        sums = np.zeros((3, order + 1), dtype=object)
+        for i, (cos, sin) in enumerate(trig):
+            powers = np.array([i ** k for k in range(order + 1)], dtype=object)
+            sums += [powers, powers * cos, powers * sin]
+            width = i + 1
+            if width & (width - 1) == 0:
+                level = width.bit_length() - 1
+                scales = [width ** k for k in range(order + 1)]
+                exact = [[Fraction(v, scale * (1 if row == 0 else 2 ** 200)) for v, scale
+                          in zip(sums[row], scales)] for row in range(3)]
+                for row in range(3):
+                    for k in range(order + 1):
+                        error = abs(Fraction(tables[level, row, k]) - exact[row][k])
+                        assert error <= level * per_doubling * exact[0][k], (width, row, k)
+                        assert row == 0 or error <= 2.0 ** -46 * swing, (width, row, k)
+
+    @pytest.mark.parametrize("alpha, n, start, width", [
+        (1.3, 1, 2 ** 45, 2 ** 12), (2.6, 5, 2 ** 52 + 2 ** 14 * 7, 2 ** 14),
+        (10.0, 2, 2 ** 45 + 3, 2 ** 14), (3.7, 4, 2 ** 52 - 2 ** 12 - 5, 2 ** 12),
+    ])
+    def test_far_blocks_match_mpmath(self, alpha, n, start, width):
+        # Tables of 12 to 14 doublings.  The phase of a block start near 2**45
+        # is wrong in its leading digits unless the start is reduced modulo
+        # alpha first.
+        a = alpha * n
+        value = sudden._moment_block_sums(alpha, a, [start], [width], *self.ORDERS)[0]
+        expected = self._block_mpmath(alpha, a, start, width)
+        assert value == pytest.approx(expected, rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("alpha, n", [(2.0, 1), (1.3, 7), (3.7, 6)])
+    def test_whole_sums_within_the_tail_enclosure(self, alpha, n):
+        # The head is the per-index kernel's, whose own rounding is measured
+        # here against mpmath (up to 7 * 2**-53 at alpha 3.7, n 6); the moment
+        # path past it may add at most 4 * 2**-53 to it.
+        head = sudden._MOMENT_HEAD
+        head_error = abs(sudden._square_series(alpha, head, [n])
+                         - self._block_mpmath(alpha, alpha * n, 1, head))
+        slack = head_error + 4 * 2.0 ** -53
+        for terms in (10 ** 9, 10 ** 11, 2 ** 53 - 1):
+            lo, hi = sudden._energy_tail_enclosure(n, alpha, terms)
+            rest = 1.0 - sudden._energy_series(alpha, n, terms)
+            assert lo - slack <= rest <= hi + slack, terms
 
     def test_matches_mpmath(self):
         mpmath = pytest.importorskip("mpmath")
@@ -524,36 +613,24 @@ class TestMomentPath:
         # Far from the cut-offs the series picks, so that each kept power
         # shows, including rho^order and its sign.
         alpha, a, width = 2.6, 4096.0, 256
-        starts = np.array([16384.0, 16384.0 + 37 * width])
-        sums = sudden._moment_block_sums(alpha, a, starts, width, order, depth)
+        starts = [16384, 16384 + 37 * width]
+        sums = sudden._moment_block_sums(alpha, a, starts, [width, width], order, depth)
         for start, value in zip(starts, sums):
             expected = self._block_mpmath(alpha, a, start, width, order, depth)
             assert value == pytest.approx(expected, rel=1e-14, abs=0), start
 
-    @pytest.mark.parametrize("alpha, n, start", [
-        (1.3, 1, 2.0 ** 40), (2.6, 5, 2.0 ** 40 + 4096 * 7), (10.0, 2, 2.0 ** 45 + 3),
-    ])
-    def test_far_blocks_match_mpmath(self, alpha, n, start):
-        # The phase of a block start near 2**45 is wrong in its leading
-        # digits unless the start is reduced modulo alpha first.
-        width = sudden._MOMENT_WIDTHS[-1]
-        a = alpha * n
-        order, depth = sudden._moment_orders(width / start, a / start)
-        value = sudden._moment_block_sums(alpha, a, np.array([start]), width, order, depth)[0]
-        expected = self._block_mpmath(alpha, a, start, width)
-        assert value == pytest.approx(expected, rel=1e-14, abs=0)
-
     @pytest.mark.parametrize("alpha, n, width, start", [
-        (2.0, 1, 256, 16385), (3.7, 1107, 256, 16385), (1e3, 8, 256, 32001),
-        (1.05, 3, 4096, 262_145), (10.0, 6553, 4096, 262_145),
+        (2.0, 1, 512, 32768), (3.7, 1107, 256, 16385), (1e3, 8, 256, 32001),
+        (1.05, 3, 4096, 262_144), (10.0, 6553, 4096, 262_145),
     ])
     def test_truncation_within_bound(self, alpha, n, width, start):
-        # The series cut at the orders _moment_orders picks for a block, on
-        # the binary64 pole, at its first, middle and last index: within
-        # 2**-56 of the exact rational factor, as every index's is.
+        # The series cut at the one order pair of every block, on the binary64
+        # pole, at its first, middle and last index: within 2**-56 of the
+        # exact rational factor, as every index's is.  These blocks have w / s
+        # = 1/64 or a / s near 1/4.
         mpmath = pytest.importorskip("mpmath")
         a = alpha * n
-        order, depth = sudden._moment_orders(width / start, a / start)
+        order, depth = self.ORDERS
         with mpmath.workdps(50):
             s, pole = mpmath.mpf(start), mpmath.mpf(a)
             eps, rho = (pole / s) ** 2, mpmath.mpf(width) / s

@@ -8,7 +8,8 @@ no options.  It imports the ``qcarnot`` that ``PYTHONPATH`` finds, so one run
 with each tree's ``src`` on ``PYTHONPATH`` and a ``diff`` of the two compare
 the trees; the spec files are always this tree's.  The grid:
 
-- ``simulate`` on each ``specs/*.spec``: the exit code with stdout and
+- ``simulate`` on each ``specs/*.spec``, then on ``WIDE_SPEC``, which is
+  written into the temporary directory: the exit code with stdout and
   stderr, then ``samples.csv`` and ``report.csv``;
 - the README sweep, and a 50-step ``three_state.spec`` sweep with L3 from 3
   to 300: the exit code, stdout, stderr and the CSV, one digest each;
@@ -29,6 +30,9 @@ from pathlib import Path
 from qcarnot import EngineError, MixedState, cli, post_expansion_distribution
 
 SPECS = Path(__file__).resolve().parents[1] / "specs"
+# A cycle whose adiabats span ln 100, so that their work quadrature starts
+# on five runs of panels each.
+WIDE_SPEC = ("wide_adiabats.spec", "[cycle]\ntype = carnot\ntop_level = 3\nL1 = 1\nL3 = 300\n")
 SWEEPS = (
     ("two_state.spec", "2.5", "8", "12"),
     ("three_state.spec", "3", "300", "50"),
@@ -83,7 +87,9 @@ def expand(levels, alpha, tail_tol, term_budget) -> bytes:
 
 def digests(work: Path):
     """``(name, bytes)`` for each output of the grid; files go under ``work``."""
-    for spec in sorted(SPECS.glob("*.spec")):
+    wide = work / WIDE_SPEC[0]
+    wide.write_text(WIDE_SPEC[1])
+    for spec in [*sorted(SPECS.glob("*.spec")), wide]:
         out = work / spec.stem
         yield f"simulate {spec.name}", run("simulate", str(spec), "--out", str(out))
         for name in ("samples.csv", "report.csv"):

@@ -179,6 +179,12 @@ class MixedState:
     stored dtype (int64 levels, float64 weights) that owns its data.  Such an
     array is kept as is and the state shares its memory, so a writable view
     of it taken before it was made read-only still writes into the state.
+
+    The level-square sum ``sum(w_n n^2)``, from which every energy and force
+    of the state follows, is computed on first use and kept: a state of
+    10^5 or more levels that no energy is asked of never pays for it.  The
+    caveat above covers it too: a write through such a view after the first
+    use leaves the kept sum stale.
     """
 
     levels: np.ndarray
@@ -191,9 +197,12 @@ class MixedState:
             raise StateError("levels and weights must be 1-D sequences of equal length")
         if levels.size == 0:
             raise StateError("a state needs at least one populated level")
-        if levels.min() < 1:
+        # Sorted levels are positive if the first is; the order is checked
+        # second, so an unsorted input with a level below 1 is reported as such.
+        ascending = not (levels[1:] <= levels[:-1]).any()
+        if (levels[0] if ascending else levels.min()) < 1:
             raise StateError("levels must be positive integers")
-        if (levels[1:] <= levels[:-1]).any():
+        if not ascending:
             raise StateError("levels must be distinct and sorted ascending")
         # A finite sum has finite terms, so only a sum that is not finite
         # (nan, inf, or an overflow, rejected below) needs the elementwise scan.
@@ -239,6 +248,12 @@ class MixedState:
             raise StateError("duplicate level in population pairs")
         return cls(levels, weights)
 
+    @functools.cached_property
+    def _square_sum(self) -> float:
+        """``sum(w_n n^2)``, two levels as ``w_k k^2 + w_(k+1) (k+1)^2``, no FMA."""
+        n = self.levels.astype(np.float64)
+        return float((self.weights * (n * n)).sum())
+
     @property
     def populations(self) -> tuple[tuple[int, float], ...]:
         return tuple((int(n), float(w)) for n, w in zip(self.levels, self.weights))
@@ -279,9 +294,8 @@ def eigenenergy(n, L, params: WellParams = DEFAULT_PARAMS) -> float:
 
 
 def _level_square_sum(state: MixedState) -> float:
-    """``sum(w_n n^2)``, two levels as ``w_k k^2 + w_(k+1) (k+1)^2``, no FMA."""
-    n = state.levels.astype(np.float64)
-    return float((state.weights * (n * n)).sum())
+    """``sum(w_n n^2)`` of ``state``, computed once per state."""
+    return state._square_sum
 
 
 def expectation_energy(state: MixedState, L, params: WellParams = DEFAULT_PARAMS) -> float:

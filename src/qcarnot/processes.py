@@ -19,7 +19,8 @@ the path is continuous; work, heat and efficiency are path-independent.
 :func:`stroke_work` against the sampled force, integrated over ``u = ln L``
 (``dW = L F du``), where both equations of state give smooth integrands at
 any width ratio.  All strokes passed together share one keyed
-:func:`quadrature.integrate` call, each starting on 64 equal panels.
+:func:`quadrature.integrate` call, each starting on one or more runs of 64
+equal panels.
 
 The stroke table is the one evaluator of energy and force.  It has one row
 per stroke: start width, isotherm flag, base width, the adiabat's
@@ -33,6 +34,7 @@ their stroke.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from collections.abc import Iterable, Sequence
@@ -66,8 +68,18 @@ _ENERGY_MATCH_RTOL = 1e-9
 # samples.csv of several hundred MB.
 MAX_SAMPLES_PER_STROKE = 2 ** 20
 
-# Equal panels in u = ln L that every stroke's work quadrature starts on.
+# Equal panels in u = ln L of one start run of the work quadrature.  Every
+# stroke starts on one run, except an adiabat of |ln(L_end / L_start)| <=
+# _RUN_SPAN_LIMIT, which starts on ceil of that many runs: no panel of it is
+# wider than 1/64, where Boole's residual h^4 g / 2880 of its integrand g =
+# c e^(-2u) is at most 2.07e-11 g, under the rel_tol / 4 = 2.5e-11 that the
+# first level must meet at the default rel_tol.  Past the limit one uniform
+# level evaluates more points than refinement does, whose keys each anchor on
+# their own integral and stop early on the e^(-2u) tail: at the widest
+# adiabat of the energy-scale domain, ln(1e190 / 2), one level takes 280k
+# points and 73 MB where refinement takes 42 MB.
 _START_PANELS = 64
+_RUN_SPAN_LIMIT = 64.0
 
 
 class StrokeKind(Enum):
@@ -365,12 +377,19 @@ def stroke_work_quadrature(strokes: Stroke | Sequence[Stroke],
     stroke integrates ``g(u) = L F = 2 E``, with ``E`` from the populations at
     ``L = L_start * e^u``, over ``u`` from 0 to ``ln(L_end / L_start)``: ``g``
     is constant on an isotherm and ``e^(-2u)`` times a constant on an adiabat,
-    smooth at every width ratio.  Each stroke starts on ``_START_PANELS`` equal
-    panels, passed as keys of their own, so even an isotherm, which Boole's
-    rule would accept from five points, is probed at ``4 * _START_PANELS + 1``
-    widths across the population staircase.  Every stroke's a-posteriori
-    estimate must come out below ``rel_tol`` times its integral, else
-    :class:`QuadratureError` is raised.
+    smooth at every width ratio.  Each stroke starts on runs of
+    ``_START_PANELS`` equal panels, passed as keys of their own, and its work
+    is the sum of its runs' sums.  An isotherm starts on one run, so even
+    it, which Boole's rule would accept from five points, is probed at ``4 *
+    _START_PANELS + 1`` widths across the population staircase.  An adiabat
+    of span ``|ln(L_end / L_start)| <= 64`` starts on ``ceil`` of its span
+    runs, so no panel is wider than 1/64 and Boole's residual ``h^4 g /
+    2880`` meets the default tolerance on the first level: one integrand
+    call for a whole Carnot cycle.  A wider adiabat starts on one run and
+    refines, which evaluates fewer points there than one uniform level (see
+    ``_RUN_SPAN_LIMIT``).  Every stroke's a-posteriori estimate must come out
+    below ``rel_tol`` times its integral, else :class:`QuadratureError` is
+    raised.
 
     Each stroke was checked when it was built (an item that is not a
     :class:`Stroke` raises :class:`DomainError` naming it as ``strokes[i]``),
@@ -384,17 +403,27 @@ def stroke_work_quadrature(strokes: Stroke | Sequence[Stroke],
     strokes = (strokes,) if single else tuple(_check_type(strokes, Iterable, "strokes"))
     for i, stroke in enumerate(strokes):
         _check_type(stroke, Stroke, f"strokes[{i}]")
+    if not strokes:
+        return []
     table = _stroke_table(strokes)
     # Each u-span from the width ratio, not as a difference of two logs.
-    spans = np.array([math.log(s.L_end / s.L_start) for s in strokes])
-    edges = spans[:, None] * (np.arange(_START_PANELS + 1) / _START_PANELS)
+    spans = [math.log(s.L_end / s.L_start) for s in strokes]
+    runs = [max(1, math.ceil(abs(span)))
+            if s.kind is StrokeKind.ADIABATIC and abs(span) <= _RUN_SPAN_LIMIT else 1
+            for s, span in zip(strokes, spans)]
+    # Key k lies on stroke owner[k]; the i-th of a stroke's n panels spans
+    # span * (i / n) to span * ((i + 1) / n).
+    run_owner = np.repeat(np.arange(len(strokes)), runs)
+    owner = np.repeat(run_owner, _START_PANELS)
+    span = np.array(spans)[owner]
+    left, right = zip(*map(_panel_fractions, runs))
 
     def g(key_u):
         key, u = key_u
-        owner = key // _START_PANELS
-        rows = table.take(owner, axis=0)
+        mine = owner[key]
+        rows = table.take(mine, axis=0)
         twice_energy, force = _table_forces(rows, rows[:, L_START] * np.exp(u))
-        _check_forces(force, owner, table[:, L_START])
+        _check_forces(force, mine, table[:, L_START])
         return twice_energy
 
     # Integrate at a quarter of the requested tolerance, which each key's
@@ -402,14 +431,26 @@ def stroke_work_quadrature(strokes: Stroke | Sequence[Stroke],
     # stroke, so the bounds of its keys add up to one on its work, and the
     # gate below holds with margin.
     values, estimates = quadrature.integrate(
-        g, edges[:, :-1].ravel(), edges[:, 1:].ravel(), rel_tol=rel_tol / 4.0
+        g, span * np.concatenate(left), span * np.concatenate(right), rel_tol=rel_tol / 4.0
     )
-    works = values.reshape(len(strokes), _START_PANELS).sum(axis=1).tolist()
-    errors = estimates.reshape(len(strokes), _START_PANELS).sum(axis=1).tolist()
+    works, errors = (
+        np.bincount(run_owner, column.reshape(-1, _START_PANELS).sum(axis=1), len(strokes)).tolist()
+        for column in (values, estimates)
+    )
     for work, error in zip(works, errors):
         if error > rel_tol * abs(work):
             raise QuadratureError(f"quadrature error estimate {error!r} exceeds {rel_tol!r} * |{work!r}|")
     return works[0] if single else works
+
+
+@functools.lru_cache(maxsize=None)
+def _panel_fractions(runs: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only left and right edges ``i / n`` and ``(i + 1) / n`` of the
+    ``n = runs * _START_PANELS`` panels of a unit span; ``runs`` is at most
+    ``ceil(_RUN_SPAN_LIMIT)``, so the cache holds about 1 MB at most."""
+    fractions = np.arange(runs * _START_PANELS + 1) / (runs * _START_PANELS)
+    fractions.setflags(write=False)
+    return fractions[:-1], fractions[1:]
 
 
 def sample_stroke(stroke: Stroke, count: int, stroke_index: int = 1) -> SampleTable:

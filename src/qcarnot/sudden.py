@@ -191,6 +191,7 @@ of :func:`post_expansion_distribution`.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -451,18 +452,45 @@ def _moment_orders(rho: float, b: float) -> tuple[int, int]:
     return order, depth
 
 
-def _moment_schedule(head: int, terms: int) -> tuple[list[int], list[int]]:
-    """Starts and widths of the blocks that tile ``m = head + 1 .. terms``,
-    ``head >= 63``: a block at ``s`` takes the largest power of two ``w``
-    with ``64 w <= s`` and ``s + w - 1 <= terms``."""
-    starts, widths = [], []
+def _moment_schedule(head: int, terms: int) -> tuple[np.ndarray, np.ndarray]:
+    """Starts and widths, as int64 arrays, of the blocks that tile ``m =
+    head + 1 .. terms``, ``head >= 63``: a block at ``s`` takes the largest
+    power of two ``w`` with ``64 w <= s`` and ``s + w - 1 <= terms``.
+
+    Equal widths come in runs, one ``np.arange`` each: width ``w`` from ``s``
+    holds while the start stays below ``128 w`` and ``w`` terms remain, so
+    there are about two runs per power of two up to ``terms / 64``."""
+    runs = [np.empty(0, np.int64)]
     start = head + 1
     while start <= terms:
-        width = 1 << (min(start // _MOMENT_SPAN, terms + 1 - start).bit_length() - 1)
-        starts.append(start)
-        widths.append(width)
-        start += width
-    return starts, widths
+        left = terms + 1 - start
+        width = 1 << (min(start // _MOMENT_SPAN, left).bit_length() - 1)
+        # At least one block: past 128 w only the terms left narrow it.
+        count = max(1, min(left // width, -((start - 2 * _MOMENT_SPAN * width) // width)))
+        runs.append(np.arange(start, start + count * width, width, dtype=np.int64))
+        start += count * width
+    starts = np.concatenate(runs)
+    # The blocks tile the range, so a width is the step to the next start.
+    return starts, np.diff(starts, append=terms + 1)
+
+
+@functools.lru_cache(maxsize=8)
+def _binomials(order: int) -> np.ndarray:
+    """The read-only matrix ``C(k, l)``, ``k, l = 0 .. order``."""
+    ks = range(order + 1)
+    table = np.array([[math.comb(k, l) for l in ks] for k in ks], dtype=np.float64)
+    table.setflags(write=False)
+    return table
+
+
+@functools.lru_cache(maxsize=8)
+def _moment_coefficients(order: int, depth: int) -> np.ndarray:
+    """The read-only table ``(j + 1) C(2 j + 1 + k, k)`` of the series
+    ``A_k(eps)``, ``k = 0 .. order`` by ``j = 0 .. depth``."""
+    table = np.array([[(j + 1) * math.comb(2 * j + 1 + k, k) for j in range(depth + 1)]
+                      for k in range(order + 1)], dtype=np.float64)
+    table.setflags(write=False)
+    return table
 
 
 def _moment_tables(alpha: float, levels: int, order: int) -> np.ndarray:
@@ -474,8 +502,7 @@ def _moment_tables(alpha: float, levels: int, order: int) -> np.ndarray:
     Width 1 holds ``x = 0`` alone.  Width ``2w`` holds the offsets of ``w``
     at ``x / 2`` and, shifted by ``w``, at ``(1 + x) / 2``, which gives the
     doubling of the module docstring."""
-    ks = range(order + 1)
-    binomials = np.array([[math.comb(k, l) for l in ks] for k in ks], dtype=np.float64)
+    binomials = _binomials(order)
     halves = 0.5 ** np.arange(order + 1)
     tables = np.zeros((levels + 1, 3, order + 1))
     tables[0, :2, 0] = 1.0
@@ -487,17 +514,18 @@ def _moment_tables(alpha: float, levels: int, order: int) -> np.ndarray:
     return tables
 
 
-def _moment_block_sums(alpha: float, a: float, starts: list[int], widths: list[int],
-                       order: int, depth: int) -> np.ndarray:
+def _moment_block_sums(alpha: float, a: float, starts, widths, order: int,
+                       depth: int) -> np.ndarray:
     """Sums of the identity's terms over the blocks ``m = s .. s + w - 1``,
-    ``(s, w)`` in ``zip(starts, widths)``, ``w`` a power of two, each from the
-    moment tables: the series in ``rho = w / s`` cut after ``rho^order``,
-    each ``A_k`` after ``eps^depth``."""
-    rows = [w.bit_length() - 1 for w in widths]
-    tables = _moment_tables(alpha, max(rows), order)[rows].transpose(1, 2, 0)
-    starts = np.array(starts, dtype=np.float64)
-    coefficients = np.array([[(j + 1) * math.comb(2 * j + 1 + k, k) for j in range(depth + 1)]
-                             for k in range(order + 1)], dtype=np.float64)
+    ``(s, w)`` in ``zip(starts, widths)`` (integer sequences), ``w`` a power
+    of two, each from the moment tables: the series in ``rho = w / s`` cut
+    after ``rho^order``, each ``A_k`` after ``eps^depth``."""
+    widths = np.asarray(widths, dtype=np.float64)
+    # Exact: a power of two 2**r has the binary exponent r + 1.
+    rows = np.frexp(widths)[1] - 1
+    tables = _moment_tables(alpha, int(rows.max()), order)[rows].transpose(1, 2, 0)
+    starts = np.asarray(starts, dtype=np.float64)
+    coefficients = _moment_coefficients(order, depth)
     eps = (a / starts) ** 2
     # A_k(eps) by Horner's rule, for every k and block at once.
     moments = np.zeros((order + 1, starts.size))
@@ -509,7 +537,7 @@ def _moment_block_sums(alpha: float, a: float, starts: list[int], widths: list[i
     phase = np.fmod(starts, alpha) * (2.0 * math.pi / alpha)
     moments *= tables[0] - tables[1] * np.cos(phase) + tables[2] * np.sin(phase)
     # Horner's rule in -rho on the sum over k.
-    rho = -np.array(widths, dtype=np.float64) / starts
+    rho = -widths / starts
     sums = np.zeros(starts.size)
     for k in reversed(range(order + 1)):
         sums *= rho
@@ -684,8 +712,9 @@ def post_expansion_distribution(state: MixedState, alpha, tail_tol,
     # alpha = p / q in lowest terms, the multiples of p, whose sine factor is
     # exactly 0 (every second level at alpha = 2).  The weights are compacted
     # in place, one block at a time, and then shrunk, which is safe as no
-    # view of them is left.
-    kept = np.count_nonzero(new_weights)
+    # view of them is left.  A positive minimum rules out zeros without a
+    # count; a NaN fails it and counts as kept, so it reaches MixedState.
+    kept = terms if new_weights.min() > 0.0 else np.count_nonzero(new_weights)
     if kept == terms:
         new_levels = np.arange(1, terms + 1, dtype=np.int64)
     else:

@@ -114,18 +114,19 @@ def shoelace_area(L, F):
     return 0.5 * float(np.sum(L * np.roll(F, -1) - np.roll(L, -1) * F))
 
 
-def masked_work_integrand(strokes, twice_energy, panels):
+def masked_work_integrand(strokes, twice_energy, owner):
     """The work integrand ``g((key, u)) = twice_energy(stroke, L)``, ``L =
-    L_start * e^u``, of keys ``panels`` to a stroke, one boolean mask and one
-    ``twice_energy`` call per stroke: the form it had before the stroke
-    table.  Twice the mean energy is ``L F`` by the equation of state."""
+    L_start * e^u``, where key ``k`` lies on ``strokes[owner[k]]``, one
+    boolean mask and one ``twice_energy`` call per stroke: the form it had
+    before the stroke table.  Twice the mean energy is ``L F`` by the
+    equation of state."""
 
     def g(key_u):
         key, u = key_u
-        owner = key // panels
+        owner_of = owner[key]
         out = np.empty_like(u)
         for i, stroke in enumerate(strokes):
-            mine = owner == i
+            mine = owner_of == i
             if mine.any():
                 out[mine] = twice_energy(stroke, stroke.L_start * np.exp(u[mine]))
         return out

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -17,7 +17,7 @@ from qcarnot import (
     expectation_energy,
     wall_force,
 )
-from qcarnot.boxmodel import _check_int, _check_real
+from qcarnot.boxmodel import _check_int, _check_real, _level_square_sum
 from strategies import mixed_states, widths
 
 INF = math.inf
@@ -279,6 +279,30 @@ class TestMixedState:
     def test_constructor_checks_in_order(self, levels, weights, message):
         with pytest.raises(StateError, match=message):
             MixedState(np.array(levels, dtype=np.int64), np.array(weights))
+
+    @settings(max_examples=60, deadline=None)
+    @given(mixed_states(max_support=8, max_level=2 ** 40))
+    def test_level_square_sum_is_computed_once_bit_for_bit(self, state):
+        assert "_square_sum" not in vars(state)
+        n = state.levels.astype(np.float64)
+        expected = float((state.weights * (n * n)).sum())
+        assert _level_square_sum(state) == expected
+        assert vars(state)["_square_sum"] == expected
+        assert _level_square_sum(state) == expected
+
+    def test_level_square_sum_of_two_levels_has_no_fma(self):
+        s = MixedState(np.array([3, 4]), np.array([0.1, 0.9]))
+        assert _level_square_sum(s) == 0.1 * 9.0 + 0.9 * 16.0
+
+    @pytest.mark.parametrize("levels, message", [
+        ([0, 1, 2], "positive integers"),
+        ([2, 0, 1], "positive integers"),
+        ([3, 1, 2], "sorted ascending"),
+        ([1, 2, 2], "distinct"),
+    ])
+    def test_positivity_is_reported_before_order(self, levels, message):
+        with pytest.raises(StateError, match=message):
+            MixedState(np.array(levels), np.full(3, 1.0 / 3.0))
 
     @pytest.mark.parametrize("weights, message", [
         ([math.nan, 0.5, 0.5], "weights must be finite"),

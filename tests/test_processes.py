@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qcarnot import (
@@ -29,7 +29,7 @@ from qcarnot import (
     wall_force,
 )
 from qcarnot.cli import write_samples_csv
-from qcarnot.cycle import MAX_TOP_LEVEL
+from qcarnot.cycle import MAX_TOP_LEVEL, CarnotSpec, build_carnot_cycle
 from qcarnot.processes import _START_PANELS, MAX_SAMPLES_PER_STROKE
 from oracles import (
     checked_twice_energy,
@@ -98,6 +98,66 @@ def failing_strokes(draw):
     scale = draw(st.sampled_from([1e-110, 1e110]))
     L_from, L_to = (scale * draw(st.floats(0.5, 8.0)) for _ in range(2))
     return adiabatic_stroke(draw(mixed_states()), L_from, L_to)
+
+
+def key_owner(strokes):
+    """The stroke of each key of ``stroke_work_quadrature(strokes)``: one
+    start run of ``_START_PANELS`` keys per stroke, or ``max(1,
+    ceil(|ln(L_end / L_start)|))`` runs on an adiabat of span up to 64."""
+    runs = []
+    for stroke in strokes:
+        span = abs(math.log(stroke.L_end / stroke.L_start))
+        short = stroke.kind is StrokeKind.ADIABATIC and span <= 64.0
+        runs.append(max(1, math.ceil(span)) if short else 1)
+    return np.repeat(np.arange(len(strokes)), _START_PANELS * np.array(runs))
+
+
+def integrand_calls(strokes, rel_tol=1e-10):
+    """``stroke_work_quadrature(strokes, rel_tol)`` and the ``(a, b)`` of its
+    one ``quadrature.integrate`` call with the count of integrand calls."""
+    integrate = quadrature.integrate
+    seen = []
+
+    def spy(f, a, b, **kwargs):
+        calls = [0]
+
+        def counted(key_u):
+            calls[0] += 1
+            return f(key_u)
+
+        seen.append((a, b, calls))
+        return integrate(counted, a, b, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(quadrature, "integrate", spy)
+        works = stroke_work_quadrature(strokes, rel_tol)
+    (a, b, calls), = seen
+    return works, a, b, calls[0]
+
+
+def stroke_scale(stroke):
+    """The largest mean energy along ``stroke``: the closed-form work of an
+    adiabat is a difference of two energies and rounds on this scale."""
+    if stroke.kind is StrokeKind.ISOTHERMAL:
+        return stroke.conserved
+    return stroke.conserved / min(stroke.L_start, stroke.L_end) ** 2
+
+
+@st.composite
+def carnot_cycles(draw):
+    """A cycle with ``top_level`` log-uniform up to ``MAX_TOP_LEVEL``, ``L1``
+    in ``10^U(-3, 3)``, ``L3 / (top_level L1)`` in ``e^U(0, 64)``, and
+    ``hbar`` and ``mass`` in ``10^U(-20, 20)`` within the energy-scale
+    limits, whose adiabat from ``L2`` to ``L3`` spans at most 64."""
+    top_level = int(min(2.0 ** draw(st.floats(1.0, 63.0)), MAX_TOP_LEVEL))
+    L1 = 10.0 ** draw(st.floats(-3.0, 3.0))
+    L3 = top_level * L1 * math.exp(draw(st.floats(0.0, 64.0)))
+    assume(math.log(L3 / (top_level * L1)) <= 64.0)
+    hbar, mass = (10.0 ** draw(st.floats(-20.0, 20.0)) for _ in range(2))
+    try:
+        return build_carnot_cycle(CarnotSpec(top_level, L1, L3, WellParams(hbar, mass)))
+    except ScaleError:
+        assume(False)
 
 
 def work_outcome(strokes, integrand=None, calls=None):
@@ -395,8 +455,9 @@ class TestStrokeWork:
         def spy(f, a, b, **kwargs):
             def probed(key_u):
                 key, u = key_u
+                owner = key_owner(strokes)[key]
                 for i, stroke in enumerate(strokes):
-                    mine = key // _START_PANELS == i
+                    mine = owner == i
                     widths.append(np.unique(stroke.L_start * np.exp(u[mine])).size)
                 return f(key_u)
             return integrate(probed, a, b, **kwargs)
@@ -423,13 +484,64 @@ class TestStrokeWork:
             assert returned.populations == state_at(stroke, stroke.L_start).populations
 
 
+class TestStartRuns:
+    @pytest.mark.parametrize("ratio, runs", [
+        (1.0, 1), (math.exp(0.5), 1), (math.e, 1), (math.exp(1.0 + 1e-9), 2),
+        (1e3, 7), (math.exp(-20.5), 21), (math.exp(64.0), 64), (math.exp(64.5), 1),
+    ])
+    def test_an_adiabat_starts_on_one_run_per_unit_of_span(self, ratio, runs):
+        # No panel of a run wider than 1/64, and the edges of a one-run
+        # stroke are those of span * (i / 64).
+        stroke = adiabatic_stroke(MixedState.pure(3), 2.0, 2.0 * ratio)
+        _, a, b, _ = integrand_calls([stroke])
+        span = math.log(stroke.L_end / stroke.L_start)
+        assert a.size == _START_PANELS * runs
+        assert a[0] == 0.0 and b[-1] == span and (a[1:] == b[:-1]).all()
+        if abs(span) <= 64.0:
+            assert (np.abs(b - a) <= 1.0 / 64.0 * (1.0 + 1e-15)).all()
+        if runs == 1:
+            edges = span * (np.arange(_START_PANELS + 1) / _START_PANELS)
+            assert a.tobytes() == edges[:-1].tobytes() and b.tobytes() == edges[1:].tobytes()
+
+    def test_no_strokes_give_no_works(self):
+        assert stroke_work_quadrature([]) == [] and stroke_work_quadrature(()) == []
+
+    def test_an_isotherm_starts_on_one_run(self):
+        stroke = isothermal_stroke(E_GROUND, 1.0, 1e18, 1.0)
+        _, a, _, calls = integrand_calls([stroke])
+        assert (a.size, calls) == (_START_PANELS, 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(carnot_cycles())
+    def test_a_cycle_takes_one_integrand_call_at_the_default_tolerance(self, cycle):
+        works, _, _, calls = integrand_calls(cycle.strokes)
+        assert calls == 1
+        for stroke, work in zip(cycle.strokes, works):
+            assert work == pytest.approx(stroke_work(stroke), rel=1e-10, abs=1e-14 * stroke_scale(stroke))
+
+    @pytest.mark.parametrize("level, L_from, L_to, rel_tol", [
+        (2, 1.0, math.exp(64.5), 1e-10),
+        (5, 3.0, 3.0 * math.exp(100.0), 1e-10),
+        (2, 2e-95, 1e95, 1e-10),
+        (2, 1e95, 2e-95, 1e-10),
+        (3, 1.0, 1.5, 1e-14),
+        (3, 1.0, math.exp(8.0), 1e-14),
+        (7, 5.0, 5.0 * math.exp(-64.0), 1e-14),
+    ])
+    def test_wide_or_tight_adiabats_still_refine(self, level, L_from, L_to, rel_tol):
+        stroke = adiabatic_stroke(MixedState.pure(level), L_from, L_to)
+        (work,), _, _, calls = integrand_calls([stroke], rel_tol)
+        assert calls > 1
+        assert work == pytest.approx(stroke_work(stroke), rel=max(rel_tol, 1e-13), abs=1e-14 * stroke_scale(stroke))
+
+
 class TestStrokeTable:
     @settings(max_examples=60, deadline=None)
     @given(st.lists(work_strokes(), min_size=1, max_size=5))
     def test_integrand_and_works_match_masked_oracle_bit_for_bit(self, strokes):
         calls = []
         works = work_outcome(strokes, calls=calls)
-        oracle = masked_work_integrand(strokes, staircase_twice_energy, _START_PANELS)
+        oracle = masked_work_integrand(strokes, staircase_twice_energy, key_owner(strokes))
         assert works == work_outcome(strokes, lambda s: oracle)
         assert isinstance(works, bytes)
         for key_u, values in calls:
@@ -446,7 +558,7 @@ class TestStrokeTable:
     @given(st.lists(st.one_of(work_strokes(), failing_strokes()), min_size=1, max_size=5))
     def test_errors_name_the_first_failing_stroke_as_the_masked_oracle(self, strokes):
         assert work_outcome(strokes) == work_outcome(
-            strokes, lambda s: masked_work_integrand(s, checked_twice_energy, _START_PANELS)
+            strokes, lambda s: masked_work_integrand(s, checked_twice_energy, key_owner(s))
         )
 
     def test_the_first_of_two_strokes_out_of_scale_is_reported(self):

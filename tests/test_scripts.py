@@ -55,7 +55,8 @@ def test_output_digest_is_stable_and_covers_the_grid():
     names = [line[66:] for line in lines]
     assert len(set(names)) == len(names)
     specs = len(list((SCRIPTS.parent / "specs").glob("*.spec")))
-    # simulate: the run, samples.csv and report.csv per spec; two sweeps;
-    # verify-identity at 5 levels x 7 ratios x 3 tolerances, and three runs
-    # past the default budget; five expansions.
-    assert len(names) == 3 * specs + 2 + 5 * 7 * 3 + 3 + 5
+    # simulate: the run, samples.csv and report.csv per spec and for the
+    # written wide-adiabat spec; two sweeps; verify-identity at 5 levels x 7
+    # ratios x 3 tolerances, and three runs past the default budget; five
+    # expansions.
+    assert len(names) == 3 * (specs + 1) + 2 + 5 * 7 * 3 + 3 + 5

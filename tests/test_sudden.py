@@ -469,7 +469,7 @@ class TestMomentPath:
         before each width change of the ladder up to 2**17 and one either
         side of it, and one whose last blocks step down to width 1."""
         head = max(sudden._MOMENT_HEAD, math.ceil(4.0 * alpha * n))
-        starts, widths = sudden._moment_schedule(head, 2 ** 17)
+        starts, widths = (column.tolist() for column in sudden._moment_schedule(head, 2 ** 17))
         changes = [s for s, w, before in zip(starts[1:], widths[1:], widths) if w > before]
         return [head, head + 1, *(s - 1 + d for s in changes for d in (-1, 0, 1)),
                 2 ** 17 + 2047]
@@ -520,7 +520,7 @@ class TestMomentPath:
         assert cutoffs[:5] == [2 ** 14, 2 ** 14 + 1, 2 ** 15 - 1, 2 ** 15, 2 ** 15 + 1]
         assert cutoffs[5:8] == [2 ** 16 - 1, 2 ** 16, 2 ** 16 + 1]
         widths = sudden._moment_schedule(2 ** 14, cutoffs[-1])[1]
-        assert widths[-11:] == [2 ** k for k in range(10, -1, -1)]
+        assert widths[-11:].tolist() == [2 ** k for k in range(10, -1, -1)]
 
     @given(head=st.integers(63, 2 ** 14),
            terms=st.one_of(st.integers(0, 2 ** 20), st.integers(0, 2 ** 53 - 1)))
@@ -534,6 +534,22 @@ class TestMomentPath:
             assert 64 * (2 * w) > s or s + 2 * w - 1 > terms
             end = s + w - 1
         assert end == max(head, terms)
+
+    @given(head=st.integers(63, 2 ** 14),
+           terms=st.one_of(st.integers(0, 2 ** 20), st.integers(0, 2 ** 53 - 1),
+                           st.just(2 ** 53 - 1)))
+    @settings(max_examples=60, deadline=None)
+    def test_schedule_runs_match_the_per_block_loop(self, head, terms):
+        starts, widths = [], []
+        start = head + 1
+        while start <= terms:
+            width = 1 << (min(start // 64, terms + 1 - start).bit_length() - 1)
+            starts.append(start)
+            widths.append(width)
+            start += width
+        got = sudden._moment_schedule(head, terms)
+        assert all(column.dtype == np.int64 for column in got)
+        assert [column.tolist() for column in got] == [starts, widths]
 
     @pytest.mark.parametrize("alpha", [1.3, 2.6, 10.0])
     def test_tables_match_direct_sums(self, alpha):
@@ -675,6 +691,13 @@ class TestPostExpansionDistribution:
                 assert not array.flags.writeable
                 with pytest.raises(ValueError):
                     array[0] = 0
+
+    def test_expansion_states_keep_no_square_sum(self):
+        # The level-square sum is computed on first use only, so a state of
+        # 10^5 levels that no energy is asked of never holds one.
+        for alpha in (2.0, 2.6):
+            out, _ = post_expansion_distribution(MixedState.from_pairs({1: 0.3, 2: 0.7}), alpha, 1e-4)
+            assert set(vars(out)) == {"levels", "weights"}
 
     def test_dropping_zeros_allocates_no_terms_sized_temporary(self):
         # At alpha = 2 every second level is dropped.  Past the kernel's

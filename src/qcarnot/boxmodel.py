@@ -293,18 +293,13 @@ def eigenenergy(n, L, params: WellParams = DEFAULT_PARAMS) -> float:
                      lambda: 0.5 * (math.pi * params.hbar * n) ** 2 / (params.mass * L * L))
 
 
-def _level_square_sum(state: MixedState) -> float:
-    """``sum(w_n n^2)`` of ``state``, computed once per state."""
-    return state._square_sum
-
-
 def expectation_energy(state: MixedState, L, params: WellParams = DEFAULT_PARAMS) -> float:
     """Population-weighted mean energy of ``state`` at width ``L``."""
     _check_type(state, MixedState, "state")
     L = _check_real(L, "L")
     _check_type(params, WellParams, "params")
     return _in_scale(f"mean energy at width {L!r}", _energy_from_square_sum,
-                     _level_square_sum(state), L, 0.5 * (math.pi * params.hbar) ** 2, params.mass)
+                     state._square_sum, L, 0.5 * (math.pi * params.hbar) ** 2, params.mass)
 
 
 def _energy_from_square_sum(square_sum, L, scale, mass):

@@ -23,11 +23,12 @@ any width ratio.  All strokes passed together share one keyed
 equal panels.
 
 The stroke table is the one evaluator of energy and force.  It has one row
-per stroke: start width, isotherm flag, base width, the adiabat's
-level-square sum, ``(pi hbar)^2`` and mass.  A :class:`Stroke` checks itself
-once, at construction, so the table just reads its fields; the work
-integrand is one array expression over the widths of every key, and
-:func:`_check_forces` checks only that each force lies in (0, inf).
+per stroke: start width, base width (``inf`` on an adiabat), ``(pi hbar)^2``
+times the adiabat's level-square sum (1 on an isotherm) and mass.  A
+:class:`Stroke` checks itself once, at construction, so the table just reads
+its fields; the work integrand is one array expression over the widths of
+every key, with no branch on the stroke kind, and :func:`_check_forces`
+checks only that each force lies in (0, inf).
 :meth:`Stroke.force_at` and :func:`sample_stroke` take the one-row table of
 their stroke.
 """
@@ -53,7 +54,6 @@ from .boxmodel import (
     _check_type,
     _check_widths,
     _energy_from_square_sum,
-    _level_square_sum,
     eigenenergy,
     entropy,
     expectation_energy,
@@ -257,34 +257,33 @@ def _staircase(ratio):
     return k, (ratio * ratio - k * k) / (2.0 * k + 1.0)
 
 
-# Fields of a stroke-table row: start width, 1 on an isotherm and 0 on an
-# adiabat, base width (inf on an adiabat, so that its width ratios are 0),
-# the adiabat's level-square sum s (1 on an isotherm), (pi hbar)^2 and mass,
-# which give 2 E = (pi hbar)^2 s / (mass L^2) and the force 2 E / L.
-L_START, ISOTHERM, BASE, SQUARES, PI_HBAR_SQUARED, MASS = range(6)
+# Fields of a stroke-table row: start width, base width (inf on an adiabat,
+# so that its width ratios are 0 and its staircase sum exactly 1), (pi hbar)^2
+# times the adiabat's level-square sum s (1 on an isotherm), and mass, which
+# give 2 E = (pi hbar)^2 s / (mass L^2) and the force 2 E / L.
+L_START, BASE, COEFF, MASS = range(4)
 
 
 def _stroke_table(strokes) -> np.ndarray:
     """The stroke table of ``strokes``, one row per stroke."""
     rows = []
     for s in strokes:
-        if s.kind is StrokeKind.ISOTHERMAL:
-            row = (s.L_start, 1.0, s.base_scale, 1.0)
-        else:
-            row = (s.L_start, 0.0, math.inf, _level_square_sum(s.state_start))
-        rows.append((*row, (math.pi * s.params.hbar) ** 2, s.params.mass))
+        isotherm = s.kind is StrokeKind.ISOTHERMAL
+        base, squares = (s.base_scale, 1.0) if isotherm else (math.inf, s.state_start._square_sum)
+        rows.append((s.L_start, base, (math.pi * s.params.hbar) ** 2 * squares, s.params.mass))
     return np.array(rows)
 
 
 def _table_forces(rows, L):
     """``2 E`` and the force ``2 E / L`` at widths ``L`` on stroke-table
-    ``rows``, one per width or one for all.  An isotherm's level-square sum
-    ``(1 - w) k^2 + w (k + 1)^2`` is bit for bit :func:`_level_square_sum`."""
+    ``rows``, one per width or one for all.  The staircase's level-square sum
+    ``(1 - w) k^2 + w (k + 1)^2`` is bit for bit ``MixedState._square_sum`` of
+    the isotherm's state, and exactly 1 on an adiabat, whose ``COEFF`` holds
+    its own sum: ``(c s) * 1`` rounds as ``c * s``."""
     with np.errstate(all="ignore"):
         k, w_upper = _staircase(L / rows[..., BASE])
         staircase = (1.0 - w_upper) * (k * k) + w_upper * ((k + 1.0) * (k + 1.0))
-        square_sum = np.where(rows[..., ISOTHERM] > 0.0, staircase, rows[..., SQUARES])
-        twice_energy = _energy_from_square_sum(square_sum, L, rows[..., PI_HBAR_SQUARED], rows[..., MASS])
+        twice_energy = _energy_from_square_sum(staircase, L, rows[..., COEFF], rows[..., MASS])
         return twice_energy, twice_energy / L
 
 

@@ -29,7 +29,8 @@ import numpy as np
 from .errors import QuadratureError
 
 DEFAULT_REL_TOL = 1e-10
-DEFAULT_MAX_INTERVALS = 1_000_000
+# Most panels one integrate call evaluates before it raises QuadratureError.
+MAX_INTERVALS = 1_000_000
 
 # Rows of the panel table, one column per panel: left edge, width, f at the
 # five equispaced points of the panel, its value and its residual.  The
@@ -43,8 +44,7 @@ _FIFTHS = np.linspace(0.0, 1.0, 5)[:, None]
 _QUARTERS = np.array([[0.25], [0.75]])
 
 
-def integrate(f, a, b, rel_tol: float = DEFAULT_REL_TOL,
-              max_intervals: int = DEFAULT_MAX_INTERVALS) -> tuple[np.ndarray, np.ndarray]:
+def integrate(f, a, b, rel_tol: float = DEFAULT_REL_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Integrate ``f`` from ``a[k]`` to ``b[k]`` for every key ``k`` by adaptive Simpson panels.
 
     ``a`` and ``b`` are equal-length 1-D sequences; a key with ``b[k] < a[k]``
@@ -54,7 +54,7 @@ def integrate(f, a, b, rel_tol: float = DEFAULT_REL_TOL,
     final panel of its key; for smooth integrands it bounds the true error.
     A panel of width ``h`` on key ``k`` is final once ``|delta| / 15 <=
     rel_tol * |value[k]| * h / |b[k] - a[k]|``, or once it is too narrow to
-    split.  Raises :class:`QuadratureError` once more than ``max_intervals``
+    split.  Raises :class:`QuadratureError` once more than ``MAX_INTERVALS``
     panels would be evaluated.
     """
     a = np.asarray(a, dtype=np.float64)
@@ -95,8 +95,8 @@ def integrate(f, a, b, rel_tol: float = DEFAULT_REL_TOL,
         n = int(np.count_nonzero(split))
         if n == 0:
             return sign * value, np.bincount(keys, panels[H] * panels[RESIDUAL], count)
-        if used + 2 * n > max_intervals:
-            raise QuadratureError(f"quadrature did not converge within {max_intervals} intervals")
+        if used + 2 * n > MAX_INTERVALS:
+            raise QuadratureError(f"quadrature did not converge within {MAX_INTERVALS} intervals")
         used += 2 * n
         # Halve every split panel; the halves share three of its points and
         # need f at their own quarter points, all in one call.

@@ -191,7 +191,6 @@ of :func:`post_expansion_distribution`.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -269,10 +268,14 @@ def overlap_coefficient(n, m, alpha) -> float:
         return 2.0 * n * math.sqrt(alpha) * float(np.sinc((m - a) / alpha)) / (m + a)
     # Away from resonance, the closed form on the exactly reduced argument:
     # m = k alpha + r with |r| <= alpha / 2, sin(pi m / alpha) = (-1)^k sin(pi r / alpha).
-    r = math.fmod(m, alpha)
+    # With alpha = p / q, k and r q are the integer quotient and remainder of
+    # m q by p: k is exact for every m, and r = rest / q is rounded once.
+    p, q = alpha.as_integer_ratio()
+    k, rest = divmod(m * q, p)
+    r = rest / q
     if r > 0.5 * alpha:
         r -= alpha
-    k = round((m - r) / alpha)
+        k += 1
     sign = -1.0 if (n + k) % 2 else 1.0
     # Dividing twice keeps (m - a) (m + a) from overflowing for huge alpha.
     return sign * 2.0 * math.sqrt(alpha) / math.pi * math.sin(math.pi * r / alpha) * (
@@ -452,6 +455,20 @@ def _moment_orders(rho: float, b: float) -> tuple[int, int]:
     return order, depth
 
 
+# The one order pair of every block of the moment path, (11, 15), and the
+# read-only tables of that size: C(k, l) for k, l <= K, and the coefficients
+# (j + 1) C(2 j + 1 + k, k) of A_k(eps) for k <= K, j <= J.  Lower orders
+# take their leading corner.
+_MOMENT_ORDERS = _moment_orders(1.0 / _MOMENT_SPAN, 0.25)
+_BINOMIALS = np.array([[math.comb(k, l) for l in range(_MOMENT_ORDERS[0] + 1)]
+                       for k in range(_MOMENT_ORDERS[0] + 1)], dtype=np.float64)
+_MOMENT_COEFFICIENTS = np.array([[(j + 1) * math.comb(2 * j + 1 + k, k)
+                                  for j in range(_MOMENT_ORDERS[1] + 1)]
+                                 for k in range(_MOMENT_ORDERS[0] + 1)], dtype=np.float64)
+_BINOMIALS.setflags(write=False)
+_MOMENT_COEFFICIENTS.setflags(write=False)
+
+
 def _moment_schedule(head: int, terms: int) -> tuple[np.ndarray, np.ndarray]:
     """Starts and widths, as int64 arrays, of the blocks that tile ``m =
     head + 1 .. terms``, ``head >= 63``: a block at ``s`` takes the largest
@@ -474,35 +491,16 @@ def _moment_schedule(head: int, terms: int) -> tuple[np.ndarray, np.ndarray]:
     return starts, np.diff(starts, append=terms + 1)
 
 
-@functools.lru_cache(maxsize=8)
-def _binomials(order: int) -> np.ndarray:
-    """The read-only matrix ``C(k, l)``, ``k, l = 0 .. order``."""
-    ks = range(order + 1)
-    table = np.array([[math.comb(k, l) for l in ks] for k in ks], dtype=np.float64)
-    table.setflags(write=False)
-    return table
-
-
-@functools.lru_cache(maxsize=8)
-def _moment_coefficients(order: int, depth: int) -> np.ndarray:
-    """The read-only table ``(j + 1) C(2 j + 1 + k, k)`` of the series
-    ``A_k(eps)``, ``k = 0 .. order`` by ``j = 0 .. depth``."""
-    table = np.array([[(j + 1) * math.comb(2 * j + 1 + k, k) for j in range(depth + 1)]
-                      for k in range(order + 1)], dtype=np.float64)
-    table.setflags(write=False)
-    return table
-
-
 def _moment_tables(alpha: float, levels: int, order: int) -> np.ndarray:
     """Rows ``(P_k, C_k, S_k)``, ``k = 0 .. order``, for the widths ``w =
     2**0 .. 2**levels``: the sums over the offsets ``i < w`` of ``x^k``,
     ``cos(2 theta i) x^k`` and ``sin(2 theta i) x^k``, with ``x = i / w`` and
-    ``theta = pi / alpha``.
+    ``theta = pi / alpha``; ``order`` is at most ``_MOMENT_ORDERS[0]``.
 
     Width 1 holds ``x = 0`` alone.  Width ``2w`` holds the offsets of ``w``
     at ``x / 2`` and, shifted by ``w``, at ``(1 + x) / 2``, which gives the
     doubling of the module docstring."""
-    binomials = _binomials(order)
+    binomials = _BINOMIALS[:order + 1, :order + 1]
     halves = 0.5 ** np.arange(order + 1)
     tables = np.zeros((levels + 1, 3, order + 1))
     tables[0, :2, 0] = 1.0
@@ -519,13 +517,14 @@ def _moment_block_sums(alpha: float, a: float, starts, widths, order: int,
     """Sums of the identity's terms over the blocks ``m = s .. s + w - 1``,
     ``(s, w)`` in ``zip(starts, widths)`` (integer sequences), ``w`` a power
     of two, each from the moment tables: the series in ``rho = w / s`` cut
-    after ``rho^order``, each ``A_k`` after ``eps^depth``."""
+    after ``rho^order``, each ``A_k`` after ``eps^depth``, at most the
+    orders of ``_MOMENT_ORDERS``."""
     widths = np.asarray(widths, dtype=np.float64)
     # Exact: a power of two 2**r has the binary exponent r + 1.
     rows = np.frexp(widths)[1] - 1
     tables = _moment_tables(alpha, int(rows.max()), order)[rows].transpose(1, 2, 0)
     starts = np.asarray(starts, dtype=np.float64)
-    coefficients = _moment_coefficients(order, depth)
+    coefficients = _MOMENT_COEFFICIENTS[:order + 1, :depth + 1]
     eps = (a / starts) ** 2
     # A_k(eps) by Horner's rule, for every k and block at once.
     moments = np.zeros((order + 1, starts.size))
@@ -555,8 +554,7 @@ def _energy_series(alpha: float, n: int, terms: int) -> float:
     if terms <= head:
         return _square_series(alpha, terms, [n])
     # Every block has w / s <= 1/64 and, past the head, a / s < 1/4.
-    order, depth = _moment_orders(1.0 / _MOMENT_SPAN, 0.25)
-    sums = _moment_block_sums(alpha, a, *_moment_schedule(head, terms), order, depth)
+    sums = _moment_block_sums(alpha, a, *_moment_schedule(head, terms), *_MOMENT_ORDERS)
     return math.fsum(_square_block_sums(alpha, head, [n]) + sums.tolist())
 
 

@@ -17,7 +17,7 @@ from qcarnot import (
     expectation_energy,
     wall_force,
 )
-from qcarnot.boxmodel import _check_int, _check_real, _level_square_sum
+from qcarnot.boxmodel import _check_int, _check_real
 from strategies import mixed_states, widths
 
 INF = math.inf
@@ -286,13 +286,13 @@ class TestMixedState:
         assert "_square_sum" not in vars(state)
         n = state.levels.astype(np.float64)
         expected = float((state.weights * (n * n)).sum())
-        assert _level_square_sum(state) == expected
+        assert state._square_sum == expected
         assert vars(state)["_square_sum"] == expected
-        assert _level_square_sum(state) == expected
+        assert state._square_sum == expected
 
     def test_level_square_sum_of_two_levels_has_no_fma(self):
         s = MixedState(np.array([3, 4]), np.array([0.1, 0.9]))
-        assert _level_square_sum(s) == 0.1 * 9.0 + 0.9 * 16.0
+        assert s._square_sum == 0.1 * 9.0 + 0.9 * 16.0
 
     @pytest.mark.parametrize("levels, message", [
         ([0, 1, 2], "positive integers"),

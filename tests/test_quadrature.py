@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qcarnot import QuadratureError
+from qcarnot import QuadratureError, quadrature
 from qcarnot.quadrature import integrate
 
 
@@ -41,10 +41,10 @@ def test_zero_length_interval():
     assert (values.tolist(), estimates.tolist()) == ([0.0], [0.0])
 
 
-def test_budget_exhaustion_raises():
+def test_budget_exhaustion_raises(monkeypatch):
+    monkeypatch.setattr(quadrature, "MAX_INTERVALS", 8)
     with pytest.raises(QuadratureError, match=r"^quadrature did not converge within 8 intervals$"):
-        integrate(keyed(lambda x: np.sin(50 * x) ** 2 / (x + 0.01)), [0.0], [10.0],
-                  rel_tol=1e-14, max_intervals=8)
+        integrate(keyed(lambda x: np.sin(50 * x) ** 2 / (x + 0.01)), [0.0], [10.0], rel_tol=1e-14)
 
 
 def test_estimate_bounds_true_error():

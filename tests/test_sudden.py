@@ -82,6 +82,29 @@ class TestOverlapCoefficient:
             _overlap_mpmath(n, m, alpha), rel=1e-12, abs=0
         )
 
+    @pytest.mark.parametrize("n, m, alpha", [
+        (36, 4727086070468171, 1.3), (1, 10 ** 17 + 1, 1.3), (1, 2 ** 63 - 1, 2.6),
+    ])
+    def test_huge_index_matches_mpmath(self, n, m, alpha):
+        # m is reduced modulo alpha in integers: a float m loses the parity of
+        # m // alpha from about 4.5e15 on, and its own digits past 2**53.
+        assert overlap_coefficient(n, m, alpha) == pytest.approx(
+            _overlap_mpmath(n, m, alpha), rel=1e-12, abs=0
+        )
+
+    def test_huge_index_draws_match_mpmath(self):
+        rng = np.random.default_rng(23)
+        for _ in range(8):
+            n, m = int(rng.integers(1, 51)), int(rng.integers(2 ** 53, 2 ** 63 - 1, endpoint=True))
+            alpha = float(rng.uniform(1.05, 10.0))
+            assert overlap_coefficient(n, m, alpha) == pytest.approx(
+                _overlap_mpmath(n, m, alpha), rel=1e-12, abs=0
+            ), (n, m, alpha)
+
+    def test_sine_is_exactly_zero_past_2_53(self):
+        # 3 divides 2**53 + 1, which is not a binary64 value.
+        assert overlap_coefficient(1, 2 ** 53 + 1, 3.0) == 0.0
+
     def test_matches_integration_small_grid(self):
         for alpha in (1.3, 2.0, 2.5):
             for n in (1, 2, 5):
@@ -462,6 +485,18 @@ class TestMomentPath:
     ABS_TOL = 4.4e-16
     # The one order pair of every block: w / s <= 1/64 and a / s < 1/4.
     ORDERS = sudden._moment_orders(1.0 / 64, 0.25)
+
+    def test_orders_and_tables_are_fixed_at_import(self):
+        # The orders the module docstring states, and read-only tables of
+        # that size that the lower orders of the tests below cut a corner of.
+        assert sudden._MOMENT_ORDERS == self.ORDERS == (11, 15)
+        order, depth = self.ORDERS
+        binomials, coefficients = sudden._BINOMIALS, sudden._MOMENT_COEFFICIENTS
+        assert not (binomials.flags.writeable or coefficients.flags.writeable)
+        assert binomials.tolist() == [[math.comb(k, l) for l in range(order + 1)]
+                                      for k in range(order + 1)]
+        assert coefficients.tolist() == [[(j + 1) * math.comb(2 * j + 1 + k, k)
+                                          for j in range(depth + 1)] for k in range(order + 1)]
 
     @staticmethod
     def _cutoffs(alpha, n):

@@ -29,6 +29,7 @@ NORMALIZATION_TOL = 1e-12
 
 # Largest level index: levels are stored as int64.
 _MAX_LEVEL = 2 ** 63 - 1
+_LEVEL_RULE = "levels must be positive integers below 2**63"
 
 # Decimal exponent range that energies, forces and their intermediates must
 # keep; the margin to binary64's limits covers the sums and ratios formed
@@ -159,11 +160,25 @@ def check_energy_scale(params: WellParams, top_level, L_min, L_max) -> None:
 
 def _frozen_or_copy(values, dtype) -> np.ndarray:
     """``values`` itself if it is a read-only ndarray of ``dtype`` that owns
-    its data, else a new array of ``dtype``."""
+    its data, else a new array of ``dtype``.  An int array, or a float array
+    of weights, is cast (a uint64 level past int64 casts negative, which
+    :class:`MixedState` rejects); other input is checked entry by entry, as
+    :meth:`MixedState.from_pairs` checks its pairs."""
     if (type(values) is np.ndarray and values.dtype == dtype
             and values.flags.owndata and not values.flags.writeable):
         return values
-    return np.array(values, dtype=dtype)
+    levels = dtype == np.int64
+    if isinstance(values, np.ndarray) and values.dtype.kind in ("iu" if levels else "iuf"):
+        return np.array(values, dtype=dtype)
+    values = np.array(values, dtype=object)
+    entries = []
+    for v in values.flat:
+        try:
+            entries.append(_check_int(v, "level") if levels else _check_real(v, "weight", -math.inf))
+        except DomainError:
+            rule = _LEVEL_RULE if levels else "weights must be finite reals"
+            raise StateError(f"{rule}, got {v!r}") from None
+    return np.array(entries, dtype).reshape(values.shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,10 +190,11 @@ class MixedState:
     ``NORMALIZATION_TOL``.  Instances are immutable (arrays are marked
     read-only) and safe to share between threads.
 
-    Each input is copied unless it is a read-only ``numpy.ndarray`` of the
-    stored dtype (int64 levels, float64 weights) that owns its data.  Such an
-    array is kept as is and the state shares its memory, so a writable view
-    of it taken before it was made read-only still writes into the state.
+    Each input is copied, its entries checked as by :meth:`from_pairs`,
+    unless it is a read-only ``numpy.ndarray`` of the stored dtype (int64
+    levels, float64 weights) that owns its data.  Such an array is kept as
+    is and the state shares its memory, so a writable view of it taken
+    before it was made read-only still writes into the state.
 
     The level-square sum ``sum(w_n n^2)``, from which every energy and force
     of the state follows, is computed on first use and kept: a state of
@@ -201,7 +217,7 @@ class MixedState:
         # second, so an unsorted input with a level below 1 is reported as such.
         ascending = not (levels[1:] <= levels[:-1]).any()
         if (levels[0] if ascending else levels.min()) < 1:
-            raise StateError("levels must be positive integers")
+            raise StateError(_LEVEL_RULE)
         if not ascending:
             raise StateError("levels must be distinct and sorted ascending")
         # A finite sum has finite terms, so only a sum that is not finite

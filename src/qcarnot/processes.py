@@ -19,8 +19,8 @@ the path is continuous; work, heat and efficiency are path-independent.
 :func:`stroke_work` against the sampled force, integrated over ``u = ln L``
 (``dW = L F du``), where both equations of state give smooth integrands at
 any width ratio.  All strokes passed together share one keyed
-:func:`quadrature.integrate` call, each starting on one or more runs of 64
-equal panels.
+:func:`quadrature.integrate` call over runs of 64 equal panels, as many per
+stroke as ``rel_tol`` asks for, laid out before the integrand runs.
 
 The stroke table is the one evaluator of energy and force.  It has one row
 per stroke: start width, base width (``inf`` on an adiabat), ``(pi hbar)^2``
@@ -68,18 +68,8 @@ _ENERGY_MATCH_RTOL = 1e-9
 # samples.csv of several hundred MB.
 MAX_SAMPLES_PER_STROKE = 2 ** 20
 
-# Equal panels in u = ln L of one start run of the work quadrature.  Every
-# stroke starts on one run, except an adiabat of |ln(L_end / L_start)| <=
-# _RUN_SPAN_LIMIT, which starts on ceil of that many runs: no panel of it is
-# wider than 1/64, where Boole's residual h^4 g / 2880 of its integrand g =
-# c e^(-2u) is at most 2.07e-11 g, under the rel_tol / 4 = 2.5e-11 that the
-# first level must meet at the default rel_tol.  Past the limit one uniform
-# level evaluates more points than refinement does, whose keys each anchor on
-# their own integral and stop early on the e^(-2u) tail: at the widest
-# adiabat of the energy-scale domain, ln(1e190 / 2), one level takes 280k
-# points and 73 MB where refinement takes 42 MB.
-_START_PANELS = 64
-_RUN_SPAN_LIMIT = 64.0
+# Equal panels in u = ln L of one run of the work quadrature.
+_RUN_PANELS = 64
 
 
 class StrokeKind(Enum):
@@ -369,26 +359,25 @@ def stroke_work(stroke: Stroke) -> float:
 
 def stroke_work_quadrature(strokes: Stroke | Sequence[Stroke],
                            rel_tol: float = 1e-10) -> float | list[float]:
-    """Work by adaptive quadrature over the populations, independent of the
-    closed forms in :func:`stroke_work`.  ``strokes`` is one :class:`Stroke`,
+    """Work by quadrature over the populations, independent of the closed
+    forms in :func:`stroke_work`.  ``strokes`` is one :class:`Stroke`,
     which gives a float, or a sequence of them, which gives a list with one
     work per stroke from a single :func:`quadrature.integrate` call.  Each
     stroke integrates ``g(u) = L F = 2 E``, with ``E`` from the populations at
     ``L = L_start * e^u``, over ``u`` from 0 to ``ln(L_end / L_start)``: ``g``
     is constant on an isotherm and ``e^(-2u)`` times a constant on an adiabat,
-    smooth at every width ratio.  Each stroke starts on runs of
-    ``_START_PANELS`` equal panels, passed as keys of their own, and its work
-    is the sum of its runs' sums.  An isotherm starts on one run, so even
-    it, which Boole's rule would accept from five points, is probed at ``4 *
-    _START_PANELS + 1`` widths across the population staircase.  An adiabat
-    of span ``|ln(L_end / L_start)| <= 64`` starts on ``ceil`` of its span
-    runs, so no panel is wider than 1/64 and Boole's residual ``h^4 g /
-    2880`` meets the default tolerance on the first level: one integrand
-    call for a whole Carnot cycle.  A wider adiabat starts on one run and
-    refines, which evaluates fewer points there than one uniform level (see
-    ``_RUN_SPAN_LIMIT``).  Every stroke's a-posteriori estimate must come out
-    below ``rel_tol`` times its integral, else :class:`QuadratureError` is
-    raised.
+    smooth at every width ratio.  Each stroke lies on runs of ``_RUN_PANELS``
+    equal panels, and its work is the sum of its runs' sums.  An isotherm
+    takes one run, so even it, which Boole's rule would accept from five
+    points, is probed at ``4 * _RUN_PANELS + 1`` widths across the population
+    staircase.  An adiabat takes ``max(1, ceil(|span| d))`` runs, with ``d =
+    ceil((1e-10 / rel_tol)^(1/4))``, so no panel is wider than ``h = 1 / (64
+    d)`` and Boole's residual ``h^4 g / 2880`` is at most ``0.207 rel_tol
+    g``.  At the default ``rel_tol``, ``d`` is 1, and a Carnot cycle whose
+    adiabats span up to 64 takes one integrand call.  Every stroke's
+    a-posteriori estimate must come out below ``rel_tol`` times its integral,
+    else :class:`QuadratureError` is raised; so is it, before any array is
+    built, for a grid of more than ``quadrature.MAX_INTERVALS`` panels.
 
     Each stroke was checked when it was built (an item that is not a
     :class:`Stroke` raises :class:`DomainError` naming it as ``strokes[i]``),
@@ -404,18 +393,23 @@ def stroke_work_quadrature(strokes: Stroke | Sequence[Stroke],
         _check_type(stroke, Stroke, f"strokes[{i}]")
     if not strokes:
         return []
-    table = _stroke_table(strokes)
     # Each u-span from the width ratio, not as a difference of two logs.
     spans = [math.log(s.L_end / s.L_start) for s in strokes]
-    runs = [max(1, math.ceil(abs(span)))
-            if s.kind is StrokeKind.ADIABATIC and abs(span) <= _RUN_SPAN_LIMIT else 1
+    # Capping d at MAX_INTERVALS, reached only below rel_tol = 1e-34, keeps it finite.
+    d = math.ceil(min((1e-10 / rel_tol) ** 0.25, quadrature.MAX_INTERVALS))
+    runs = [max(1, math.ceil(abs(span) * d)) if s.kind is StrokeKind.ADIABATIC else 1
             for s, span in zip(strokes, spans)]
+    if sum(runs) * _RUN_PANELS > quadrature.MAX_INTERVALS:
+        raise QuadratureError(f"rel_tol {rel_tol!r} needs {sum(runs) * _RUN_PANELS} quadrature "
+                              f"panels, more than {quadrature.MAX_INTERVALS}")
+    table = _stroke_table(strokes)
     # Key k lies on stroke owner[k]; the i-th of a stroke's n panels spans
     # span * (i / n) to span * ((i + 1) / n).
     run_owner = np.repeat(np.arange(len(strokes)), runs)
-    owner = np.repeat(run_owner, _START_PANELS)
+    owner = np.repeat(run_owner, _RUN_PANELS)
     span = np.array(spans)[owner]
-    left, right = zip(*map(_panel_fractions, runs))
+    left, right = zip(*(_panel_fractions(n) if n <= 64 else _panel_fractions.__wrapped__(n)
+                        for n in runs))
 
     def g(key_u):
         key, u = key_u
@@ -425,15 +419,11 @@ def stroke_work_quadrature(strokes: Stroke | Sequence[Stroke],
         _check_forces(force, mine, table[:, L_START])
         return twice_energy
 
-    # Integrate at a quarter of the requested tolerance, which each key's
-    # estimate meets relative to its refined value.  g has one sign along a
-    # stroke, so the bounds of its keys add up to one on its work, and the
-    # gate below holds with margin.
     values, estimates = quadrature.integrate(
-        g, span * np.concatenate(left), span * np.concatenate(right), rel_tol=rel_tol / 4.0
+        g, span * np.concatenate(left), span * np.concatenate(right)
     )
     works, errors = (
-        np.bincount(run_owner, column.reshape(-1, _START_PANELS).sum(axis=1), len(strokes)).tolist()
+        np.bincount(run_owner, column.reshape(-1, _RUN_PANELS).sum(axis=1), len(strokes)).tolist()
         for column in (values, estimates)
     )
     for work, error in zip(works, errors):
@@ -445,9 +435,10 @@ def stroke_work_quadrature(strokes: Stroke | Sequence[Stroke],
 @functools.lru_cache(maxsize=None)
 def _panel_fractions(runs: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only left and right edges ``i / n`` and ``(i + 1) / n`` of the
-    ``n = runs * _START_PANELS`` panels of a unit span; ``runs`` is at most
-    ``ceil(_RUN_SPAN_LIMIT)``, so the cache holds about 1 MB at most."""
-    fractions = np.arange(runs * _START_PANELS + 1) / (runs * _START_PANELS)
+    ``n = runs * _RUN_PANELS`` panels of a unit span.  Callers take up to 64
+    runs, every adiabat of span up to 64 at the default ``rel_tol``, from
+    the cache, about 1 MB at most, and more from ``__wrapped__``."""
+    fractions = np.arange(runs * _RUN_PANELS + 1) / (runs * _RUN_PANELS)
     fractions.setflags(write=False)
     return fractions[:-1], fractions[1:]
 
@@ -457,18 +448,19 @@ def sample_stroke(stroke: Stroke, count: int, stroke_index: int = 1) -> SampleTa
 
     Force and ``2 E`` come from the stroke's one-row stroke table, as in
     :meth:`Stroke.force_at`, and the energy is half of ``2 E``.  Builds no
-    :class:`MixedState` and checks only ``count`` and the forces, with
-    :func:`_check_forces`: the stroke was checked when it was built, and
-    every width lies between its ends.  An adiabat's fixed state is broadcast
-    over all rows; an isotherm's populations come from one population
-    staircase over all widths, as levels ``k, k + 1`` (``k`` alone where the
-    state is pure).  Every value equals, bit for bit, what ``wall_force``,
+    :class:`MixedState` and checks only ``count``, ``stroke_index`` and the
+    forces, with :func:`_check_forces`: the stroke was checked when it was
+    built, and every width lies between its ends.  An adiabat's fixed state
+    is broadcast over all rows; an isotherm's populations come from one
+    population staircase over all widths, as levels ``k, k + 1`` (``k``
+    alone where the state is pure).  Every value equals, bit for bit, what ``wall_force``,
     ``expectation_energy``, ``entropy`` and ``.populations`` give for the
     state at ``L``: ``stroke.state_start`` on an adiabat,
     :func:`isothermal_state_at` on an isotherm.
     """
     _check_type(stroke, Stroke, "stroke")
     count = _check_int(count, "count", 2, MAX_SAMPLES_PER_STROKE)
+    stroke_index = _check_int(stroke_index, "stroke_index")
     widths = np.linspace(stroke.L_start, stroke.L_end, count)
     twice_energy, force = _table_forces(_stroke_table((stroke,))[0], widths)
     _check_forces(force, np.zeros(widths.size, np.intp), (stroke.L_start,))

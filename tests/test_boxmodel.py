@@ -220,6 +220,8 @@ class TestMixedState:
         s = MixedState(levels, weights)
         levels[0], weights[0] = 7, 0.5
         assert s.populations == ((1, 0.25), (2, 0.75))
+        s = MixedState([1.0, np.float32(2.0), 2 ** 63 - 1], [np.int64(0), 0.5, np.float32(0.5)])
+        assert s.populations == ((1, 0.0), (2, 0.5), (2 ** 63 - 1, 0.5))
         narrow = np.array([1, 2], dtype=np.int32)
         s = MixedState(narrow, np.array([0.25, 0.75], dtype=np.float32))
         narrow[0] = 7
@@ -279,6 +281,27 @@ class TestMixedState:
     def test_constructor_checks_in_order(self, levels, weights, message):
         with pytest.raises(StateError, match=message):
             MixedState(np.array(levels, dtype=np.int64), np.array(weights))
+
+    @pytest.mark.parametrize("levels, weights, field", [
+        ([1.5], [1.0], "levels"),
+        ([2.7, 3.2], [0.5, 0.5], "levels"),
+        (np.array([2.7, 3.2]), np.array([0.5, 0.5]), "levels"),
+        ([math.inf], [1.0], "levels"),
+        ([True], [1.0], "levels"),
+        (np.array([True]), [1.0], "levels"),
+        ([2 ** 64], [1.0], "levels"),
+        (["a"], [1.0], "levels"),
+        (["1"], [1.0], "levels"),
+        ([1], ["1.0"], "weights"),
+        ([1], [True], "weights"),
+        ([1], np.array([True]), "weights"),
+        ([1], np.array(["1.0"]), "weights"),
+    ])
+    def test_copied_entries_follow_the_rules_of_from_pairs(self, levels, weights, field):
+        # No level is truncated or cast from a bool, string or an int past
+        # int64, and no weight is cast from a bool or a string.
+        with pytest.raises(StateError, match=f"^{field} must be "):
+            MixedState(levels, weights)
 
     @settings(max_examples=60, deadline=None)
     @given(mixed_states(max_support=8, max_level=2 ** 40))

@@ -11,6 +11,7 @@ from qcarnot import (
     DomainError,
     IsothermRangeError,
     MixedState,
+    QuadratureError,
     SampleTable,
     ScaleError,
     Stroke,
@@ -30,7 +31,7 @@ from qcarnot import (
 )
 from qcarnot.cli import write_samples_csv
 from qcarnot.cycle import MAX_TOP_LEVEL, CarnotSpec, build_carnot_cycle
-from qcarnot.processes import _START_PANELS, MAX_SAMPLES_PER_STROKE
+from qcarnot.processes import _RUN_PANELS, MAX_SAMPLES_PER_STROKE
 from oracles import (
     checked_twice_energy,
     masked_work_integrand,
@@ -101,20 +102,19 @@ def failing_strokes(draw):
 
 
 def key_owner(strokes):
-    """The stroke of each key of ``stroke_work_quadrature(strokes)``: one
-    start run of ``_START_PANELS`` keys per stroke, or ``max(1,
-    ceil(|ln(L_end / L_start)|))`` runs on an adiabat of span up to 64."""
-    runs = []
-    for stroke in strokes:
-        span = abs(math.log(stroke.L_end / stroke.L_start))
-        short = stroke.kind is StrokeKind.ADIABATIC and span <= 64.0
-        runs.append(max(1, math.ceil(span)) if short else 1)
-    return np.repeat(np.arange(len(strokes)), _START_PANELS * np.array(runs))
+    """The stroke of each key of ``stroke_work_quadrature(strokes)``: runs of
+    ``_RUN_PANELS`` keys, one on an isotherm and ``max(1, ceil(|ln(L_end /
+    L_start)|))`` on an adiabat, whose runs per unit of span are 1 at the
+    default ``rel_tol``."""
+    runs = [max(1, math.ceil(abs(math.log(s.L_end / s.L_start))))
+            if s.kind is StrokeKind.ADIABATIC else 1 for s in strokes]
+    return np.repeat(np.arange(len(strokes)), _RUN_PANELS * np.array(runs))
 
 
-def integrand_calls(strokes, rel_tol=1e-10):
+def integrand_calls(strokes, rel_tol=1e-10, sizes=None):
     """``stroke_work_quadrature(strokes, rel_tol)`` and the ``(a, b)`` of its
-    one ``quadrature.integrate`` call with the count of integrand calls."""
+    one ``quadrature.integrate`` call with the count of integrand calls;
+    ``sizes`` collects the size of each integrand input."""
     integrate = quadrature.integrate
     seen = []
 
@@ -123,6 +123,8 @@ def integrand_calls(strokes, rel_tol=1e-10):
 
         def counted(key_u):
             calls[0] += 1
+            if sizes is not None:
+                sizes.append(key_u[1].size)
             return f(key_u)
 
         seen.append((a, b, calls))
@@ -435,8 +437,8 @@ class TestStrokeWork:
             assert q == pytest.approx(w, rel=1e-9, abs=1e-12)
 
     def test_sequence_of_strokes_matches_one_at_a_time(self):
-        # Every stroke's panels refine on their own keys and anchors, so one
-        # call for all of them gives each stroke's work bit for bit.
+        # Every stroke's panels are keys of their own, laid out from its span
+        # alone, so one call for all of them gives each stroke's work bit for bit.
         rng = np.random.default_rng(5)
         strokes = [random_stroke(rng) for _ in range(6)]
         strokes.insert(2, isothermal_stroke(E_GROUND, 1.5, 1.5, 1.0))
@@ -487,7 +489,7 @@ class TestStrokeWork:
 class TestStartRuns:
     @pytest.mark.parametrize("ratio, runs", [
         (1.0, 1), (math.exp(0.5), 1), (math.e, 1), (math.exp(1.0 + 1e-9), 2),
-        (1e3, 7), (math.exp(-20.5), 21), (math.exp(64.0), 64), (math.exp(64.5), 1),
+        (1e3, 7), (math.exp(-20.5), 21), (math.exp(64.0), 64), (math.exp(64.5), 65),
     ])
     def test_an_adiabat_starts_on_one_run_per_unit_of_span(self, ratio, runs):
         # No panel of a run wider than 1/64, and the edges of a one-run
@@ -495,12 +497,11 @@ class TestStartRuns:
         stroke = adiabatic_stroke(MixedState.pure(3), 2.0, 2.0 * ratio)
         _, a, b, _ = integrand_calls([stroke])
         span = math.log(stroke.L_end / stroke.L_start)
-        assert a.size == _START_PANELS * runs
+        assert a.size == _RUN_PANELS * runs
         assert a[0] == 0.0 and b[-1] == span and (a[1:] == b[:-1]).all()
-        if abs(span) <= 64.0:
-            assert (np.abs(b - a) <= 1.0 / 64.0 * (1.0 + 1e-15)).all()
+        assert (np.abs(b - a) <= 1.0 / 64.0 * (1.0 + 1e-15)).all()
         if runs == 1:
-            edges = span * (np.arange(_START_PANELS + 1) / _START_PANELS)
+            edges = span * (np.arange(_RUN_PANELS + 1) / _RUN_PANELS)
             assert a.tobytes() == edges[:-1].tobytes() and b.tobytes() == edges[1:].tobytes()
 
     def test_no_strokes_give_no_works(self):
@@ -509,7 +510,7 @@ class TestStartRuns:
     def test_an_isotherm_starts_on_one_run(self):
         stroke = isothermal_stroke(E_GROUND, 1.0, 1e18, 1.0)
         _, a, _, calls = integrand_calls([stroke])
-        assert (a.size, calls) == (_START_PANELS, 1)
+        assert (a.size, calls) == (_RUN_PANELS, 1)
 
     @settings(max_examples=60, deadline=None)
     @given(carnot_cycles())
@@ -519,20 +520,46 @@ class TestStartRuns:
         for stroke, work in zip(cycle.strokes, works):
             assert work == pytest.approx(stroke_work(stroke), rel=1e-10, abs=1e-14 * stroke_scale(stroke))
 
-    @pytest.mark.parametrize("level, L_from, L_to, rel_tol", [
-        (2, 1.0, math.exp(64.5), 1e-10),
-        (5, 3.0, 3.0 * math.exp(100.0), 1e-10),
-        (2, 2e-95, 1e95, 1e-10),
-        (2, 1e95, 2e-95, 1e-10),
-        (3, 1.0, 1.5, 1e-14),
-        (3, 1.0, math.exp(8.0), 1e-14),
-        (7, 5.0, 5.0 * math.exp(-64.0), 1e-14),
+    @pytest.mark.parametrize("rel_tol, d", [(1e-4, 1), (1e-10, 1), (1e-12, 4), (1e-14, 10)])
+    @pytest.mark.parametrize("level, L_from, L_to", [
+        (3, 1.0, math.exp(1e-9)),
+        (3, 1.0, math.e),
+        (3, 1.0, math.exp(8.0)),
+        (7, 5.0, 5.0 * math.exp(-64.0)),
+        (2, 1.0, math.exp(64.5)),
+        (5, 3.0, 3.0 * math.exp(100.0)),
+        (2, 2e-95, 1e95),
+        (2, 1e95, 2e-95),
     ])
-    def test_wide_or_tight_adiabats_still_refine(self, level, L_from, L_to, rel_tol):
+    def test_adiabats_take_one_call_per_chunk_and_meet_rel_tol(self, rel_tol, d, level, L_from, L_to):
+        # An adiabat takes ceil(|span| d) runs, and f sees at most _CHUNK
+        # panels, five points each, a call.
         stroke = adiabatic_stroke(MixedState.pure(level), L_from, L_to)
-        (work,), _, _, calls = integrand_calls([stroke], rel_tol)
-        assert calls > 1
-        assert work == pytest.approx(stroke_work(stroke), rel=max(rel_tol, 1e-13), abs=1e-14 * stroke_scale(stroke))
+        sizes = []
+        (work,), a, _, calls = integrand_calls([stroke], rel_tol, sizes)
+        runs = math.ceil(abs(math.log(L_to / L_from)) * d)
+        assert a.size == _RUN_PANELS * runs
+        assert calls == math.ceil(a.size / quadrature._CHUNK) and max(sizes) <= 5 * 2 ** 14
+        assert work == pytest.approx(stroke_work(stroke), rel=max(rel_tol, 1e-13),
+                                     abs=1e-14 * stroke_scale(stroke))
+
+    @pytest.mark.parametrize("rel_tol", [5e-324, 1e-300, 1e-30])
+    def test_a_grid_past_the_panel_budget_raises_before_the_integrand_runs(self, rel_tol):
+        stroke = adiabatic_stroke(MixedState.pure(2), 1.0, math.e)
+        sizes = []
+        with pytest.raises(QuadratureError, match=r"quadrature panels, more than 1000000$"):
+            integrand_calls([stroke], rel_tol, sizes)
+        assert sizes == []
+
+    def test_the_panel_budget_counts_every_stroke(self, monkeypatch):
+        strokes = [adiabatic_stroke(MixedState.pure(2), 1.0, math.exp(2.5)),
+                   isothermal_stroke(E_GROUND, 1.0, 2.0, 1.0)]
+        monkeypatch.setattr(quadrature, "MAX_INTERVALS", 4 * _RUN_PANELS)
+        assert stroke_work_quadrature(strokes) == pytest.approx([stroke_work(s) for s in strokes])
+        monkeypatch.setattr(quadrature, "MAX_INTERVALS", 4 * _RUN_PANELS - 1)
+        with pytest.raises(QuadratureError, match=r"^rel_tol 1e-10 needs 256 quadrature panels, "
+                                                  r"more than 255$"):
+            stroke_work_quadrature(strokes)
 
 
 class TestStrokeTable:
@@ -695,6 +722,18 @@ class TestSampleStroke:
         stroke = isothermal_stroke(E_GROUND, 1.0, 2.0, 1.0)
         with pytest.raises(DomainError, match=r"count must be an integer in \[2, 2\*\*20\]"):
             sample_stroke(stroke, count)
+
+    @pytest.mark.parametrize("stroke_index", ["x", 2 ** 70, 0, True, 1.5, None])
+    def test_stroke_index_rejections(self, stroke_index):
+        stroke = isothermal_stroke(E_GROUND, 1.0, 2.0, 1.0)
+        with pytest.raises(DomainError, match=r"^stroke_index must be an integer in \[1, 2\*\*63 - 1\]"):
+            sample_stroke(stroke, 3, stroke_index)
+
+    def test_stroke_index_is_stored_as_an_int(self):
+        stroke = isothermal_stroke(E_GROUND, 1.0, 2.0, 1.0)
+        for index in (2.0, np.int8(2), 2):
+            table = sample_stroke(stroke, 3, index)
+            assert table.stroke_index.dtype == np.int64 and table[0].stroke_index == 2
 
 
 def random_params(rng):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qcarnot import QuadratureError, quadrature
+from qcarnot import quadrature
 from qcarnot.quadrature import integrate
 
 
@@ -19,6 +19,20 @@ def keyed(*gs):
     return f
 
 
+def panels(lo, hi, n):
+    """The left and right edges of ``n`` equal panels of ``[lo, hi]``."""
+    edges = np.linspace(lo, hi, n + 1)
+    return edges[:-1], edges[1:]
+
+
+def _wave(x):
+    return np.exp(-x) * np.cos(3 * x)
+
+
+def _inverse(x):
+    return 1.0 / x
+
+
 def test_polynomial_is_exact():
     (value,), (estimate,) = integrate(keyed(lambda x: x ** 3), [0.0], [2.0])
     assert value == pytest.approx(4.0, rel=1e-14)
@@ -26,8 +40,8 @@ def test_polynomial_is_exact():
 
 
 def test_inverse_width_matches_log():
-    (value,), _ = integrate(keyed(lambda x: 1.0 / x), [1.0], [2.0], rel_tol=1e-12)
-    assert value == pytest.approx(math.log(2), rel=1e-12)
+    values, _ = integrate(keyed(*[_inverse] * 64), *panels(1.0, 2.0, 64))
+    assert values.sum() == pytest.approx(math.log(2), rel=1e-12)
 
 
 def test_reversed_limits_negate():
@@ -41,77 +55,48 @@ def test_zero_length_interval():
     assert (values.tolist(), estimates.tolist()) == ([0.0], [0.0])
 
 
-def test_budget_exhaustion_raises(monkeypatch):
-    monkeypatch.setattr(quadrature, "MAX_INTERVALS", 8)
-    with pytest.raises(QuadratureError, match=r"^quadrature did not converge within 8 intervals$"):
-        integrate(keyed(lambda x: np.sin(50 * x) ** 2 / (x + 0.01)), [0.0], [10.0], rel_tol=1e-14)
-
-
 def test_estimate_bounds_true_error():
-    (value,), (estimate,) = integrate(keyed(lambda x: np.exp(-x) * np.cos(3 * x)), [0.0], [4.0],
-                                      rel_tol=1e-10)
     exact = (3 * math.sin(12.0) - math.cos(12.0)) * math.exp(-4.0) / 10.0 + 0.1
-    assert abs(value - exact) <= max(estimate, 1e-13)
+    for n in (16, 64):
+        values, estimates = integrate(keyed(*[_wave] * n), *panels(0.0, 4.0, n))
+        assert abs(values.sum() - exact) <= max(estimates.sum(), 1e-13)
 
 
-@pytest.mark.parametrize("R", [10.0, 300.0, 1000.0, 1e4])
-def test_tolerance_anchored_on_refined_value(R):
-    # The first coarse Simpson value overestimates ln R by up to ~24x on
-    # these ranges; the estimate must still meet rel_tol against the result.
-    rel_tol = 1e-10
-    (value,), (estimate,) = integrate(keyed(lambda x: 1.0 / x), [1.0], [R], rel_tol=rel_tol)
-    assert estimate <= rel_tol * abs(value)
-    assert abs(value - math.log(R)) <= rel_tol * math.log(R)
-
-
-def test_one_vectorised_call_per_level():
+@pytest.mark.parametrize("n", [1, 5, quadrature._CHUNK, quadrature._CHUNK + 1,
+                               2 * quadrature._CHUNK + 3])
+def test_one_call_per_chunk_evaluates_each_panel_once(n):
+    # Key k lies on [k, k + 1], reversed for every third k.
+    k = np.arange(n)
+    reversed_ = k % 3 == 0
+    a, b = np.where(reversed_, k + 1.0, k), np.where(reversed_, k, k + 1.0)
     calls = []
 
     def f(key_x):
-        _, x = key_x
-        calls.append(x)
-        return np.exp(-x) * np.cos(3 * x)
+        key, x = key_x
+        calls.append(key)
+        return (1.0 + key) * np.exp(-0.001 * x)
 
-    integrate(f, [0.0], [4.0], rel_tol=1e-10)
-    assert all(isinstance(x, np.ndarray) and x.ndim == 1 for x in calls)
-    assert calls[0].tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
-    # Every level evaluates only new abscissae, four per split panel, in one call.
-    points = np.concatenate(calls)
-    assert np.unique(points).size == points.size
-    assert all(x.size % 4 == 0 for x in calls[1:])
-    assert len(calls) < 20
-    assert points.size > 50 * len(calls)
+    values, estimates = integrate(f, a, b)
+    chunk = quadrature._CHUNK
+    assert [c.size for c in calls] == [5 * min(chunk, n - i) for i in range(0, n, chunk)]
+    assert (np.bincount(np.concatenate(calls), minlength=n) == 5).all()
+    # Every panel keeps the bits of its forward integral alone, negated if reversed.
+    for i in sorted({0, min(1, n - 1), n // 2, n - 1}):
+        alone = integrate(lambda key_x: f((key_x[0] + i, key_x[1])), [float(i)], [i + 1.0])
+        assert values[i] == (-1.0 if reversed_[i] else 1.0) * alone[0][0]
+        assert estimates[i] == alone[1][0]
 
 
-def test_exact_integrand_needs_one_level():
+def test_one_panel_takes_one_call_of_its_five_points():
     calls = []
 
     def cubic(key_x):
         _, x = key_x
-        calls.append(x.size)
+        calls.append(x.tolist())
         return x ** 3
 
     integrate(cubic, [0.0], [2.0])
-    assert calls == [5]
-
-
-def _wave(x):
-    return np.exp(-x) * np.cos(3 * x)
-
-
-def _inverse(x):
-    return 1.0 / x
-
-
-def test_keys_meet_their_own_tolerance():
-    # Values 1e12 apart: under one shared anchor the small key would be
-    # left unrefined.
-    rel_tol = 1e-10
-    values, estimates = integrate(keyed(_inverse, lambda x: 1e12 / x), [1.0, 1.0], [1e4, 1e4],
-                                  rel_tol=rel_tol)
-    exact = np.array([1.0, 1e12]) * math.log(1e4)
-    assert (estimates <= rel_tol * np.abs(values)).all()
-    assert (np.abs(values - exact) <= rel_tol * exact).all()
+    assert calls == [[0.0, 0.5, 1.0, 1.5, 2.0]]
 
 
 def test_zero_length_key_beside_live_keys():
@@ -126,7 +111,8 @@ def test_zero_length_key_beside_live_keys():
     assert (values[1], estimates[1]) == (0.0, 0.0)
     assert 1 not in np.concatenate(seen)
     assert values[0] == integrate(keyed(_wave), [0.0], [4.0])[0][0]
-    assert values[2] == pytest.approx(math.log(2), rel=1e-10)
+    assert values[2] == integrate(keyed(_inverse), [1.0], [2.0])[0][0]
+    assert values[2] == pytest.approx(math.log(2), rel=1e-3)
 
 
 def test_reversed_keys_negate():
@@ -134,25 +120,6 @@ def test_reversed_keys_negate():
     values, estimates = integrate(cube, [1.0, 3.0], [3.0, 1.0])
     assert values[1] == pytest.approx(-values[0], rel=1e-14)
     assert estimates[1] == estimates[0]
-
-
-def test_one_call_per_level_across_keys():
-    def levels(gs, a, b):
-        calls = []
-        f = keyed(*gs)
-
-        def counted(key_x):
-            calls.append(sorted(set(key_x[0].tolist())))
-            return f(key_x)
-
-        integrate(counted, a, b)
-        return calls
-
-    cases = [(_wave, 0.0, 4.0), (_inverse, 1.0, 1e4), (_inverse, 1.0, 2.0)]
-    alone = [len(levels([g], [a], [b])) for g, a, b in cases]
-    together = levels(*zip(*cases))
-    assert len(together) == max(alone) > min(alone)
-    assert together[0] == [0, 1, 2]
 
 
 @pytest.mark.parametrize("a, b", [(0.0, 1.0), ([0.0, 1.0], [1.0]), ([[0.0]], [[1.0]])])

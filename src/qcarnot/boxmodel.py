@@ -30,6 +30,7 @@ NORMALIZATION_TOL = 1e-12
 # Largest level index: levels are stored as int64.
 _MAX_LEVEL = 2 ** 63 - 1
 _LEVEL_RULE = "levels must be positive integers below 2**63"
+_WEIGHT_RULE = "weights must be finite"
 
 # Decimal exponent range that energies, forces and their intermediates must
 # keep; the margin to binary64's limits covers the sums and ratios formed
@@ -158,25 +159,24 @@ def check_energy_scale(params: WellParams, top_level, L_min, L_max) -> None:
         )
 
 
-def _frozen_or_copy(values, dtype) -> np.ndarray:
+def _frozen_or_copy(values, dtype, kinds: str, check, rule: str) -> np.ndarray:
     """``values`` itself if it is a read-only ndarray of ``dtype`` that owns
-    its data, else a new array of ``dtype``.  An int array, or a float array
-    of weights, is cast (a uint64 level past int64 casts negative, which
-    :class:`MixedState` rejects); other input is checked entry by entry, as
-    :meth:`MixedState.from_pairs` checks its pairs."""
+    its data, else a new array of ``dtype``.  An ndarray of a dtype kind in
+    ``kinds`` is cast (a uint64 level past int64 casts negative, which
+    :class:`MixedState` rejects); other input is passed entry by entry
+    through ``check``, as :meth:`MixedState.from_pairs` checks its pairs, and
+    an entry it rejects raises :class:`StateError` with ``rule``."""
     if (type(values) is np.ndarray and values.dtype == dtype
             and values.flags.owndata and not values.flags.writeable):
         return values
-    levels = dtype == np.int64
-    if isinstance(values, np.ndarray) and values.dtype.kind in ("iu" if levels else "iuf"):
+    if isinstance(values, np.ndarray) and values.dtype.kind in kinds:
         return np.array(values, dtype=dtype)
     values = np.array(values, dtype=object)
     entries = []
     for v in values.flat:
         try:
-            entries.append(_check_int(v, "level") if levels else _check_real(v, "weight", -math.inf))
+            entries.append(check(v))
         except DomainError:
-            rule = _LEVEL_RULE if levels else "weights must be finite reals"
             raise StateError(f"{rule}, got {v!r}") from None
     return np.array(entries, dtype).reshape(values.shape)
 
@@ -207,8 +207,10 @@ class MixedState:
     weights: np.ndarray
 
     def __post_init__(self):
-        levels = _frozen_or_copy(self.levels, np.int64)
-        weights = _frozen_or_copy(self.weights, np.float64)
+        levels = _frozen_or_copy(self.levels, np.int64, "iu",
+                                 lambda v: _check_int(v, "level"), _LEVEL_RULE)
+        weights = _frozen_or_copy(self.weights, np.float64, "iuf",
+                                  lambda v: _check_real(v, "weight", -math.inf), _WEIGHT_RULE)
         if levels.ndim != 1 or weights.ndim != 1 or levels.shape != weights.shape:
             raise StateError("levels and weights must be 1-D sequences of equal length")
         if levels.size == 0:
@@ -225,7 +227,7 @@ class MixedState:
         with np.errstate(over="ignore", invalid="ignore"):
             total = float(weights.sum())
         if not math.isfinite(total) and not np.isfinite(weights).all():
-            raise StateError("weights must be finite")
+            raise StateError(_WEIGHT_RULE)
         if weights.min() < 0.0:
             raise StateError("weights must be nonnegative")
         if abs(total - 1.0) > NORMALIZATION_TOL:

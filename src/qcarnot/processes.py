@@ -35,7 +35,6 @@ their stroke.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from collections.abc import Iterable, Sequence
@@ -68,8 +67,10 @@ _ENERGY_MATCH_RTOL = 1e-9
 # samples.csv of several hundred MB.
 MAX_SAMPLES_PER_STROKE = 2 ** 20
 
-# Equal panels in u = ln L of one run of the work quadrature.
+# Equal panels in u = ln L of one run of the work quadrature, and the most
+# panels of one stroke_work_quadrature grid; a larger one raises QuadratureError.
 _RUN_PANELS = 64
+MAX_INTERVALS = 1_000_000
 
 
 class StrokeKind(Enum):
@@ -377,7 +378,7 @@ def stroke_work_quadrature(strokes: Stroke | Sequence[Stroke],
     adiabats span up to 64 takes one integrand call.  Every stroke's
     a-posteriori estimate must come out below ``rel_tol`` times its integral,
     else :class:`QuadratureError` is raised; so is it, before any array is
-    built, for a grid of more than ``quadrature.MAX_INTERVALS`` panels.
+    built, for a grid of more than ``MAX_INTERVALS`` panels.
 
     Each stroke was checked when it was built (an item that is not a
     :class:`Stroke` raises :class:`DomainError` naming it as ``strokes[i]``),
@@ -396,20 +397,19 @@ def stroke_work_quadrature(strokes: Stroke | Sequence[Stroke],
     # Each u-span from the width ratio, not as a difference of two logs.
     spans = [math.log(s.L_end / s.L_start) for s in strokes]
     # Capping d at MAX_INTERVALS, reached only below rel_tol = 1e-34, keeps it finite.
-    d = math.ceil(min((1e-10 / rel_tol) ** 0.25, quadrature.MAX_INTERVALS))
+    d = math.ceil(min((1e-10 / rel_tol) ** 0.25, MAX_INTERVALS))
     runs = [max(1, math.ceil(abs(span) * d)) if s.kind is StrokeKind.ADIABATIC else 1
             for s, span in zip(strokes, spans)]
-    if sum(runs) * _RUN_PANELS > quadrature.MAX_INTERVALS:
+    if sum(runs) * _RUN_PANELS > MAX_INTERVALS:
         raise QuadratureError(f"rel_tol {rel_tol!r} needs {sum(runs) * _RUN_PANELS} quadrature "
-                              f"panels, more than {quadrature.MAX_INTERVALS}")
+                              f"panels, more than {MAX_INTERVALS}")
     table = _stroke_table(strokes)
     # Key k lies on stroke owner[k]; the i-th of a stroke's n panels spans
     # span * (i / n) to span * ((i + 1) / n).
     run_owner = np.repeat(np.arange(len(strokes)), runs)
     owner = np.repeat(run_owner, _RUN_PANELS)
     span = np.array(spans)[owner]
-    left, right = zip(*(_panel_fractions(n) if n <= 64 else _panel_fractions.__wrapped__(n)
-                        for n in runs))
+    fractions = [np.arange(n * _RUN_PANELS + 1) / (n * _RUN_PANELS) for n in runs]
 
     def g(key_u):
         key, u = key_u
@@ -420,7 +420,8 @@ def stroke_work_quadrature(strokes: Stroke | Sequence[Stroke],
         return twice_energy
 
     values, estimates = quadrature.integrate(
-        g, span * np.concatenate(left), span * np.concatenate(right)
+        g, span * np.concatenate([f[:-1] for f in fractions]),
+        span * np.concatenate([f[1:] for f in fractions])
     )
     works, errors = (
         np.bincount(run_owner, column.reshape(-1, _RUN_PANELS).sum(axis=1), len(strokes)).tolist()
@@ -430,17 +431,6 @@ def stroke_work_quadrature(strokes: Stroke | Sequence[Stroke],
         if error > rel_tol * abs(work):
             raise QuadratureError(f"quadrature error estimate {error!r} exceeds {rel_tol!r} * |{work!r}|")
     return works[0] if single else works
-
-
-@functools.lru_cache(maxsize=None)
-def _panel_fractions(runs: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only left and right edges ``i / n`` and ``(i + 1) / n`` of the
-    ``n = runs * _RUN_PANELS`` panels of a unit span.  Callers take up to 64
-    runs, every adiabat of span up to 64 at the default ``rel_tol``, from
-    the cache, about 1 MB at most, and more from ``__wrapped__``."""
-    fractions = np.arange(runs * _RUN_PANELS + 1) / (runs * _RUN_PANELS)
-    fractions.setflags(write=False)
-    return fractions[:-1], fractions[1:]
 
 
 def sample_stroke(stroke: Stroke, count: int, stroke_index: int = 1) -> SampleTable:

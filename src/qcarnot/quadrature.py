@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import numpy as np
 
-# Most panels in one stroke_work_quadrature grid; a larger one raises QuadratureError.
-MAX_INTERVALS = 1_000_000
 # Most panels, five points each, that one integrand call evaluates.
 _CHUNK = 2 ** 14
 

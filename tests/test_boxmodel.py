@@ -303,6 +303,11 @@ class TestMixedState:
         with pytest.raises(StateError, match=f"^{field} must be "):
             MixedState(levels, weights)
 
+    @pytest.mark.parametrize("weights", [[math.nan, 0.5, 0.5], np.array([math.nan, 0.5, 0.5])])
+    def test_list_and_array_weights_break_one_rule(self, weights):
+        with pytest.raises(StateError, match=r"^weights must be finite(, got nan)?$"):
+            MixedState([1, 2, 3], weights)
+
     @settings(max_examples=60, deadline=None)
     @given(mixed_states(max_support=8, max_level=2 ** 40))
     def test_level_square_sum_is_computed_once_bit_for_bit(self, state):

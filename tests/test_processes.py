@@ -23,6 +23,7 @@ from qcarnot import (
     expectation_energy,
     isothermal_state_at,
     isothermal_stroke,
+    processes,
     quadrature,
     sample_stroke,
     stroke_work,
@@ -554,9 +555,9 @@ class TestStartRuns:
     def test_the_panel_budget_counts_every_stroke(self, monkeypatch):
         strokes = [adiabatic_stroke(MixedState.pure(2), 1.0, math.exp(2.5)),
                    isothermal_stroke(E_GROUND, 1.0, 2.0, 1.0)]
-        monkeypatch.setattr(quadrature, "MAX_INTERVALS", 4 * _RUN_PANELS)
+        monkeypatch.setattr(processes, "MAX_INTERVALS", 4 * _RUN_PANELS)
         assert stroke_work_quadrature(strokes) == pytest.approx([stroke_work(s) for s in strokes])
-        monkeypatch.setattr(quadrature, "MAX_INTERVALS", 4 * _RUN_PANELS - 1)
+        monkeypatch.setattr(processes, "MAX_INTERVALS", 4 * _RUN_PANELS - 1)
         with pytest.raises(QuadratureError, match=r"^rel_tol 1e-10 needs 256 quadrature panels, "
                                                   r"more than 255$"):
             stroke_work_quadrature(strokes)

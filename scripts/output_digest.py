@@ -14,8 +14,8 @@ the trees; the spec files are always this tree's.  The grid:
 - the README sweep, and a 50-step ``three_state.spec`` sweep with L3 from 3
   to 300: the exit code, stdout, stderr and the CSV, one digest each;
 - ``verify-identity`` at every ``(n, alpha, tol)`` of ``N`` x ``ALPHAS`` x
-  ``TOLS``, and at each ``(n, alpha, tol, max_terms)`` of ``LONG_IDENTITIES``:
-  the exit code with stdout and stderr;
+  ``TOLS``, and at each ``(n, alpha, tol, max_terms)`` of
+  ``BUDGETED_IDENTITIES``: the exit code with stdout and stderr;
 - ``post_expansion_distribution`` on each of ``EXPANSIONS``: ``terms_used``,
   ``tail_bound`` and ``achieved_sum`` in ``repr`` form with the bytes of the
   state's levels and weights, or the error's class and text.
@@ -41,21 +41,25 @@ N = ("1", "2", "3", "5", "8")
 ALPHAS = ("1.05", "1.3", "1.5", "2", "2.5", "3.7", "10")
 TOLS = ("1e-4", "1e-6", "3e-7")
 # Cutoffs past the default budget of 1e8 terms: (1, 2, 1e-9) at the least
-# budget that certifies it, then two near 1e9 terms.
-LONG_IDENTITIES = (
+# budget that certifies it, then two near 1e9 terms; last, a level that
+# certifies at its floor cutoff, 2 alpha n + 2 = 8002 terms.
+BUDGETED_IDENTITIES = (
     ("1", "2", "1e-9", "426615512"),
     ("3", "2.6", "3e-9", "1000000000"),
     ("5", "1.05", "1e-9", "1000000000"),
+    ("2000", "2", "1e-4", "100000000"),
 )
 # (levels, alpha, tail_tol, term_budget), weights proportional to 1, 2, ...:
 # the nine-, five- and two-level shapes of the benchmark's expansions, then a
-# budget below the least cutoff and one too small to certify the tolerance.
+# budget below the least cutoff and one too small to certify the tolerance;
+# last, a state that certifies at its floor cutoff, 6402 terms.
 EXPANSIONS = (
     ((1, 2, 3, 5, 6, 8, 9, 11, 12), 3.0, 1e-6, 10_000_000),
     ((2, 4, 7, 10, 12), 2.0, 1e-6, 10_000_000),
     ((3, 8), 1.3, 1e-6, 10_000_000),
     ((3, 8), 1.3, 1e-6, 20),
     ((3, 8), 1.3, 1e-6, 1000),
+    ((1500, 1600), 2.0, 1e-3, 10_000_000),
 )
 
 
@@ -104,7 +108,7 @@ def digests(work: Path):
             for tol in TOLS:
                 argv = ["verify-identity", "--n", n, "--alpha", alpha, "--tol", tol]
                 yield " ".join(argv), run(*argv)
-    for n, alpha, tol, budget in LONG_IDENTITIES:
+    for n, alpha, tol, budget in BUDGETED_IDENTITIES:
         argv = ["verify-identity", "--n", n, "--alpha", alpha, "--tol", tol, "--max-terms", budget]
         yield " ".join(argv), run(*argv)
     for case in EXPANSIONS:

@@ -26,8 +26,8 @@ class ScaleError(EngineError):
 
 
 class QuadratureError(EngineError):
-    """Adaptive quadrature could not meet its tolerance within the subdivision
-    budget; the message names the budget, or the estimate and the bound it missed."""
+    """A stroke work quadrature needs more than ``processes.MAX_INTERVALS``
+    panels, or its error estimate exceeds ``rel_tol * |work|``; the message says which."""
 
 
 class TruncationError(EngineError):

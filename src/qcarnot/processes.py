@@ -158,10 +158,11 @@ class Stroke:
     at width ``L`` is ``isothermal_state_at(conserved, L, base_scale,
     params)``.  Zero-length strokes (``L_start == L_end``) are permitted and
     carry zero work.  Construction checks the types of ``kind``, ``params``
-    and an adiabat's ``state_start``, the end widths with :func:`_check_real`
-    and, on an isotherm, ``conserved`` against ``base_scale`` and both ends
-    against its window; widths, ``conserved`` and ``base_scale`` are stored
-    as floats.  So no code that reads a stroke checks it again.
+    and an adiabat's ``state_start``, the end widths and an adiabat's
+    ``conserved`` with :func:`_check_real` and, on an isotherm, ``conserved``
+    against ``base_scale`` and both ends against its window; widths,
+    ``conserved`` and ``base_scale`` are stored as floats.  So no code that
+    reads a stroke checks it again.
     """
 
     kind: StrokeKind
@@ -177,6 +178,7 @@ class Stroke:
         for name in ("L_start", "L_end"):
             object.__setattr__(self, name, _check_real(getattr(self, name), name))
         if self.kind is StrokeKind.ADIABATIC:
+            object.__setattr__(self, "conserved", _check_real(self.conserved, "conserved"))
             return
         base_scale = _isotherm_base(self.conserved, self.base_scale, self.params)
         object.__setattr__(self, "conserved", float(self.conserved))

@@ -181,12 +181,12 @@ its blocks of width ``2**12`` and ``2**14`` at starts near ``2**45`` and
 ``2**52`` match 50-digit sums to within an ulp.
 
 :func:`verify_energy_identity` certifies the identity numerically: it sums
-the series up to ``M`` terms, as above, and bounds the neglected tail
-rigorously by splitting ``sin^2 = 1/2 - cos/2``, bracketing the monotone
-half between integrals of its closed-form antiderivative and bounding the
-oscillatory half by summation by parts against the Dirichlet-kernel bound
-``1 / sin(pi / alpha)``.  The same tail machinery certifies the truncation
-of :func:`post_expansion_distribution`.
+the series up to ``M`` terms, as above, and bounds the neglected tail above
+by splitting ``sin^2 = 1/2 - cos/2``.  The monotone half is bounded by the
+integral of its envelope from ``M``, in closed form, and the oscillatory
+half by summation by parts against the Dirichlet-kernel bound
+``1 / sin(pi / alpha)``.  The same bound certifies the truncation of
+:func:`post_expansion_distribution`.
 """
 
 from __future__ import annotations
@@ -325,23 +325,14 @@ def _reduced_offsets(alpha: float, count: int) -> np.ndarray:
     return offsets
 
 
-def _square_series(alpha: float, terms: int, levels, weights=None, out=None) -> float:
-    """Sum of a series of squared overlaps over ``m = 1 .. terms``.
+def _square_block_sums(alpha: float, terms: int, levels, weights=None, out=None,
+                       first: int = 1) -> list[float]:
+    """Block sums of a series of squared overlaps over ``m = first .. terms``.
 
     With ``weights``, term ``m`` is ``sum_n w_n b(m, n)^2``; without, it is
     ``sum_n (m / (alpha n))^2 b(m, n)^2``, the energy-weighted terms of the
-    identity.  ``alpha > 1``.  ``out``, if given, receives term ``m`` at
-    index ``m - 1``.
-    """
-    return math.fsum(_square_block_sums(alpha, terms, levels, weights, out))
-
-
-def _square_block_sums(alpha: float, terms: int, levels, weights=None, out=None,
-                       first: int = 1) -> list[float]:
-    """The block sums of :func:`_square_series` over ``m = first .. terms``.
-
-    Terms are computed one block of indices at a time, from ``first`` on;
-    ``out``, if given, receives term ``m`` at index ``m - first``.
+    identity.  ``alpha > 1``.  Terms are computed one block of indices at a
+    time; ``out``, if given, receives term ``m`` at index ``m - first``.
     """
     energy = weights is None
     if energy:
@@ -551,11 +542,11 @@ def _energy_series(alpha: float, n: int, terms: int) -> float:
     the blocks of :func:`_moment_schedule`."""
     a = alpha * n
     head = max(_MOMENT_HEAD, math.ceil(4.0 * a))
-    if terms <= head:
-        return _square_series(alpha, terms, [n])
-    # Every block has w / s <= 1/64 and, past the head, a / s < 1/4.
-    sums = _moment_block_sums(alpha, a, *_moment_schedule(head, terms), *_MOMENT_ORDERS)
-    return math.fsum(_square_block_sums(alpha, head, [n]) + sums.tolist())
+    sums = _square_block_sums(alpha, min(terms, head), [n])
+    if terms > head:
+        # Every block has w / s <= 1/64 and, past the head, a / s < 1/4.
+        sums += _moment_block_sums(alpha, a, *_moment_schedule(head, terms), *_MOMENT_ORDERS).tolist()
+    return math.fsum(sums)
 
 
 def level_overlap_squares(n, alpha, m_count: int) -> np.ndarray:
@@ -574,12 +565,12 @@ def level_overlap_squares(n, alpha, m_count: int) -> np.ndarray:
     # From a = alpha n = 2**512 on, b(m, n)^2 <= 16 m^2 n / a^3 underflows to 0
     # for every m < 2**53, and the kernel's a^2 would overflow.
     elif alpha * n < 2.0 ** 512:
-        _square_series(alpha, m_count, [n], [1.0], out=row)
+        _square_block_sums(alpha, m_count, [n], [1.0], out=row)
     return row
 
 
-def _energy_tail_enclosure(n: int, alpha: float, terms: int) -> tuple[float, float]:
-    """Certified bracket on the energy-weighted overlap tail beyond ``terms``.
+def _energy_tail_bound(n: int, alpha: float, terms: int) -> float:
+    """Certified upper bound on the energy-weighted overlap tail beyond ``terms``.
 
     Requires ``terms >= 2 * alpha * n`` so the envelope is decreasing past the
     cutoff and no resonance sits in the tail.
@@ -587,32 +578,25 @@ def _energy_tail_enclosure(n: int, alpha: float, terms: int) -> tuple[float, flo
     a = alpha * n
     M = float(terms)
     scale = 4.0 * alpha / math.pi ** 2
-
-    def envelope(x):
-        return scale * x * x / (x * x - a * a) ** 2
-
-    def tail_integral(x0):
-        # log1p keeps full relative accuracy where (x0 + a) / (x0 - a) is
-        # close to 1; the log of that ratio loses up to about x0 / a ulps.
-        return scale * (
-            x0 / (2.0 * (x0 * x0 - a * a))
-            + math.log1p(2.0 * a / (x0 - a)) / (4.0 * a)
-        )
-
-    swing = 1.0 / math.sin(math.pi / alpha)
-    osc = 0.5 * envelope(M + 1.0) * swing
-    lo = max(0.0, 0.5 * tail_integral(M + 1.0) - osc)
-    hi = 0.5 * tail_integral(M) + osc
-    return lo, hi
+    # The monotone half's integral from M: log1p keeps full relative accuracy
+    # where (M + a) / (M - a) is close to 1; the log of that ratio loses up to
+    # about M / a ulps.
+    integral = scale * (M / (2.0 * (M * M - a * a)) + math.log1p(2.0 * a / (M - a)) / (4.0 * a))
+    # The oscillatory half: the envelope at M + 1 times the Dirichlet-kernel bound.
+    x = M + 1.0
+    envelope = scale * x * x / (x * x - a * a) ** 2
+    return 0.5 * integral + 0.5 * envelope * (1.0 / math.sin(math.pi / alpha))
 
 
 def _certified_cutoff(alpha: float, pairs, budget: int, target: float) -> tuple[int, float]:
     """Least cutoff ``M`` in ``[floor, budget]``, and its bound, with
     ``sum(share * hi_n(M)) <= target`` over the ``(level n, energy share)``
-    ``pairs``; ``hi_n``, the upper end of :func:`_energy_tail_enclosure`,
-    must be non-increasing in ``M``.  The floor ``max(64, ceil(2 alpha n_max)
-    + 2)`` is the least cutoff the enclosure admits for levels up to
-    ``n_max``.  Raises :class:`TruncationError` when the floor exceeds
+    ``pairs``; ``hi_n`` is :func:`_energy_tail_bound`, which must be
+    non-increasing in ``M``.  The floor ``max(64, ceil(2 alpha n_max) + 2)``
+    is the least cutoff the bound admits for levels up to ``n_max``.  The
+    floor is probed first, then the budget, then the cutoffs of a bisection,
+    and the bound returned is the accepted probe's: no cutoff is bounded
+    twice.  Raises :class:`TruncationError` when the floor exceeds
     ``budget`` (a floor beyond ``_MAX_BUDGET`` is named in ``%.17g`` form, not
     with all its digits) or when even ``budget`` terms cannot certify the
     target."""
@@ -625,25 +609,27 @@ def _certified_cutoff(alpha: float, pairs, budget: int, target: float) -> tuple[
         raise TruncationError(f"budget {budget} is below the minimum cutoff {shown}")
 
     def bound_at(terms: int) -> float:
-        return sum(share * _energy_tail_enclosure(n, alpha, terms)[1] for n, share in pairs)
+        return sum(share * _energy_tail_bound(n, alpha, terms) for n, share in pairs)
 
     bound = bound_at(floor_terms)
     if bound <= target:
         return floor_terms, bound
-    worst = bound_at(budget)
-    if worst > target:
+    bound = bound_at(budget) if budget > floor_terms else bound
+    if bound > target:
         raise TruncationError(
             f"cannot certify tail <= {target!r} within {budget} terms "
-            f"(bound at budget: {worst!r})"
+            f"(bound at budget: {bound!r})"
         )
+    # bound is the bound at hi throughout.
     lo, hi = floor_terms, budget
     while lo < hi:
         mid = (lo + hi) // 2
-        if bound_at(mid) <= target:
-            hi = mid
+        probe = bound_at(mid)
+        if probe <= target:
+            hi, bound = mid, probe
         else:
             lo = mid + 1
-    return lo, bound_at(lo)
+    return hi, bound
 
 
 def verify_energy_identity(n, alpha, tol, max_terms: int = IDENTITY_TERM_BUDGET) -> TruncationReport:
@@ -702,9 +688,8 @@ def post_expansion_distribution(state: MixedState, alpha, tail_tol,
     terms, bound = _certified_cutoff(alpha, pairs, term_budget, tail_tol)
 
     new_weights = np.empty(terms, dtype=np.float64)
-    achieved = _square_series(
-        alpha, terms, state.levels.tolist(), weights.tolist(), out=new_weights
-    )
+    achieved = math.fsum(_square_block_sums(alpha, terms, state.levels.tolist(),
+                                            weights.tolist(), out=new_weights))
     np.divide(new_weights, achieved, out=new_weights)
     # Levels of weight exactly 0 carry no population and are dropped: with
     # alpha = p / q in lowest terms, the multiples of p, whose sine factor is

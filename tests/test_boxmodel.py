@@ -193,6 +193,15 @@ class TestMixedState:
         with pytest.raises(DomainError, match="weight must be finite"):
             MixedState.from_pairs(pairs)
 
+    @pytest.mark.parametrize("levels, weights", [([[1]], [[1.0]]), ([1, 2], [1.0])])
+    def test_levels_and_weights_must_be_one_dimensional_and_equal_in_length(self, levels, weights):
+        with pytest.raises(StateError) as caught:
+            MixedState(levels, weights)
+        assert str(caught.value) == "levels and weights must be 1-D sequences of equal length"
+
+    def test_repr_lists_the_populations(self):
+        assert repr(MixedState.from_pairs({1: 0.25, 3: 0.75})) == "MixedState({1: 0.25, 3: 0.75})"
+
     def test_from_pairs_accepts_numpy_weights(self):
         s = MixedState.from_pairs({1: np.float32(0.25), 2: np.float64(0.75)})
         assert s.populations == ((1, 0.25), (2, 0.75))

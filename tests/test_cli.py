@@ -513,6 +513,20 @@ class TestVerifyIdentityCommand:
             "error: partial sum 0.5 misses 1",
         ]
 
+    def test_a_missed_residual_reports_the_real_search(self, monkeypatch, capsys):
+        certified = qcarnot.verify_energy_identity(1, 2.0, 1e-6)
+        monkeypatch.setattr(qcarnot.sudden, "_energy_series", lambda alpha, n, terms: 1.0 + 2e-6)
+        assert main(["verify-identity", "--n", "1", "--alpha", "2", "--tol", "1e-6"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        lines = err.splitlines()
+        assert lines[:3] == [
+            f"achieved_sum = {format_float(1.0 + 2e-6)}",
+            f"terms_used = {certified.terms_used}",
+            f"tail_bound = {format_float(certified.tail_bound)}",
+        ]
+        assert len(lines) == 4 and lines[3].startswith("error: partial sum ")
+
 
 class TestSweep:
     def test_rows_and_monotone_eta(self, spec_path, tmp_path):

@@ -674,6 +674,25 @@ class TestStrokeTable:
         with pytest.raises(DomainError, match=f"^{field} must be a "):
             Stroke(**{**fields, **change})
 
+    @pytest.mark.parametrize("conserved", ["junk", -5.0, 0.0, math.nan, math.inf, True, None])
+    def test_hand_built_adiabat_checks_conserved(self, conserved):
+        with pytest.raises(DomainError) as caught:
+            Stroke(kind=StrokeKind.ADIABATIC, L_start=1.0, L_end=2.0, state_start=MixedState.pure(1),
+                   conserved=conserved, params=WellParams())
+        assert str(caught.value) == f"conserved must be positive and finite, got {conserved!r}"
+
+    def test_hand_built_adiabat_stores_conserved_as_a_float(self):
+        stroke = Stroke(kind=StrokeKind.ADIABATIC, L_start=1.0, L_end=2.0,
+                        state_start=MixedState.pure(1), conserved=np.float64(4.5), params=WellParams())
+        assert type(stroke.conserved) is float and stroke.conserved == 4.5
+
+    def test_adiabatic_stroke_keeps_its_conserved_bits(self):
+        state = MixedState.from_pairs({1: 0.25, 3: 0.75})
+        stroke = adiabatic_stroke(state, 1.7, 3.1)
+        e_start = expectation_energy(state, 1.7)
+        assert type(stroke.conserved) is float
+        assert stroke.conserved.hex() == (e_start * 1.7 * 1.7).hex()
+
     @pytest.mark.parametrize("build, field", [
         (lambda: adiabatic_stroke(None, 1, 2), "state_start"),
         (lambda: adiabatic_stroke("x", 1, 2), "state_start"),

@@ -57,6 +57,6 @@ def test_output_digest_is_stable_and_covers_the_grid():
     specs = len(list((SCRIPTS.parent / "specs").glob("*.spec")))
     # simulate: the run, samples.csv and report.csv per spec and for the
     # written wide-adiabat spec; two sweeps; verify-identity at 5 levels x 7
-    # ratios x 3 tolerances, and three runs past the default budget; five
-    # expansions.
-    assert len(names) == 3 * (specs + 1) + 2 + 5 * 7 * 3 + 3 + 5
+    # ratios x 3 tolerances, three runs past the default budget and one at
+    # its floor cutoff; six expansions.
+    assert len(names) == 3 * (specs + 1) + 2 + 5 * 7 * 3 + 4 + 6

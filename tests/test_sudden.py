@@ -13,6 +13,7 @@ from qcarnot import (
     DomainError,
     MixedState,
     TruncationError,
+    VerificationError,
     cosine_series,
     expectation_energy,
     level_overlap_squares,
@@ -223,7 +224,7 @@ class TestSquareKernel:
         # compared elsewhere.
         terms = 3 * sudden._BLOCK + 5
         row = np.empty(terms)
-        sudden._square_series(alpha, terms, levels, weights, out=row)
+        sudden._square_block_sums(alpha, terms, levels, weights, out=row)
         m = np.arange(1, terms + 1)
         far = (np.abs(m[:, None] - alpha * np.array(levels)) >= 1.0).all(axis=1)
         expected = oracles.overlap_square_terms(alpha, m[far].tolist(), levels, weights)
@@ -243,7 +244,7 @@ class TestSquareKernel:
         edge = 245 * sudden._BLOCK
         levels, weights = [1, 3, 4], [0.2, 0.5, 0.3]
         row = np.empty(edge + 6)
-        sudden._square_series(alpha, edge + 6, levels, weights, out=row)
+        sudden._square_block_sums(alpha, edge + 6, levels, weights, out=row)
         m = list(range(edge - 6, edge + 7))
         expected = oracles.overlap_square_terms(alpha, m, levels, weights)
         np.testing.assert_allclose(row[edge - 7:], expected, rtol=0, atol=1e-15)
@@ -259,7 +260,7 @@ class TestSquareKernel:
         # 50-digit values of the original form, resonant indices included.
         mpmath = pytest.importorskip("mpmath")
         row = np.empty(max(m_values))
-        sudden._square_series(alpha, row.size, levels, weights, out=row)
+        sudden._square_block_sums(alpha, row.size, levels, weights, out=row)
         with mpmath.workdps(50):
             a = mpmath.mpf(alpha)
             for m in m_values:
@@ -285,7 +286,7 @@ class TestSquareKernel:
         m_values = [1, 2, 1000, 500_000, math.floor(a) - 2, math.floor(a) - 1,
                     math.ceil(a) + 1, math.ceil(a) + 2, 1_500_000, 2_000_000]
         row = np.empty(max(m_values))
-        sudden._square_series(alpha, row.size, [n], weights, out=row)
+        sudden._square_block_sums(alpha, row.size, [n], weights, out=row)
         eps = 2.0 ** -52
         with mpmath.workdps(50):
             a_exact = mpmath.mpf(alpha) * n
@@ -358,7 +359,7 @@ class TestSquareKernel:
     )
     def test_identity_sum_matches_original_form(self, n, alpha):
         assert abs(alpha * n - round(alpha * n)) >= 0.1
-        assert sudden._square_series(alpha, 100_000, [n]) == pytest.approx(
+        assert math.fsum(sudden._square_block_sums(alpha, 100_000, [n])) == pytest.approx(
             oracles.identity_partial_sum(n, alpha, 100_000), abs=1e-13
         )
 
@@ -412,7 +413,7 @@ class TestFarFieldSeries:
         m_values = [start - 2, start - 1, start, start + 1, start + _BLOCK,
                     start + 2 * _BLOCK + 7, edge - 1, edge, edge + 1]
         row = np.empty(edge + 1)
-        sudden._square_series(alpha, row.size, levels, weights, out=row)
+        sudden._square_block_sums(alpha, row.size, levels, weights, out=row)
         expected = self._terms_mpmath(alpha, levels, weights, m_values)
         for m, value in zip(m_values, expected):
             assert row[m - 1] == pytest.approx(value, rel=1e-14, abs=0), m
@@ -428,7 +429,7 @@ class TestFarFieldSeries:
         start = self._first_series_block(alpha, levels)
         m_values = [1, 5, 16, 21, start - 1, start, start + 3 * _BLOCK + 11]
         row = np.empty(max(m_values))
-        sudden._square_series(alpha, row.size, levels, weights, out=row)
+        sudden._square_block_sums(alpha, row.size, levels, weights, out=row)
         expected = self._terms_mpmath(alpha, levels, weights, m_values)
         for m, value in zip(m_values, expected):
             assert row[m - 1] == pytest.approx(value, rel=1e-14, abs=0), m
@@ -470,10 +471,10 @@ class TestFarFieldSeries:
             monkeypatch.setattr(sudden, "_SERIES_MAX_ORDER", max_order)
             terms = self._first_series_block(alpha, levels) + 2 * _BLOCK
             series, passes = np.empty(terms), np.empty(terms)
-            sudden._square_series(alpha, terms, levels, weights, out=series)
+            sudden._square_block_sums(alpha, terms, levels, weights, out=series)
             # No order is admitted, so every block takes the per-level passes.
             monkeypatch.setattr(sudden, "_SERIES_MAX_ORDER", -1)
-            sudden._square_series(alpha, terms, levels, weights, out=passes)
+            sudden._square_block_sums(alpha, terms, levels, weights, out=passes)
             np.testing.assert_array_equal(series == 0.0, passes == 0.0)
             np.testing.assert_allclose(series, passes, rtol=2e-15, atol=0)
 
@@ -543,7 +544,7 @@ class TestMomentPath:
     def test_matches_the_per_index_sum(self, alpha):
         for n in range(1, 9):
             for terms in self._cutoffs(alpha, n):
-                reference = sudden._square_series(alpha, terms, [n])
+                reference = math.fsum(sudden._square_block_sums(alpha, terms, [n]))
                 assert abs(sudden._energy_series(alpha, n, terms) - reference) <= self.ABS_TOL, (n, terms)
 
     def test_cutoffs_cover_every_path(self):
@@ -640,12 +641,15 @@ class TestMomentPath:
         # The head is the per-index kernel's, whose own rounding is measured
         # here against mpmath (up to 7 * 2**-53 at alpha 3.7, n 6); the moment
         # path past it may add at most 4 * 2**-53 to it.
+        mpmath = pytest.importorskip("mpmath")
         head = sudden._MOMENT_HEAD
-        head_error = abs(sudden._square_series(alpha, head, [n])
+        head_error = abs(math.fsum(sudden._square_block_sums(alpha, head, [n]))
                          - self._block_mpmath(alpha, alpha * n, 1, head))
         slack = head_error + 4 * 2.0 ** -53
         for terms in (10 ** 9, 10 ** 11, 2 ** 53 - 1):
-            lo, hi = sudden._energy_tail_enclosure(n, alpha, terms)
+            # The lower end of the tail, exact at 50 digits.
+            lo = TestTailEnclosure._enclosure_mpmath(mpmath, n, alpha, terms)[0]
+            hi = sudden._energy_tail_bound(n, alpha, terms)
             rest = 1.0 - sudden._energy_series(alpha, n, terms)
             assert lo - slack <= rest <= hi + slack, terms
 
@@ -841,7 +845,7 @@ class TestPostExpansionDistribution:
 class TestTailEnclosure:
     @staticmethod
     def _enclosure_mpmath(mpmath, n, alpha, terms):
-        """``_energy_tail_enclosure``'s formula at 50 digits."""
+        """The tail's lower end and ``_energy_tail_bound``'s formula at 50 digits."""
         with mpmath.workdps(50):
             alpha = mpmath.mpf(alpha)
             a, M = alpha * n, mpmath.mpf(terms)
@@ -864,10 +868,9 @@ class TestTailEnclosure:
         for terms in (floor, 1000, 10 ** 5, 10 ** 8, 2 ** 40, 2 ** 53 - 1):
             if terms < floor:
                 continue
-            lo, hi = sudden._energy_tail_enclosure(n, alpha, terms)
-            exact_lo, exact_hi = self._enclosure_mpmath(mpmath, n, alpha, terms)
-            assert hi == pytest.approx(exact_hi, rel=2e-15, abs=0), terms
-            assert abs(lo - exact_lo) <= 2e-15 * exact_hi, terms
+            exact_hi = self._enclosure_mpmath(mpmath, n, alpha, terms)[1]
+            assert sudden._energy_tail_bound(n, alpha, terms) == pytest.approx(
+                exact_hi, rel=2e-15, abs=0), terms
 
 
 class TestVerifyEnergyIdentity:
@@ -938,14 +941,77 @@ class TestVerifyEnergyIdentity:
     def test_grid_meets_the_benchmark_identity_conditions(self, n, alpha, tol):
         report = verify_energy_identity(n, alpha, tol)
         assert 0.0 <= 1.0 - report.achieved_sum <= report.tail_bound <= tol
-        direct = sudden._square_series(alpha, report.terms_used, [n])
+        direct = math.fsum(sudden._square_block_sums(alpha, report.terms_used, [n]))
         assert abs(report.achieved_sum - direct) <= 4.4e-16
+
+    def test_a_missed_residual_raises_with_the_real_report(self, monkeypatch):
+        certified = verify_energy_identity(1, 2.0, 1e-6)
+        monkeypatch.setattr(sudden, "_energy_series", lambda alpha, n, terms: 1.0 + 2e-6)
+        with pytest.raises(VerificationError, match="^partial sum ") as caught:
+            verify_energy_identity(1, 2.0, 1e-6)
+        assert caught.value.report == sudden.TruncationReport(
+            terms_used=certified.terms_used, tail_bound=certified.tail_bound,
+            achieved_sum=1.0 + 2e-6)
 
     def test_near_unity_ratio_still_certifies(self):
         # The oscillation bound grows like 1/sin(pi/alpha) as alpha -> 1, so
         # this is the hard corner of the certification.
         report = verify_energy_identity(1, 1.01, 1e-4, max_terms=3_000_000)
         assert abs(report.achieved_sum - 1.0) <= 1e-4
+
+
+class TestCertifiedCutoff:
+    """The search probes the floor, then the budget, then a bisection, and
+    returns the bound of the probe it accepted."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        """The cutoffs at which ``_energy_tail_bound`` is called, in order."""
+        cutoffs = []
+        bound = sudden._energy_tail_bound
+
+        def spy(n, alpha, terms):
+            cutoffs.append(terms)
+            return bound(n, alpha, terms)
+
+        monkeypatch.setattr(sudden, "_energy_tail_bound", spy)
+        return cutoffs
+
+    # One that certifies at its floor, two bisected.
+    @pytest.mark.parametrize("n, alpha, tol", [(2000, 2.0, 1e-4), (1, 2.0, 1e-6), (3, 2.6, 3e-7)])
+    def test_the_report_carries_the_bound_at_its_cutoff(self, n, alpha, tol):
+        report = verify_energy_identity(n, alpha, tol)
+        floor = max(64, math.ceil(2 * alpha * n) + 2)
+        assert (report.terms_used == floor) is (n == 2000)
+        assert report.tail_bound.hex() == sudden._energy_tail_bound(n, alpha, report.terms_used).hex()
+
+    def test_an_expansion_certifies_at_its_floor(self):
+        state = MixedState.from_pairs([(1500, 1 / 3), (1600, 2 / 3)])
+        _, report = post_expansion_distribution(state, 2.0, 1e-3)
+        assert report.terms_used == max(64, math.ceil(2 * 2.0 * 1600) + 2) == 6402
+        levels = state.levels.astype(np.float64)
+        shares = state.weights * levels * levels
+        shares = shares / shares.sum()
+        expected = sum(float(share) * sudden._energy_tail_bound(int(n), 2.0, 6402)
+                       for n, share in zip(state.levels, shares))
+        assert report.tail_bound.hex() == expected.hex()
+
+    @pytest.mark.parametrize("n, alpha, tol, evaluations", [
+        (2000, 2.0, 1e-4, 1), (1, 2.0, 1e-6, 28), (3, 2.6, 3e-7, 28),
+    ])
+    def test_no_cutoff_is_bounded_twice(self, monkeypatch, n, alpha, tol, evaluations):
+        cutoffs = self._spy(monkeypatch)
+        report = verify_energy_identity(n, alpha, tol)
+        assert len(cutoffs) == len(set(cutoffs)) == evaluations
+        assert cutoffs[0] == max(64, math.ceil(2 * alpha * n) + 2)
+        assert cutoffs[1:2] == ([] if evaluations == 1 else [sudden.IDENTITY_TERM_BUDGET])
+        assert report.terms_used in cutoffs
+
+    def test_a_budget_at_the_floor_is_bounded_once(self, monkeypatch):
+        cutoffs = self._spy(monkeypatch)
+        with pytest.raises(TruncationError, match="within 64 terms"):
+            sudden._certified_cutoff(2.0, [(1, 1.0)], 64, 1e-12)
+        assert cutoffs == [64]
 
 
 class TestCosineSeries:

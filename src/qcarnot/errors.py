@@ -27,7 +27,8 @@ class ScaleError(EngineError):
 
 class QuadratureError(EngineError):
     """A stroke work quadrature needs more than ``processes.MAX_INTERVALS``
-    panels, or its error estimate exceeds ``rel_tol * |work|``; the message says which."""
+    panels, or a cycle's quadrature works disagree with its closed forms by
+    more than ``cycle.QUADRATURE_REL_TOL`` of ``Q_H``; the message says which."""
 
 
 class TruncationError(EngineError):

@@ -15,12 +15,12 @@ where ``L_base`` is the width at which the ground state alone carries the
 fixed energy.  At exact integer multiples of ``L_base`` the state is pure, so
 the path is continuous; work, heat and efficiency are path-independent.
 
-:func:`stroke_work_quadrature` checks the closed-form works of
-:func:`stroke_work` against the sampled force, integrated over ``u = ln L``
-(``dW = L F du``), where both equations of state give smooth integrands at
-any width ratio.  All strokes passed together share one keyed
-:func:`quadrature.integrate` call over runs of 64 equal panels, as many per
-stroke as ``rel_tol`` asks for, laid out before the integrand runs.
+:func:`stroke_work_quadrature` computes the works of :func:`stroke_work`
+again from the force, integrated over ``u = ln L`` (``dW = L F du``), where
+both equations of state give smooth integrands at any width ratio.  All
+strokes passed together share one keyed :func:`quadrature.integrate` call
+over runs of 64 equal panels, as many per stroke as ``rel_tol`` asks for,
+laid out before the integrand runs.
 
 The stroke table is the one evaluator of energy and force.  It has one row
 per stroke: start width, base width (``inf`` on an adiabat), ``(pi hbar)^2``
@@ -376,11 +376,10 @@ def stroke_work_quadrature(strokes: Stroke | Sequence[Stroke],
     staircase.  An adiabat takes ``max(1, ceil(|span| d))`` runs, with ``d =
     ceil((1e-10 / rel_tol)^(1/4))``, so no panel is wider than ``h = 1 / (64
     d)`` and Boole's residual ``h^4 g / 2880`` is at most ``0.207 rel_tol
-    g``.  At the default ``rel_tol``, ``d`` is 1, and a Carnot cycle whose
-    adiabats span up to 64 takes one integrand call.  Every stroke's
-    a-posteriori estimate must come out below ``rel_tol`` times its integral,
-    else :class:`QuadratureError` is raised; so is it, before any array is
-    built, for a grid of more than ``MAX_INTERVALS`` panels.
+    g``, a priori; :func:`cycle.evaluate_cycle` checks the works against the
+    closed forms.  At the default ``rel_tol``, ``d`` is 1, and a Carnot cycle
+    whose adiabats span up to 64 takes one integrand call.  A grid past
+    ``MAX_INTERVALS`` panels raises :class:`QuadratureError` before it is built.
 
     Each stroke was checked when it was built (an item that is not a
     :class:`Stroke` raises :class:`DomainError` naming it as ``strokes[i]``),
@@ -421,17 +420,9 @@ def stroke_work_quadrature(strokes: Stroke | Sequence[Stroke],
         _check_forces(force, mine, table[:, L_START])
         return twice_energy
 
-    values, estimates = quadrature.integrate(
-        g, span * np.concatenate([f[:-1] for f in fractions]),
-        span * np.concatenate([f[1:] for f in fractions])
-    )
-    works, errors = (
-        np.bincount(run_owner, column.reshape(-1, _RUN_PANELS).sum(axis=1), len(strokes)).tolist()
-        for column in (values, estimates)
-    )
-    for work, error in zip(works, errors):
-        if error > rel_tol * abs(work):
-            raise QuadratureError(f"quadrature error estimate {error!r} exceeds {rel_tol!r} * |{work!r}|")
+    values = quadrature.integrate(g, span * np.concatenate([f[:-1] for f in fractions]),
+                                  span * np.concatenate([f[1:] for f in fractions]))
+    works = np.bincount(run_owner, values.reshape(-1, _RUN_PANELS).sum(axis=1), len(strokes)).tolist()
     return works[0] if single else works
 
 

@@ -1,6 +1,7 @@
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -17,6 +18,7 @@ from qcarnot import (
     MixedState,
     SampleTable,
     SpecFormatError,
+    StrokeKind,
     adiabatic_stroke,
     eigenenergy,
     isothermal_stroke,
@@ -111,6 +113,21 @@ class TestParseSpec:
             parse_spec("[cycle]\ntop_level = 2\nL1 = abc\nL3 = 4\n")
         with pytest.raises(SpecFormatError, match="must be positive and finite"):
             parse_spec("[cycle]\ntop_level = 2\nL1 = inf\nL3 = 4\n")
+
+    @pytest.mark.parametrize("key, raw", [
+        ("L1", "1_0"), ("L3", "\uff14\uff10"), ("top_level", "\uff12"),
+        ("samples_per_stroke", "\uff12\uff15\uff16"), ("samples_per_stroke", "1_000"),
+    ], ids=["underscore", "full-width-decimal", "full-width-integer", "full-width-count",
+            "underscore-count"])
+    def test_values_are_ascii_digits_without_underscores(self, key, raw):
+        # float() and the \d of a regex accept "1_0" and full-width digits.
+        values = {"top_level": "2", "L1": "1", "L3": "40", key: raw}
+        text = "[cycle]\n" + "".join(f"{k} = {v}\n" for k, v in values.items())
+        kind = "a bare integer" if key in ("top_level", "samples_per_stroke") else "a decimal number"
+        line = list(values).index(key) + 2
+        with pytest.raises(SpecFormatError) as info:
+            parse_spec(text)
+        assert str(info.value) == f"line {line}: {key} must be {kind}, got {raw!r}"
 
     def test_missing_cycle_section(self):
         with pytest.raises(SpecFormatError, match="missing required section"):
@@ -601,6 +618,35 @@ class TestSweep:
         assert code == 1
         assert err.splitlines() == [f"error: steps must be an integer in [2, 2**20], got {steps}"]
         assert not out.exists()
+
+
+SPECS = Path(__file__).resolve().parents[1] / "specs"
+
+
+@pytest.mark.parametrize("module, name, scaled", [
+    (qcarnot.cycle, "stroke_work", lambda stroke: stroke.kind is StrokeKind.ISOTHERMAL),
+    (qcarnot.cycle, "stroke_work", lambda stroke: stroke.kind is StrokeKind.ADIABATIC),
+    (qcarnot.processes, "_energy_from_square_sum", lambda *args: True),
+], ids=["isotherm-closed-form", "adiabat-closed-form", "integrand"])
+@pytest.mark.parametrize("command", [["simulate"], ["sweep", "--l3-from", "3", "--l3-to", "8",
+                                                    "--steps", "3"]], ids=["simulate", "sweep"])
+def test_a_work_off_by_1e9_exits_2_before_any_output(monkeypatch, tmp_path, module, name, scaled,
+                                                    command):
+    # A closed form or the quadrature's integrand off by 1e-9 relative puts
+    # the quadrature discrepancy past the 1e-10 gate on every cycle.
+    exact = getattr(module, name)
+
+    def mutated(*args):
+        value = exact(*args)
+        return value * (1.0 + 1e-9) if scaled(*args) else value
+
+    monkeypatch.setattr(module, name, mutated)
+    out = tmp_path / "out"
+    code, err = _run_main([command[0], str(SPECS / "two_state.spec"), *command[1:], "--out", str(out)])
+    assert code == 2
+    assert re.fullmatch(r"error: quadrature_discrepancy \S+ exceeds 1e-10: stroke [1-4] works "
+                        r"\S+ closed form, \S+ quadrature\n", err)
+    assert not out.exists()
 
 
 class TestMain:

@@ -15,6 +15,7 @@ from qcarnot import (
     ProcessSample,
     QuadratureError,
     SampleTable,
+    ScaleError,
     WellParams,
     build_carnot_cycle,
     evaluate_cycle,
@@ -212,15 +213,37 @@ class TestEvaluate:
         assert report.quadrature_discrepancy <= 1e-12
         assert report.eta == pytest.approx(report.eta_closed_form, rel=1e-12, abs=1e-12)
 
-    @pytest.mark.parametrize("k", range(1, 6))
+    def test_gate_holds_with_room_over_the_documented_domain(self):
+        # 300 seeded cycles: top_level log-uniform in [2, 1e15], then 2**62
+        # and MAX_TOP_LEVEL; L1, hbar and mass log-uniform in [1e-3, 1e3];
+        # L3 / (top_level L1) cycling through the zero-work boundary, 1 +
+        # 1e-15, 1 + 1e-9, 10^U(0, 3) and 10^U(0, 100).  Draws whose energies
+        # leave binary64, a few of the widest ratios, lie outside the domain.
+        # The discrepancy stays far under the 1e-10 gate: 3.4e-15 measured.
+        rng = np.random.default_rng(20001)
+        top_levels = [max(2, int(10.0 ** rng.uniform(0.0, 15.0))) for _ in range(290)]
+        evaluated = 0
+        for i, top_level in enumerate(top_levels + [2 ** 62] * 5 + [MAX_TOP_LEVEL] * 5):
+            hbar, mass, L1 = (10.0 ** rng.uniform(-3.0, 3.0, 3)).tolist()
+            ratio = (1.0, 1.0 + 1e-15, 1.0 + 1e-9, 10.0 ** rng.uniform(0.0, 3.0),
+                     10.0 ** rng.uniform(0.0, 100.0))[i % 5]
+            spec = CarnotSpec(top_level, L1, ratio * (top_level * L1), WellParams(hbar, mass))
+            try:
+                cycle = build_carnot_cycle(spec)
+            except ScaleError:
+                continue
+            assert evaluate_cycle(cycle).quadrature_discrepancy <= 1e-13, spec
+            evaluated += 1
+        assert evaluated >= 290
+
+    @pytest.mark.parametrize("k", range(1, 7))
     def test_cross_check_sees_a_population_error(self, monkeypatch, k):
         # 1e-6 on w_upper over the level interval [k, k+1) of both isotherms
-        # leaves the closed forms alone and must show in the quadrature: at
-        # k = 1 as a discrepancy, since the adiabats, whose width ratios the
-        # staircase takes as 1, move too (2.19e-6 measured); above it as an
-        # error estimate past the 1e-10 gate, from the jumps of the
-        # isotherms' integrands at the interval's ends (2.5e-9 to 4.2e-9
-        # measured against 1.77e-9).
+        # leaves the closed forms alone and must show in the quadrature as a
+        # discrepancy past the 1e-10 gate: 2.19e-6 at k = 1, where the
+        # adiabats, whose width ratios the staircase takes as 1, move too,
+        # and down to 4.9e-10 at k = 6, where only the isotherms' end points
+        # at L2 and L3 lie on level 6.
         cycle = build_carnot_cycle(CarnotSpec(6, 1.0, 18.0))
         exact = processes._staircase
 
@@ -229,11 +252,8 @@ class TestEvaluate:
             return level, w_upper + 1e-6 * (level == k)
 
         monkeypatch.setattr(processes, "_staircase", shifted)
-        if k == 1:
-            assert evaluate_cycle(cycle).quadrature_discrepancy > 1e-8
-        else:
-            with pytest.raises(QuadratureError, match="quadrature error estimate"):
-                evaluate_cycle(cycle)
+        with pytest.raises(QuadratureError, match=r"^quadrature_discrepancy \S+ exceeds 1e-10: stroke "):
+            evaluate_cycle(cycle)
 
     def test_efficiency_monotone_in_l3(self):
         etas = [

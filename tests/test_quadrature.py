@@ -34,32 +34,24 @@ def _inverse(x):
 
 
 def test_polynomial_is_exact():
-    (value,), (estimate,) = integrate(keyed(lambda x: x ** 3), [0.0], [2.0])
+    (value,) = integrate(keyed(lambda x: x ** 3), [0.0], [2.0])
     assert value == pytest.approx(4.0, rel=1e-14)
-    assert estimate <= 1e-12
 
 
 def test_inverse_width_matches_log():
-    values, _ = integrate(keyed(*[_inverse] * 64), *panels(1.0, 2.0, 64))
+    values = integrate(keyed(*[_inverse] * 64), *panels(1.0, 2.0, 64))
     assert values.sum() == pytest.approx(math.log(2), rel=1e-12)
 
 
 def test_reversed_limits_negate():
-    (forward,), _ = integrate(keyed(lambda x: 1.0 / x ** 3), [1.0], [3.0])
-    (backward,), _ = integrate(keyed(lambda x: 1.0 / x ** 3), [3.0], [1.0])
+    (forward,) = integrate(keyed(lambda x: 1.0 / x ** 3), [1.0], [3.0])
+    (backward,) = integrate(keyed(lambda x: 1.0 / x ** 3), [3.0], [1.0])
     assert backward == pytest.approx(-forward, rel=1e-14)
 
 
 def test_zero_length_interval():
-    values, estimates = integrate(keyed(lambda x: x), [2.0], [2.0])
-    assert (values.tolist(), estimates.tolist()) == ([0.0], [0.0])
-
-
-def test_estimate_bounds_true_error():
-    exact = (3 * math.sin(12.0) - math.cos(12.0)) * math.exp(-4.0) / 10.0 + 0.1
-    for n in (16, 64):
-        values, estimates = integrate(keyed(*[_wave] * n), *panels(0.0, 4.0, n))
-        assert abs(values.sum() - exact) <= max(estimates.sum(), 1e-13)
+    values = integrate(keyed(lambda x: x), [2.0], [2.0])
+    assert values.tolist() == [0.0]
 
 
 @pytest.mark.parametrize("n", [1, 5, quadrature._CHUNK, quadrature._CHUNK + 1,
@@ -76,15 +68,14 @@ def test_one_call_per_chunk_evaluates_each_panel_once(n):
         calls.append(key)
         return (1.0 + key) * np.exp(-0.001 * x)
 
-    values, estimates = integrate(f, a, b)
+    values = integrate(f, a, b)
     chunk = quadrature._CHUNK
     assert [c.size for c in calls] == [5 * min(chunk, n - i) for i in range(0, n, chunk)]
     assert (np.bincount(np.concatenate(calls), minlength=n) == 5).all()
     # Every panel keeps the bits of its forward integral alone, negated if reversed.
     for i in sorted({0, min(1, n - 1), n // 2, n - 1}):
         alone = integrate(lambda key_x: f((key_x[0] + i, key_x[1])), [float(i)], [i + 1.0])
-        assert values[i] == (-1.0 if reversed_[i] else 1.0) * alone[0][0]
-        assert estimates[i] == alone[1][0]
+        assert values[i] == (-1.0 if reversed_[i] else 1.0) * alone[0]
 
 
 def test_one_panel_takes_one_call_of_its_five_points():
@@ -107,19 +98,18 @@ def test_zero_length_key_beside_live_keys():
         seen.append(key_x[0])
         return f(key_x)
 
-    values, estimates = integrate(spy, [0.0, 3.0, 1.0], [4.0, 3.0, 2.0])
-    assert (values[1], estimates[1]) == (0.0, 0.0)
+    values = integrate(spy, [0.0, 3.0, 1.0], [4.0, 3.0, 2.0])
+    assert values[1] == 0.0
     assert 1 not in np.concatenate(seen)
-    assert values[0] == integrate(keyed(_wave), [0.0], [4.0])[0][0]
-    assert values[2] == integrate(keyed(_inverse), [1.0], [2.0])[0][0]
+    assert values[0] == integrate(keyed(_wave), [0.0], [4.0])[0]
+    assert values[2] == integrate(keyed(_inverse), [1.0], [2.0])[0]
     assert values[2] == pytest.approx(math.log(2), rel=1e-3)
 
 
 def test_reversed_keys_negate():
     cube = keyed(lambda x: 1.0 / x ** 3, lambda x: 1.0 / x ** 3)
-    values, estimates = integrate(cube, [1.0, 3.0], [3.0, 1.0])
+    values = integrate(cube, [1.0, 3.0], [3.0, 1.0])
     assert values[1] == pytest.approx(-values[0], rel=1e-14)
-    assert estimates[1] == estimates[0]
 
 
 @pytest.mark.parametrize("a, b", [(0.0, 1.0), ([0.0, 1.0], [1.0]), ([[0.0]], [[1.0]])])

@@ -60,3 +60,15 @@ def test_output_digest_is_stable_and_covers_the_grid():
     # ratios x 3 tolerances, three runs past the default budget and one at
     # its floor cutoff; six expansions.
     assert len(names) == 3 * (specs + 1) + 2 + 5 * 7 * 3 + 4 + 6
+
+
+def test_source_size_totals_the_lines_of_every_module():
+    modules = sorted(Path(qcarnot.__file__).resolve().parent.glob("*.py"))
+    done = run_script("source_size.py", *modules)
+    assert done.returncode == 0, done.stderr
+    rows = [line.split() for line in done.stdout.splitlines()]
+    assert rows[0] == ["lines", "tokens"] and rows[-1][2:] == ["total"]
+    assert [row[2] for row in rows[1:-1]] == [str(path) for path in modules]
+    lines = [path.read_bytes().count(b"\n") for path in modules]
+    assert [int(row[0]) for row in rows[1:-1]] == lines
+    assert int(rows[-1][0]) == sum(lines)

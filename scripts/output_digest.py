@@ -30,8 +30,7 @@ from pathlib import Path
 from qcarnot import EngineError, MixedState, cli, post_expansion_distribution
 
 SPECS = Path(__file__).resolve().parents[1] / "specs"
-# A cycle whose adiabats span ln 100, so that their work quadrature starts
-# on five runs of panels each.
+# A cycle whose adiabats span ln 100 in ln L, wider than those of the specs.
 WIDE_SPEC = ("wide_adiabats.spec", "[cycle]\ntype = carnot\ntop_level = 3\nL1 = 1\nL3 = 300\n")
 SWEEPS = (
     ("two_state.spec", "2.5", "8", "12"),

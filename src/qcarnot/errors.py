@@ -26,9 +26,9 @@ class ScaleError(EngineError):
 
 
 class QuadratureError(EngineError):
-    """A stroke work quadrature needs more than ``processes.MAX_INTERVALS``
-    panels, or a cycle's quadrature works disagree with its closed forms by
-    more than ``cycle.QUADRATURE_REL_TOL`` of ``Q_H``; the message says which."""
+    """A cycle's quadrature works disagree with its closed forms by more
+    than ``cycle.QUADRATURE_REL_TOL`` of ``Q_H``; the message names the
+    stroke whose two works differ most."""
 
 
 class TruncationError(EngineError):

@@ -71,7 +71,7 @@ def test_criterion_2_work_and_heat_reproduction():
     report = evaluate_cycle(cycle)
     w_exact = math.pi ** 2 * (1.0 - 4.0 / 16.0) * math.log(2)
     qh_exact = math.pi ** 2 * math.log(2)
-    quads = [stroke_work_quadrature(s, 1e-10) for s in cycle.strokes]
+    quads = [stroke_work_quadrature(s) for s in cycle.strokes]
     w_quad = sum(quads)
     ok = (
         abs(report.W - w_exact) <= 1e-9 * w_exact

@@ -195,8 +195,8 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("L3", [3000.0, 6000.0])
     def test_high_top_level_meets_gate(self, L3):
-        # An isotherm's integrand is constant, so its one run of 64 panels
-        # clears the 1e-10 gate however long it is (ln 1000 ~ 7 here).
+        # An isotherm's integrand is constant, so its 16 pieces clear the
+        # 1e-10 gate however long it is (ln 1000 ~ 7 here).
         report = evaluate_cycle(build_carnot_cycle(CarnotSpec(1000, 1.0, L3)))
         assert report.quadrature_discrepancy <= 1e-8
         assert report.eta == pytest.approx(1 - (1000.0 / L3) ** 2, rel=1e-12)

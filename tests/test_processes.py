@@ -11,7 +11,6 @@ from qcarnot import (
     DomainError,
     IsothermRangeError,
     MixedState,
-    QuadratureError,
     SampleTable,
     ScaleError,
     Stroke,
@@ -23,7 +22,6 @@ from qcarnot import (
     expectation_energy,
     isothermal_state_at,
     isothermal_stroke,
-    processes,
     quadrature,
     sample_stroke,
     stroke_work,
@@ -32,7 +30,7 @@ from qcarnot import (
 )
 from qcarnot.cli import write_samples_csv
 from qcarnot.cycle import MAX_TOP_LEVEL, CarnotSpec, build_carnot_cycle
-from qcarnot.processes import _RUN_PANELS, MAX_SAMPLES_PER_STROKE
+from qcarnot.processes import MAX_SAMPLES_PER_STROKE
 from oracles import (
     checked_twice_energy,
     masked_work_integrand,
@@ -102,18 +100,20 @@ def failing_strokes(draw):
     return adiabatic_stroke(draw(mixed_states()), L_from, L_to)
 
 
+def pieces(stroke):
+    """The pieces of ``stroke`` in ``stroke_work_quadrature``: ``max(16,
+    ceil(|ln(L_end / L_start)|))``, whatever its kind."""
+    return max(16, math.ceil(abs(math.log(stroke.L_end / stroke.L_start))))
+
+
 def key_owner(strokes):
-    """The stroke of each key of ``stroke_work_quadrature(strokes)``: runs of
-    ``_RUN_PANELS`` keys, one on an isotherm and ``max(1, ceil(|ln(L_end /
-    L_start)|))`` on an adiabat, whose runs per unit of span are 1 at the
-    default ``rel_tol``."""
-    runs = [max(1, math.ceil(abs(math.log(s.L_end / s.L_start))))
-            if s.kind is StrokeKind.ADIABATIC else 1 for s in strokes]
-    return np.repeat(np.arange(len(strokes)), _RUN_PANELS * np.array(runs))
+    """The stroke of each key of ``stroke_work_quadrature(strokes)``, one
+    key per piece."""
+    return np.repeat(np.arange(len(strokes)), [pieces(s) for s in strokes])
 
 
-def integrand_calls(strokes, rel_tol=1e-10, sizes=None):
-    """``stroke_work_quadrature(strokes, rel_tol)`` and the ``(a, b)`` of its
+def integrand_calls(strokes, sizes=None):
+    """``stroke_work_quadrature(strokes)`` and the ``(a, b)`` of its
     one ``quadrature.integrate`` call with the count of integrand calls;
     ``sizes`` collects the size of each integrand input."""
     integrate = quadrature.integrate
@@ -133,7 +133,7 @@ def integrand_calls(strokes, rel_tol=1e-10, sizes=None):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(quadrature, "integrate", spy)
-        works = stroke_work_quadrature(strokes, rel_tol)
+        works = stroke_work_quadrature(strokes)
     (a, b, calls), = seen
     return works, a, b, calls[0]
 
@@ -149,13 +149,13 @@ def stroke_scale(stroke):
 @st.composite
 def carnot_cycles(draw):
     """A cycle with ``top_level`` log-uniform up to ``MAX_TOP_LEVEL``, ``L1``
-    in ``10^U(-3, 3)``, ``L3 / (top_level L1)`` in ``e^U(0, 64)``, and
-    ``hbar`` and ``mass`` in ``10^U(-20, 20)`` within the energy-scale
-    limits, whose adiabat from ``L2`` to ``L3`` spans at most 64."""
+    in ``10^U(-3, 3)``, ``L3 / (top_level L1)`` in ``e^U(0, 64)`` or
+    ``e^U(0, 400)``, and ``hbar`` and ``mass`` in ``10^U(-20, 20)``, within
+    the energy-scale limits.  Those limits, not the draw, cap the spans of
+    the adiabats: about 260 at most for these ranges."""
     top_level = int(min(2.0 ** draw(st.floats(1.0, 63.0)), MAX_TOP_LEVEL))
     L1 = 10.0 ** draw(st.floats(-3.0, 3.0))
-    L3 = top_level * L1 * math.exp(draw(st.floats(0.0, 64.0)))
-    assume(math.log(L3 / (top_level * L1)) <= 64.0)
+    L3 = top_level * L1 * math.exp(draw(st.one_of(st.floats(0.0, 64.0), st.floats(0.0, 400.0))))
     hbar, mass = (10.0 ** draw(st.floats(-20.0, 20.0)) for _ in range(2))
     try:
         return build_carnot_cycle(CarnotSpec(top_level, L1, L3, WellParams(hbar, mass)))
@@ -409,32 +409,22 @@ class TestStrokeWork:
 
     def test_quadrature_matches_isothermal(self):
         stroke = isothermal_stroke(E_GROUND, 1.0, 2.0, 1.0)
-        assert stroke_work_quadrature(stroke, 1e-10) == pytest.approx(
+        assert stroke_work_quadrature(stroke) == pytest.approx(
             math.pi ** 2 * math.log(2), rel=1e-10
         )
 
     def test_quadrature_matches_adiabatic(self):
         stroke = adiabatic_stroke(MixedState.pure(1), 1.0, 2.0)
-        assert stroke_work_quadrature(stroke, 1e-10) == pytest.approx(
+        assert stroke_work_quadrature(stroke) == pytest.approx(
             3 * math.pi ** 2 / 8, rel=1e-10
         )
-
-    def test_quadrature_tolerance_domain(self):
-        stroke = isothermal_stroke(E_GROUND, 1.0, 2.0, 1.0)
-        with pytest.raises(DomainError):
-            stroke_work_quadrature(stroke, 1e-3)
-        with pytest.raises(DomainError):
-            stroke_work_quadrature(stroke, 0.0)
-        for bad in ("x", True, math.nan):
-            with pytest.raises(DomainError, match=r"rel_tol must lie in \(0, 0.0001\]"):
-                stroke_work_quadrature(stroke, bad)
 
     def test_closed_form_vs_quadrature_randomized(self):
         rng = np.random.default_rng(42)
         for _ in range(40):
             stroke = random_stroke(rng)
             w = stroke_work(stroke)
-            q = stroke_work_quadrature(stroke, 1e-10)
+            q = stroke_work_quadrature(stroke)
             assert q == pytest.approx(w, rel=1e-9, abs=1e-12)
 
     def test_sequence_of_strokes_matches_one_at_a_time(self):
@@ -443,13 +433,14 @@ class TestStrokeWork:
         rng = np.random.default_rng(5)
         strokes = [random_stroke(rng) for _ in range(6)]
         strokes.insert(2, isothermal_stroke(E_GROUND, 1.5, 1.5, 1.0))
-        works = stroke_work_quadrature(strokes, 1e-10)
-        assert works == [stroke_work_quadrature(s, 1e-10) for s in strokes]
+        works = stroke_work_quadrature(strokes)
+        assert works == [stroke_work_quadrature(s) for s in strokes]
         assert all(type(w) is float for w in works) and works[2] == 0.0
 
-    def test_integrand_probes_every_stroke_at_257_widths(self, monkeypatch):
+    def test_integrand_probes_every_stroke_at_129_widths(self, monkeypatch):
         # The first call of the integrand that quadrature.integrate receives
-        # probes each stroke at the widths L_start * e^u of its keys' abscissae.
+        # probes each stroke at the widths L_start * e^u of its keys'
+        # abscissae: 16 pieces of 9 nodes, neighbours sharing an edge.
         strokes = [isothermal_stroke(E_GROUND, 1.0, 6.0, 1.0),
                    adiabatic_stroke(MixedState.pure(1), 1.0, 1.0 + 1e-9)]
         widths = []
@@ -467,7 +458,7 @@ class TestStrokeWork:
 
         monkeypatch.setattr(quadrature, "integrate", spy)
         stroke_work_quadrature(strokes)
-        assert widths[:2] == [257, 257]
+        assert widths[:2] == [129, 129]
 
     def test_reversed_endpoints_negate_work(self):
         rng = np.random.default_rng(3)
@@ -487,41 +478,43 @@ class TestStrokeWork:
             assert returned.populations == state_at(stroke, stroke.L_start).populations
 
 
-class TestStartRuns:
-    @pytest.mark.parametrize("ratio, runs", [
-        (1.0, 1), (math.exp(0.5), 1), (math.e, 1), (math.exp(1.0 + 1e-9), 2),
-        (1e3, 7), (math.exp(-20.5), 21), (math.exp(64.0), 64), (math.exp(64.5), 65),
+class TestPieces:
+    @pytest.mark.parametrize("ratio, n", [
+        (1.0, 16), (math.exp(0.5), 16), (math.e, 16), (math.exp(1.0 + 1e-9), 16), (1e3, 16),
+        (math.exp(16.0), 16), (math.exp(16.5), 17), (math.exp(-20.5), 21), (math.exp(64.0), 64),
+        (math.exp(64.5), 65), (math.exp(-200.0), 200), (math.exp(230.0), 230),
     ])
-    def test_an_adiabat_starts_on_one_run_per_unit_of_span(self, ratio, runs):
-        # No panel of a run wider than 1/64, and the edges of a one-run
-        # stroke are those of span * (i / 64).
+    def test_an_adiabat_takes_max_16_ceil_span_equal_pieces(self, ratio, n):
+        # No piece wider than 1, and the edges are span * (i / n); a
+        # zero-length stroke calls no integrand.
         stroke = adiabatic_stroke(MixedState.pure(3), 2.0, 2.0 * ratio)
-        _, a, b, _ = integrand_calls([stroke])
+        _, a, b, calls = integrand_calls([stroke])
         span = math.log(stroke.L_end / stroke.L_start)
-        assert a.size == _RUN_PANELS * runs
-        assert a[0] == 0.0 and b[-1] == span and (a[1:] == b[:-1]).all()
-        assert (np.abs(b - a) <= 1.0 / 64.0 * (1.0 + 1e-15)).all()
-        if runs == 1:
-            edges = span * (np.arange(_RUN_PANELS + 1) / _RUN_PANELS)
-            assert a.tobytes() == edges[:-1].tobytes() and b.tobytes() == edges[1:].tobytes()
+        edges = span * (np.arange(n + 1) / n)
+        assert (a.size, calls) == (n, int(span != 0.0))
+        assert a.tobytes() == edges[:-1].tobytes() and b.tobytes() == edges[1:].tobytes()
+        assert (np.abs(b - a) <= 1.0 + 1e-13).all()
+
+    @pytest.mark.parametrize("L_to, n", [(1.0, 16), (6.0, 16), (1e7, 17), (1e18, 42)])
+    def test_an_isotherm_takes_the_same_pieces(self, L_to, n):
+        stroke = isothermal_stroke(E_GROUND, 1.0, L_to, 1.0)
+        _, a, b, calls = integrand_calls([stroke])
+        span = math.log(L_to)
+        edges = span * (np.arange(n + 1) / n)
+        assert (a.size, calls) == (n, int(span != 0.0))
+        assert a.tobytes() == edges[:-1].tobytes() and b.tobytes() == edges[1:].tobytes()
 
     def test_no_strokes_give_no_works(self):
         assert stroke_work_quadrature([]) == [] and stroke_work_quadrature(()) == []
 
-    def test_an_isotherm_starts_on_one_run(self):
-        stroke = isothermal_stroke(E_GROUND, 1.0, 1e18, 1.0)
-        _, a, _, calls = integrand_calls([stroke])
-        assert (a.size, calls) == (_RUN_PANELS, 1)
-
     @settings(max_examples=60, deadline=None)
     @given(carnot_cycles())
-    def test_a_cycle_takes_one_integrand_call_at_the_default_tolerance(self, cycle):
-        works, _, _, calls = integrand_calls(cycle.strokes)
-        assert calls == 1
+    def test_a_cycle_takes_one_integrand_call(self, cycle):
+        works, a, _, calls = integrand_calls(cycle.strokes)
+        assert calls == 1 and a.size == sum(pieces(s) for s in cycle.strokes)
         for stroke, work in zip(cycle.strokes, works):
             assert work == pytest.approx(stroke_work(stroke), rel=1e-10, abs=1e-14 * stroke_scale(stroke))
 
-    @pytest.mark.parametrize("rel_tol, d", [(1e-4, 1), (1e-10, 1), (1e-12, 4), (1e-14, 10)])
     @pytest.mark.parametrize("level, L_from, L_to", [
         (3, 1.0, math.exp(1e-9)),
         (3, 1.0, math.e),
@@ -532,35 +525,40 @@ class TestStartRuns:
         (2, 2e-95, 1e95),
         (2, 1e95, 2e-95),
     ])
-    def test_adiabats_take_one_call_per_chunk_and_meet_rel_tol(self, rel_tol, d, level, L_from, L_to):
-        # An adiabat takes ceil(|span| d) runs, and f sees at most _CHUNK
-        # panels, five points each, a call.
+    def test_adiabats_take_one_call_and_match_the_closed_form(self, level, L_from, L_to):
         stroke = adiabatic_stroke(MixedState.pure(level), L_from, L_to)
         sizes = []
-        (work,), a, _, calls = integrand_calls([stroke], rel_tol, sizes)
-        runs = math.ceil(abs(math.log(L_to / L_from)) * d)
-        assert a.size == _RUN_PANELS * runs
-        assert calls == math.ceil(a.size / quadrature._CHUNK) and max(sizes) <= 5 * 2 ** 14
-        assert work == pytest.approx(stroke_work(stroke), rel=max(rel_tol, 1e-13),
-                                     abs=1e-14 * stroke_scale(stroke))
+        (work,), a, _, calls = integrand_calls([stroke], sizes)
+        assert a.size == pieces(stroke) and calls == 1 and sizes == [9 * a.size]
+        assert work == pytest.approx(stroke_work(stroke), rel=1e-13, abs=1e-14 * stroke_scale(stroke))
 
-    @pytest.mark.parametrize("rel_tol", [5e-324, 1e-300, 1e-30])
-    def test_a_grid_past_the_panel_budget_raises_before_the_integrand_runs(self, rel_tol):
-        stroke = adiabatic_stroke(MixedState.pure(2), 1.0, math.e)
+    def test_strokes_past_one_chunk_take_one_call_per_chunk(self):
+        # 40 strokes of 437 pieces each, past the 2**14 pieces of one call;
+        # every stroke keeps the bits of its work alone.
+        stroke = adiabatic_stroke(MixedState.pure(2), 2e-95, 1e95)
         sizes = []
-        with pytest.raises(QuadratureError, match=r"quadrature panels, more than 1000000$"):
-            integrand_calls([stroke], rel_tol, sizes)
-        assert sizes == []
+        works, a, _, calls = integrand_calls([stroke] * 40, sizes)
+        assert a.size == 40 * 437 and calls == 2
+        assert sizes == [9 * quadrature._CHUNK, 9 * (a.size - quadrature._CHUNK)]
+        assert works == [stroke_work_quadrature(stroke)] * 40
 
-    def test_the_panel_budget_counts_every_stroke(self, monkeypatch):
-        strokes = [adiabatic_stroke(MixedState.pure(2), 1.0, math.exp(2.5)),
-                   isothermal_stroke(E_GROUND, 1.0, 2.0, 1.0)]
-        monkeypatch.setattr(processes, "MAX_INTERVALS", 4 * _RUN_PANELS)
-        assert stroke_work_quadrature(strokes) == pytest.approx([stroke_work(s) for s in strokes])
-        monkeypatch.setattr(processes, "MAX_INTERVALS", 4 * _RUN_PANELS - 1)
-        with pytest.raises(QuadratureError, match=r"^rel_tol 1e-10 needs 256 quadrature panels, "
-                                                  r"more than 255$"):
-            stroke_work_quadrature(strokes)
+    @pytest.mark.parametrize("span", [0.01, 0.5, 1.0, 1.0 - 1e-9, 1.0 + 1e-9, 3.0, 8.0,
+                                      64.0, -64.0, 100.0, 200.0, -200.0])
+    @pytest.mark.parametrize("level", [1, 3])
+    def test_adiabats_match_mpmath(self, span, level):
+        # The exact work between the binary64 ends, in 40-digit mpmath.  The
+        # start is a power of two, so the width ratio that sets the span is
+        # exact.  The rule's remainder is below 1e-17; what is left is
+        # rounding, up to 9.5e-16 for |span| <= 100.  At span -200 it reaches
+        # 2.6e-15: the abscissae u near -200 round by up to 1.4e-14, which
+        # moves e^(-2u) at a node by up to 2.8e-14.
+        mpmath = pytest.importorskip("mpmath")
+        stroke = adiabatic_stroke(MixedState.pure(level), 2.0, 2.0 * math.exp(span))
+        work = stroke_work_quadrature(stroke)
+        with mpmath.workdps(40):
+            c = (mpmath.pi * level) ** 2 / 2
+            exact = c * (1 / mpmath.mpf(stroke.L_start) ** 2 - 1 / mpmath.mpf(stroke.L_end) ** 2)
+            assert abs(work - exact) <= 1e-14 * abs(exact)
 
 
 class TestStrokeTable:

@@ -72,3 +72,9 @@ def test_source_size_totals_the_lines_of_every_module():
     lines = [path.read_bytes().count(b"\n") for path in modules]
     assert [int(row[0]) for row in rows[1:-1]] == lines
     assert int(rows[-1][0]) == sum(lines)
+
+
+def test_traced_check_passes_on_cycle_sweep():
+    done = run_script("traced_check.py", "cycle_sweep")
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout == "cycle_sweep: ok\n"

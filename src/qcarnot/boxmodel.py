@@ -262,8 +262,6 @@ class MixedState:
         items.sort()
         levels = np.array([n for n, _ in items], dtype=np.int64)
         weights = np.array([w for _, w in items], dtype=np.float64)
-        if levels.size > 1 and np.any(np.diff(levels) == 0):
-            raise StateError("duplicate level in population pairs")
         return cls(levels, weights)
 
     @functools.cached_property

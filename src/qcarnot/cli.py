@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .boxmodel import _check_int, _check_real
+from .boxmodel import _check_int
 from .cycle import (
     CarnotSpec,
     CycleReport,
@@ -355,18 +355,23 @@ def cmd_verify_identity(n, alpha, tol, max_terms: int = IDENTITY_TERM_BUDGET):
 
 @_exit_code
 def cmd_sweep(spec_path, l3_from, l3_to, steps, out_path):
-    """Efficiency curve over a range of L3 values, one CSV row per step; every
-    step's :class:`CarnotSpec` is built, and so checked, before any cycle runs."""
+    """Efficiency curve over a range of L3 values, one CSV row per step.
+
+    The two ends are checked as the spec's ``L3`` before any cycle runs, and
+    that checks every step: no ``np.linspace`` value lies past an end, and the
+    spec bounds ``L3`` only from below.  Each step builds its spec as it runs.
+    """
     base = _load_spec(spec_path)
     steps = _check_int(steps, "steps", 2, MAX_SWEEP_STEPS)
-    # Positive finite ends keep np.linspace finite; CarnotSpec checks the rest.
-    ends = [_check_real(L3, "L3") for L3 in (l3_from, l3_to)]
-    specs = [dataclasses.replace(base, L3=float(L3)) for L3 in np.linspace(*ends, steps)]
+    ends = [dataclasses.replace(base, L3=L3).L3 for L3 in (l3_from, l3_to)]
+    # Only np.linspace's last product can overflow, and it is replaced by the end.
+    with np.errstate(over="ignore"):
+        widths = np.linspace(*ends, steps).tolist()
     rows = []
-    for spec in specs:
-        report = evaluate_cycle(build_carnot_cycle(spec))
+    for L3 in widths:
+        report = evaluate_cycle(build_carnot_cycle(dataclasses.replace(base, L3=L3)))
         rows.append(",".join(format_float(v) for v in (
-            spec.L3, report.W, report.Q_H, report.eta, report.eta_closed_form
+            L3, report.W, report.Q_H, report.eta, report.eta_closed_form
         )))
     Path(out_path).write_text("\n".join([SWEEP_HEADER, *rows]) + "\n", newline="\n")
 

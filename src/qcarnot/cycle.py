@@ -179,11 +179,11 @@ def parse_spec(text: str) -> CarnotSpec:
 
 @dataclass(frozen=True)
 class Cycle:
-    """Closed four-stroke sequence and the fixed energies of its two isotherms."""
+    """Closed four-stroke sequence and the spec it was built from.  The fixed
+    energies of the hot and cold isotherms are the ``conserved`` of strokes 1
+    and 3."""
 
     strokes: tuple[Stroke, Stroke, Stroke, Stroke]
-    e_hot: float
-    e_cold: float
     spec: CarnotSpec
 
 
@@ -191,7 +191,8 @@ class Cycle:
 class CycleReport:
     """Work, heat, and efficiency of one cycle.
 
-    ``eta`` is ``W / Q_H``; ``eta_closed_form`` is ``1 - e_cold / e_hot``;
+    ``eta`` is ``W / Q_H``; ``eta_closed_form`` is ``1 - e_cold / e_hot``,
+    with ``e_hot`` and ``e_cold`` the fixed energies of the two isotherms;
     ``quadrature_discrepancy``, at most ``QUADRATURE_REL_TOL``, sums the
     per-stroke gaps between closed-form and quadrature work, over ``Q_H``.
     """
@@ -226,7 +227,7 @@ def build_carnot_cycle(spec: CarnotSpec) -> Cycle:
         isothermal_stroke(e_cold, L3, L4, L4, p),
         adiabatic_stroke(MixedState.pure(1), L4, L1, p),
     )
-    return Cycle(strokes=strokes, e_hot=e_hot, e_cold=e_cold, spec=spec)
+    return Cycle(strokes=strokes, spec=spec)
 
 
 def evaluate_cycle(cycle: Cycle) -> CycleReport:
@@ -252,7 +253,7 @@ def evaluate_cycle(cycle: Cycle) -> CycleReport:
         Q_H=Q_H,
         Q_C=-works[2],
         eta=W / Q_H,
-        eta_closed_form=1.0 - cycle.e_cold / cycle.e_hot,
+        eta_closed_form=1.0 - cycle.strokes[2].conserved / cycle.strokes[0].conserved,
         quadrature_discrepancy=discrepancy,
     )
 

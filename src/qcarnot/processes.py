@@ -149,34 +149,37 @@ class SampleTable(Sequence):
 class Stroke:
     """One reversible process segment, checked once, at construction.
 
-    ``conserved`` is the fixed mean energy for an isothermal stroke and the
-    constant ``E * L^2`` coefficient for an adiabatic one.  ``state_start`` is
-    the adiabat's frozen state (``None`` on isotherms), ``base_scale`` the
-    isotherm's ground-state width (``None`` on adiabats); an isotherm's state
-    at width ``L`` is ``isothermal_state_at(conserved, L, base_scale,
-    params)``.  Zero-length strokes (``L_start == L_end``) are permitted and
-    carry zero work.  Construction checks the types of ``kind``, ``params``
-    and an adiabat's ``state_start``, the end widths and an adiabat's
-    ``conserved`` with :func:`_check_real` and, on an isotherm, ``conserved``
-    against ``base_scale`` and both ends against its window; widths,
-    ``conserved`` and ``base_scale`` are stored as floats.  So no code that
-    reads a stroke checks it again.
+    An isotherm holds its fixed mean energy in ``conserved`` and its
+    ground-state width in ``base_scale``; its state at width ``L`` is
+    ``isothermal_state_at(conserved, L, base_scale, params)``.  An adiabat
+    holds its frozen state in ``state_start``.  The fields a kind does not
+    use (an isotherm's ``state_start``, an adiabat's ``conserved`` and
+    ``base_scale``) are never read; :func:`isothermal_stroke` and
+    :func:`adiabatic_stroke` set them to ``None``.
+    Zero-length strokes (``L_start == L_end``) are permitted and carry zero
+    work.  Construction checks the types of ``kind``, ``params`` and an
+    adiabat's ``state_start``, the end widths with :func:`_check_real` and, on
+    an isotherm, ``conserved`` against ``base_scale`` and both ends against
+    its window; widths and an isotherm's ``conserved`` and ``base_scale`` are
+    stored as floats.  So no code that reads a stroke checks it again.
     """
 
     kind: StrokeKind
     L_start: float
     L_end: float
     state_start: MixedState | None
-    conserved: float
+    conserved: float | None
     params: WellParams
     base_scale: float | None = None
 
     def __post_init__(self):
-        _check_stroke_types(self.kind, self.state_start, self.params)
+        _check_type(self.kind, StrokeKind, "kind")
+        _check_type(self.params, WellParams, "params")
+        if self.kind is StrokeKind.ADIABATIC:
+            _check_type(self.state_start, MixedState, "state_start", " on an adiabat")
         for name in ("L_start", "L_end"):
             object.__setattr__(self, name, _check_real(getattr(self, name), name))
         if self.kind is StrokeKind.ADIABATIC:
-            object.__setattr__(self, "conserved", _check_real(self.conserved, "conserved"))
             return
         base_scale = _isotherm_base(self.conserved, self.base_scale, self.params)
         object.__setattr__(self, "conserved", float(self.conserved))
@@ -200,17 +203,6 @@ class Stroke:
         _, force = _table_forces(_stroke_table((self,))[0], L)
         _check_forces(force, np.zeros(L.shape, np.intp), (self.L_start,))
         return float(force) if force.ndim == 0 else force
-
-
-def _check_stroke_types(kind, state_start, params) -> None:
-    """The type rules of a :class:`Stroke`: ``kind`` is a :class:`StrokeKind`,
-    ``params`` a :class:`WellParams` and, on an adiabat, ``state_start`` a
-    :class:`MixedState`.  :func:`adiabatic_stroke` runs them before computing
-    an energy."""
-    _check_type(kind, StrokeKind, "kind")
-    _check_type(params, WellParams, "params")
-    if kind is StrokeKind.ADIABATIC:
-        _check_type(state_start, MixedState, "state_start", " on an adiabat")
 
 
 def _isotherm_base(e_fixed, base_scale, params: WellParams) -> float:
@@ -290,17 +282,18 @@ def _check_forces(force, owner, starts) -> None:
 
 def adiabatic_stroke(state: MixedState, L_from, L_to,
                      params: WellParams = DEFAULT_PARAMS) -> Stroke:
-    """Stroke at frozen populations from width ``L_from`` to ``L_to``."""
-    L_from = _check_real(L_from, "L_from")
-    L_to = _check_real(L_to, "L_to")
-    _check_stroke_types(StrokeKind.ADIABATIC, state, params)
-    e_start = expectation_energy(state, L_from, params)
+    """Stroke at frozen populations from width ``L_from`` to ``L_to``.
+
+    Computes no energy: a width at which the mean energy leaves binary64
+    builds, and :func:`stroke_work`, the work integrand and sampling raise
+    its :class:`ScaleError`.
+    """
     return Stroke(
         kind=StrokeKind.ADIABATIC,
-        L_start=L_from,
-        L_end=L_to,
+        L_start=_check_real(L_from, "L_from"),
+        L_end=_check_real(L_to, "L_to"),
         state_start=state,
-        conserved=e_start * L_from * L_from,
+        conserved=None,
         params=params,
     )
 

@@ -182,6 +182,11 @@ class TestMixedState:
         with pytest.raises(StateError):
             MixedState.from_pairs([(1, 0.5), (1, 0.5)])
 
+    @pytest.mark.parametrize("pairs", [[(2, 0.5), (2, 0.5)], [(2, 0.25), (1, 0.5), (2, 0.25)]])
+    def test_duplicate_level_is_rejected_by_the_constructor(self, pairs):
+        with pytest.raises(StateError, match="^levels must be distinct and sorted ascending$"):
+            MixedState.from_pairs(pairs)
+
     def test_rejects_bad_level(self):
         with pytest.raises((StateError, DomainError)):
             MixedState.from_pairs({0: 1.0})

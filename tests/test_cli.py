@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -591,6 +592,62 @@ class TestSweep:
         assert capsys.readouterr().err == (
             "error: L3 must exceed top_level*L1: got L3=1.5, top_level*L1=2.0\n"
         )
+
+    def test_descending_range_names_its_lower_end(self, spec_path, tmp_path, monkeypatch, capsys):
+        # Steps 3.0, 2.625, 2.25, 1.875, 1.5: the end below the floor is named,
+        # not the first step below it.
+        self.forbid_evaluation(monkeypatch)
+        assert cmd_sweep(spec_path, 3.0, 1.5, 5, tmp_path / "s.csv") == 1
+        assert capsys.readouterr().err == (
+            "error: L3 must exceed top_level*L1: got L3=1.5, top_level*L1=2.0\n"
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(a=st.floats(0.0, exclude_min=True, allow_infinity=False),
+           b=st.floats(0.0, exclude_min=True, allow_infinity=False),
+           steps=st.integers(2, cli.MAX_SWEEP_STEPS))
+    def test_linspace_stays_between_its_ends(self, a, b, steps):
+        # Checking the two ends checks every step: CarnotSpec bounds L3 only
+        # from below, and no np.linspace value lies past an end.  With ends
+        # near the largest double the last product overflows, as cmd_sweep
+        # allows, and np.linspace replaces it by the end.
+        with np.errstate(over="ignore"):
+            widths = np.linspace(a, b, steps)
+        assert widths.min() == min(a, b) and widths.max() == max(a, b)
+
+    @pytest.mark.parametrize("l3_from, l3_to, steps", [
+        (2.0, 1.7976931348623157e308, 203687), (1.7976931348623157e308, 2.0, cli.MAX_SWEEP_STEPS),
+    ])
+    def test_a_range_up_to_the_largest_double_warns_of_nothing(self, spec_path, tmp_path, monkeypatch,
+                                                                l3_from, l3_to, steps):
+        # np.linspace overflows in its last product here; a RuntimeWarning is
+        # an error under pytest and would otherwise reach stderr.
+        class Reached(Exception):
+            pass
+
+        def build(spec):
+            raise Reached(spec.L3)
+
+        monkeypatch.setattr(cli, "build_carnot_cycle", build)
+        with pytest.raises(Reached) as caught:
+            cmd_sweep(spec_path, l3_from, l3_to, steps, tmp_path / "s.csv")
+        assert caught.value.args == (l3_from,)
+
+    def test_sweep_at_the_step_cap_reaches_its_first_cycle_at_once(self, spec_path, tmp_path,
+                                                                  monkeypatch):
+        # Each step's CarnotSpec is built when the step runs, not all before
+        # the first cycle.
+        class Reached(Exception):
+            pass
+
+        def evaluate(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr(cli, "evaluate_cycle", evaluate)
+        started = time.perf_counter()
+        with pytest.raises(Reached):
+            cmd_sweep(spec_path, 3.0, 4.0, cli.MAX_SWEEP_STEPS, tmp_path / "s.csv")
+        assert time.perf_counter() - started < 1.0
 
     @pytest.mark.parametrize("l3_from, l3_to, bad", [
         (0.0, math.inf, 0.0), (3.0, math.inf, math.inf), (-1e308, 1e308, -1e308),

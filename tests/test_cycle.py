@@ -18,6 +18,7 @@ from qcarnot import (
     ScaleError,
     WellParams,
     build_carnot_cycle,
+    eigenenergy,
     evaluate_cycle,
     isothermal_state_at,
     polyline_work,
@@ -45,8 +46,8 @@ class TestBuild:
     def test_two_level_geometry(self):
         c = build_carnot_cycle(FLAGSHIP)
         assert (c.strokes[0].L_end, c.strokes[2].L_end) == (2.0, 2.0)
-        assert c.e_hot == pytest.approx(math.pi ** 2 / 2, rel=1e-15)
-        assert c.e_cold == pytest.approx(math.pi ** 2 / 8, rel=1e-15)
+        assert c.strokes[0].conserved == pytest.approx(math.pi ** 2 / 2, rel=1e-15)
+        assert c.strokes[2].conserved == pytest.approx(math.pi ** 2 / 8, rel=1e-15)
         kinds = [s.kind.value for s in c.strokes]
         assert kinds == ["isothermal", "adiabatic", "isothermal", "adiabatic"]
 
@@ -165,6 +166,10 @@ class TestEvaluate:
         assert report.Q_H == pytest.approx(math.pi ** 2 * math.log(2), rel=1e-12)
         assert report.Q_C == pytest.approx(report.Q_H - report.W, rel=1e-12)
 
+    def test_eta_closed_form_reads_the_isotherm_energies(self):
+        report = evaluate_cycle(build_carnot_cycle(CarnotSpec(3, 0.9, 4.1)))
+        assert report.eta_closed_form == 1.0 - eigenenergy(3, 4.1) / eigenenergy(1, 0.9)
+
     def test_flagship_efficiency_three_ways(self):
         report = evaluate_cycle(build_carnot_cycle(FLAGSHIP))
         assert report.eta == pytest.approx(0.75, rel=1e-12)
@@ -180,7 +185,7 @@ class TestEvaluate:
         w2 = stroke_work(c.strokes[1])
         w4 = stroke_work(c.strokes[3])
         assert w2 + w4 == pytest.approx(0.0, abs=1e-12 * abs(w2))
-        assert w2 == pytest.approx(c.e_hot - c.e_cold, rel=1e-12)
+        assert w2 == pytest.approx(c.strokes[0].conserved - c.strokes[2].conserved, rel=1e-12)
 
     @given(
         n=st.integers(2, 5),
@@ -240,10 +245,10 @@ class TestEvaluate:
     def test_cross_check_sees_a_population_error(self, monkeypatch, k):
         # 1e-6 on w_upper over the level interval [k, k+1) of both isotherms
         # leaves the closed forms alone and must show in the quadrature as a
-        # discrepancy past the 1e-10 gate: 2.19e-6 at k = 1, where the
-        # adiabats, whose width ratios the staircase takes as 1, move too,
-        # and down to 4.9e-10 at k = 6, where only the isotherms' end points
-        # at L2 and L3 lie on level 6.
+        # discrepancy past the 1e-10 gate under the Gauss–Lobatto rule:
+        # 2.19e-6 at k = 1, where the adiabats, whose width ratios the
+        # staircase takes as 1, move too, and down to 3.5e-10 at k = 6, where
+        # only the isotherms' end points at L2 and L3 lie on level 6.
         cycle = build_carnot_cycle(CarnotSpec(6, 1.0, 18.0))
         exact = processes._staircase
 

@@ -143,7 +143,8 @@ def stroke_scale(stroke):
     adiabat is a difference of two energies and rounds on this scale."""
     if stroke.kind is StrokeKind.ISOTHERMAL:
         return stroke.conserved
-    return stroke.conserved / min(stroke.L_start, stroke.L_end) ** 2
+    L = stroke.L_start
+    return expectation_energy(stroke.state_start, L, stroke.params) * L * L / min(L, stroke.L_end) ** 2
 
 
 @st.composite
@@ -276,7 +277,7 @@ class TestAdiabaticStroke:
                 stroke.force_at(a) * a ** 3, rel=1e-12
             )
             assert expectation_energy(stroke.state_start, L) * L ** 2 == pytest.approx(
-                stroke.conserved, rel=1e-12
+                expectation_energy(s, a) * a ** 2, rel=1e-12
             )
             assert entropy(stroke.state_start) == entropy(s)
 
@@ -672,24 +673,25 @@ class TestStrokeTable:
         with pytest.raises(DomainError, match=f"^{field} must be a "):
             Stroke(**{**fields, **change})
 
-    @pytest.mark.parametrize("conserved", ["junk", -5.0, 0.0, math.nan, math.inf, True, None])
-    def test_hand_built_adiabat_checks_conserved(self, conserved):
-        with pytest.raises(DomainError) as caught:
-            Stroke(kind=StrokeKind.ADIABATIC, L_start=1.0, L_end=2.0, state_start=MixedState.pure(1),
-                   conserved=conserved, params=WellParams())
-        assert str(caught.value) == f"conserved must be positive and finite, got {conserved!r}"
+    def test_adiabat_past_the_energy_scale_builds_and_its_work_raises(self):
+        stroke = adiabatic_stroke(MixedState.pure(1), 1e-170, 2.0)
+        assert stroke.conserved is None
+        with pytest.raises(ScaleError) as caught:
+            stroke_work(stroke)
+        assert str(caught.value) == "mean energy at width 1e-170 over- or underflows binary64"
+        for call in (lambda: stroke_work_quadrature(stroke), lambda: sample_stroke(stroke, 3)):
+            with pytest.raises(ScaleError) as caught:
+                call()
+            assert str(caught.value) == (
+                "wall force over- or underflows binary64 on the stroke from width 1e-170"
+            )
 
-    def test_hand_built_adiabat_stores_conserved_as_a_float(self):
-        stroke = Stroke(kind=StrokeKind.ADIABATIC, L_start=1.0, L_end=2.0,
-                        state_start=MixedState.pure(1), conserved=np.float64(4.5), params=WellParams())
-        assert type(stroke.conserved) is float and stroke.conserved == 4.5
-
-    def test_adiabatic_stroke_keeps_its_conserved_bits(self):
-        state = MixedState.from_pairs({1: 0.25, 3: 0.75})
-        stroke = adiabatic_stroke(state, 1.7, 3.1)
-        e_start = expectation_energy(state, 1.7)
-        assert type(stroke.conserved) is float
-        assert stroke.conserved.hex() == (e_start * 1.7 * 1.7).hex()
+    def test_an_adiabat_reads_no_conserved(self):
+        stroke = adiabatic_stroke(MixedState.from_pairs({1: 0.25, 3: 0.75}), 1.7, 3.1)
+        contradicting = dataclasses.replace(stroke, conserved=123.0)
+        assert stroke_work(contradicting) == stroke_work(stroke)
+        assert stroke_work_quadrature(contradicting) == stroke_work_quadrature(stroke)
+        assert sample_stroke(contradicting, 5).force.tolist() == sample_stroke(stroke, 5).force.tolist()
 
     @pytest.mark.parametrize("build, field", [
         (lambda: adiabatic_stroke(None, 1, 2), "state_start"),

@@ -2,6 +2,7 @@
 
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -78,3 +79,20 @@ def test_traced_check_passes_on_cycle_sweep():
     done = run_script("traced_check.py", "cycle_sweep")
     assert done.returncode == 0, done.stdout + done.stderr
     assert done.stdout == "cycle_sweep: ok\n"
+
+
+def test_compare_outputs_shows_only_the_lines_that_differ(tmp_path):
+    assert run_script("compare_outputs.py", SCRIPTS.parent).stdout == "identical\n"
+    src = Path(qcarnot.__file__).resolve().parent
+    copy = tmp_path / "src" / "qcarnot"
+    shutil.copytree(src, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    cli = copy / "cli.py"
+    cli.write_text(cli.read_text().replace('SWEEP_HEADER = "L3,', 'SWEEP_HEADER = "l3,', 1))
+    done = run_script("compare_outputs.py", tmp_path)
+    assert done.returncode == 0, done.stderr
+    header, *changed = done.stdout.splitlines()
+    assert header == "differ (base <, this tree >):"
+    assert [line[:2] for line in changed] == ["< ", "< ", "> ", "> "]
+    names = [line[68:] for line in changed]
+    assert names[:2] == names[2:] and all(name.startswith("sweep ") for name in names)
+    assert len(set(names)) == 2

@@ -11,8 +11,12 @@ the trees; the spec files are always this tree's.  The grid:
 - ``simulate`` on each ``specs/*.spec``, then on ``WIDE_SPEC``, which is
   written into the temporary directory: the exit code with stdout and
   stderr, then ``samples.csv`` and ``report.csv``;
-- the README sweep, and a 50-step ``three_state.spec`` sweep with L3 from 3
-  to 300: the exit code, stdout, stderr and the CSV, one digest each;
+- the README sweep; a 50-step ``three_state.spec`` sweep with L3 from 3 to
+  300; a 300-step ``two_state.spec`` sweep from the zero-work cycle at L3 = 2
+  to 8, past the end of ``qcarnot sweep``'s first chunk of steps; and a
+  descending 40-step ``three_state.spec`` sweep from L3 = 1e30 to 9, whose
+  adiabats take from 16 to 68 quadrature pieces: the exit code, stdout,
+  stderr and the CSV, one digest each;
 - ``verify-identity`` at every ``(n, alpha, tol)`` of ``N`` x ``ALPHAS`` x
   ``TOLS``, and at each ``(n, alpha, tol, max_terms)`` of
   ``BUDGETED_IDENTITIES``: the exit code with stdout and stderr;
@@ -35,6 +39,8 @@ WIDE_SPEC = ("wide_adiabats.spec", "[cycle]\ntype = carnot\ntop_level = 3\nL1 = 
 SWEEPS = (
     ("two_state.spec", "2.5", "8", "12"),
     ("three_state.spec", "3", "300", "50"),
+    ("two_state.spec", "2", "8", "300"),
+    ("three_state.spec", "1e30", "9", "40"),
 )
 N = ("1", "2", "3", "5", "8")
 ALPHAS = ("1.05", "1.3", "1.5", "2", "2.5", "3.7", "10")

@@ -6,8 +6,10 @@ Each workload runs once as ``bench/run.py --workload W --seed 1 --seconds 1
 filterwarnings has them.  Its last line of output must say ``correct``
 and give a value for every per-layer metric that ``BENCHMARK.json`` lists,
 which must be ``METRICS`` of them.  On ``cycle_sweep`` every quadrature must
-also take one integrand call per ``integrate`` call.  Prints one line per
-workload and exits 1 at the first that fails.
+also take one integrand call per ``integrate`` call, and a sweep must
+integrate the strokes of several cycles at once: fewer
+``stroke_work_quadrature`` calls than ``evaluate_cycle`` calls.  Prints one
+line per workload and exits 1 at the first that fails.
 
 Usage: ``python scripts/traced_check.py [WORKLOAD ...]``; the default is all
 three workloads.
@@ -39,9 +41,15 @@ def check(workload: str) -> str | None:
     missing = [n for n in names if "value" not in last["metrics"].get(n, {})]
     if last["correct"] is not True or len(names) != METRICS or missing:
         return f"correct={last['correct']}, {len(names)} metrics listed, missing {missing}"
-    evals, calls = (last["metrics"]["quadrature.integrate." + n]["value"] for n in ("f_evals", "calls"))
-    if workload == "cycle_sweep" and evals != calls:
+    if workload != "cycle_sweep":
+        return None
+    value = {n: last["metrics"][n]["value"] for n in names}
+    evals, calls = value["quadrature.integrate.f_evals"], value["quadrature.integrate.calls"]
+    if evals != calls:
         return f"{evals} integrand calls for {calls} quadratures"
+    strokes, cycles = value["processes.stroke_work_quadrature.calls"], value["cycle.evaluate_cycle.calls"]
+    if not strokes < cycles:
+        return f"{strokes} stroke_work_quadrature calls for {cycles} evaluate_cycle calls"
     return None
 
 

@@ -45,7 +45,7 @@ from .errors import (
     StateError,
     VerificationError,
 )
-from .processes import SampleTable
+from .processes import SampleTable, stroke_work_quadrature
 from .sudden import IDENTITY_TERM_BUDGET, TruncationReport, verify_energy_identity
 
 SAMPLES_HEADER = "stroke_index,stroke_kind,L,force,energy,entropy,populations"
@@ -59,6 +59,10 @@ _CSV_BLOCK_ROWS = 512
 # Largest sweep --steps: like the samples_per_stroke cap, it bounds the
 # output, here one CSV row and one cycle evaluation per step.
 MAX_SWEEP_STEPS = 2 ** 20
+# Sweep steps whose strokes share one quadrature call, which bounds the
+# cycles and integrand arrays held at once; 1 + 3*256 strokes of 16 pieces
+# fit one integrand call.
+_SWEEP_CHUNK_STEPS = 256
 
 # samples.csv is built a block of rows at a time as a byte matrix: one row
 # per CSV line, each field in columns of its own, and zero bytes wherever a
@@ -359,21 +363,36 @@ def cmd_sweep(spec_path, l3_from, l3_to, steps, out_path):
 
     The two ends are checked as the spec's ``L3`` before any cycle runs, and
     that checks every step: no ``np.linspace`` value lies past an end, and the
-    spec bounds ``L3`` only from below.  Each step builds its spec as it runs.
+    spec bounds ``L3`` only from below.  The steps run in order, in chunks of
+    ``_SWEEP_CHUNK_STEPS``.  A chunk builds the specs and cycles of its steps,
+    then integrates their strokes in one :func:`stroke_work_quadrature` call:
+    stroke 1, the hot isotherm from ``L1`` to ``top_level * L1``, is the same
+    on every step and is integrated once.  :func:`evaluate_cycle` then checks
+    and reports each cycle with its four works.  Each chunk's rows are kept
+    as one string, and the file is written only once every cycle has passed.
     """
     base = _load_spec(spec_path)
     steps = _check_int(steps, "steps", 2, MAX_SWEEP_STEPS)
     ends = [dataclasses.replace(base, L3=L3).L3 for L3 in (l3_from, l3_to)]
     # Only np.linspace's last product can overflow, and it is replaced by the end.
     with np.errstate(over="ignore"):
-        widths = np.linspace(*ends, steps).tolist()
-    rows = []
-    for L3 in widths:
-        report = evaluate_cycle(build_carnot_cycle(dataclasses.replace(base, L3=L3)))
-        rows.append(",".join(format_float(v) for v in (
-            L3, report.W, report.Q_H, report.eta, report.eta_closed_form
-        )))
-    Path(out_path).write_text("\n".join([SWEEP_HEADER, *rows]) + "\n", newline="\n")
+        widths = np.linspace(*ends, steps)
+    chunks = []
+    for start in range(0, steps, _SWEEP_CHUNK_STEPS):
+        chunk = widths[start:start + _SWEEP_CHUNK_STEPS].tolist()
+        cycles = [build_carnot_cycle(dataclasses.replace(base, L3=L3)) for L3 in chunk]
+        hot, *quads = stroke_work_quadrature(
+            [cycles[0].strokes[0]] + [s for cycle in cycles for s in cycle.strokes[1:]])
+        rows = []
+        for j, (L3, cycle) in enumerate(zip(chunk, cycles)):
+            report = evaluate_cycle(cycle, [hot, *quads[3 * j:3 * j + 3]])
+            rows.append(",".join(format_float(v) for v in (
+                L3, report.W, report.Q_H, report.eta, report.eta_closed_form
+            )) + "\n")
+        chunks.append("".join(rows))
+    with open(out_path, "w", newline="\n") as out:
+        out.write(SWEEP_HEADER + "\n")
+        out.writelines(chunks)
 
 
 class _UsageError(Exception):

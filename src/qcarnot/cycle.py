@@ -19,7 +19,9 @@ or sections, unknown keys, and values that :class:`WellParams` or
 
 from __future__ import annotations
 
+import math
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -230,17 +232,28 @@ def build_carnot_cycle(spec: CarnotSpec) -> Cycle:
     return Cycle(strokes=strokes, spec=spec)
 
 
-def evaluate_cycle(cycle: Cycle) -> CycleReport:
+def evaluate_cycle(cycle: Cycle, quadrature: Sequence[float] | None = None) -> CycleReport:
     """Closed-form work and heat for the cycle, cross-checked by quadrature:
     a ``quadrature_discrepancy`` past ``QUADRATURE_REL_TOL`` raises
     :class:`QuadratureError` naming the stroke whose two works differ most.
     In exact arithmetic it is at most ``3.44 * 9.3e-18 ~ 3.2e-17``: each
     stroke's Gauss–Lobatto remainder is at most ``9.3e-18 |w_i|``, and ``sum
     |w_i| <= Q_H + Q_C + 2 (e_hot - e_cold) <= 3.44 Q_H``, as ``Q_H = 2 e_hot
-    ln(top_level) >= 1.386 e_hot``."""
+    ln(top_level) >= 1.386 e_hot``.
+
+    The quadrature works are :func:`stroke_work_quadrature` of the four
+    strokes, or ``quadrature`` if given: a sequence of four finite reals that
+    the caller computed the same way, as ``qcarnot sweep`` does for a chunk
+    of cycles in one call.  They pass the same gate; a ``quadrature`` of
+    another type or length raises :class:`DomainError`."""
     _check_type(cycle, Cycle, "cycle")
+    if quadrature is not None:
+        _check_type(quadrature, Sequence, "quadrature")
+        if len(quadrature) != 4:
+            raise DomainError(f"quadrature must hold 4 works, got {len(quadrature)}")
+        quadrature = [_check_real(q, f"quadrature[{i}]", -math.inf) for i, q in enumerate(quadrature)]
     works = [stroke_work(s) for s in cycle.strokes]
-    quads = stroke_work_quadrature(cycle.strokes)
+    quads = stroke_work_quadrature(cycle.strokes) if quadrature is None else quadrature
     gaps = [abs(q - w) for q, w in zip(quads, works)]
     W, Q_H = sum(works), works[0]
     discrepancy = sum(gaps) / Q_H

@@ -374,8 +374,10 @@ def stroke_work_quadrature(strokes: Stroke | Sequence[Stroke]) -> float | list[f
     pieces and 2 at 16.  With more, the end piece, through whose end weight
     1/72 an error on the isotherm's top level shows, is narrower: on
     ``CarnotSpec(6, 1, 18)``, level 6 gives a discrepancy of 3.5e-10 at 16
-    pieces, 1.7e-10 at 32 and 8.7e-11 at 64, which the gate misses.  A
-    Carnot cycle takes one integrand call.
+    pieces, 1.7e-10 at 32 and 8.7e-11 at 64, which the gate misses.  The
+    integrand runs once per ``quadrature._CHUNK`` pieces: once for a Carnot
+    cycle, and once for the ``1 + 3 k`` strokes of a chunk of ``k = 256``
+    ``qcarnot sweep`` steps whose adiabats take 16 pieces each.
 
     Each stroke was checked when it was built (an item that is not a
     :class:`Stroke` raises :class:`DomainError` naming it as ``strokes[i]``),
@@ -392,13 +394,14 @@ def stroke_work_quadrature(strokes: Stroke | Sequence[Stroke]) -> float | list[f
         return []
     # Each u-span from the width ratio, not as a difference of two logs.
     spans = [math.log(s.L_end / s.L_start) for s in strokes]
-    pieces = [max(_MIN_PIECES, math.ceil(abs(span))) for span in spans]
+    pieces = np.array([max(_MIN_PIECES, math.ceil(abs(span))) for span in spans])
     table = _stroke_table(strokes)
     # Key k lies on stroke owner[k]; the i-th of a stroke's n pieces spans
     # span * (i / n) to span * ((i + 1) / n).
     owner = np.repeat(np.arange(len(strokes)), pieces)
     span = np.array(spans)[owner]
-    fractions = [np.arange(n + 1) / n for n in pieces]
+    n = pieces[owner]
+    i = np.arange(owner.size) - (np.cumsum(pieces) - pieces)[owner]
 
     def g(key_u):
         key, u = key_u
@@ -408,8 +411,7 @@ def stroke_work_quadrature(strokes: Stroke | Sequence[Stroke]) -> float | list[f
         _check_forces(force, mine, table[:, L_START])
         return twice_energy
 
-    values = quadrature.integrate(g, span * np.concatenate([f[:-1] for f in fractions]),
-                                  span * np.concatenate([f[1:] for f in fractions]))
+    values = quadrature.integrate(g, span * (i / n), span * ((i + 1) / n))
     works = np.bincount(owner, values, len(strokes)).tolist()
     return works[0] if single else works
 

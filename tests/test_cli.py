@@ -38,8 +38,15 @@ from qcarnot.cli import (
     write_samples_csv,
 )
 from qcarnot.boxmodel import WellParams
-from qcarnot.cycle import MAX_SAMPLES_PER_STROKE, MAX_TOP_LEVEL, CarnotSpec
-from qcarnot.errors import VerificationError
+from qcarnot.cycle import (
+    MAX_SAMPLES_PER_STROKE,
+    MAX_TOP_LEVEL,
+    CarnotSpec,
+    build_carnot_cycle,
+    evaluate_cycle,
+)
+from qcarnot.errors import DomainError, QuadratureError, VerificationError
+from qcarnot.processes import stroke_work_quadrature
 from qcarnot.sudden import TruncationReport
 
 MINIMAL = "[cycle]\ntop_level = 2\nL1 = 1\nL3 = 4\n"
@@ -675,6 +682,84 @@ class TestSweep:
         assert code == 1
         assert err.splitlines() == [f"error: steps must be an integer in [2, 2**20], got {steps}"]
         assert not out.exists()
+
+
+class TestSweepChunks:
+    """A sweep integrates the strokes of a chunk of steps in one
+    ``stroke_work_quadrature`` call and hands each step's four works to
+    ``evaluate_cycle``, which gates them as it gates its own quadrature."""
+
+    CYCLE = build_carnot_cycle(CarnotSpec(2, 1.0, 4.0))
+
+    def test_supplied_works_give_the_report_of_its_own_quadrature(self):
+        works = stroke_work_quadrature(self.CYCLE.strokes)
+        assert evaluate_cycle(self.CYCLE, works) == evaluate_cycle(self.CYCLE)
+        assert evaluate_cycle(self.CYCLE, tuple(works)) == evaluate_cycle(self.CYCLE)
+
+    @pytest.mark.parametrize("stroke", [1, 2, 3, 4])
+    def test_a_supplied_work_off_by_1e9_names_its_stroke(self, stroke):
+        works = stroke_work_quadrature(self.CYCLE.strokes)
+        works[stroke - 1] *= 1.0 + 1e-9
+        with pytest.raises(QuadratureError, match=rf"^quadrature_discrepancy \S+ exceeds 1e-10: "
+                                                  rf"stroke {stroke} works "):
+            evaluate_cycle(self.CYCLE, works)
+
+    @pytest.mark.parametrize("quadrature, text", [
+        ([1.0] * 3, "quadrature must hold 4 works, got 3"),
+        ([1.0] * 5, "quadrature must hold 4 works, got 5"),
+        ([], "quadrature must hold 4 works, got 0"),
+        (4.0, "quadrature must be a Sequence, got 4.0"),
+        ({1.0, 2.0, 3.0, 4.0}, "quadrature must be a Sequence, got {"),
+        (iter([1.0] * 4), "quadrature must be a Sequence, got <list_iterator"),
+        ("1234", "quadrature[0] must be finite, got '1'"),
+        ([1.0, None, 1.0, 1.0], "quadrature[1] must be finite, got None"),
+        ([1.0, 1.0, True, 1.0], "quadrature[2] must be finite, got True"),
+        ([1.0, 1.0, 1.0, math.nan], "quadrature[3] must be finite, got nan"),
+        ([1.0, -math.inf, 1.0, 1.0], "quadrature[1] must be finite, got -inf"),
+    ])
+    def test_a_supplied_quadrature_of_another_length_or_type_raises(self, quadrature, text):
+        with pytest.raises(DomainError, match="^" + re.escape(text)):
+            evaluate_cycle(self.CYCLE, quadrature)
+
+    def test_a_sweep_makes_one_quadrature_call_per_chunk(self, spec_path, tmp_path, monkeypatch):
+        steps = 2 ** 12
+        calls = {"stroke_work_quadrature": [], "evaluate_cycle": []}
+        for name, seen in calls.items():
+            def spy(*args, exact=getattr(cli, name), seen=seen):
+                seen.append(args)
+                return exact(*args)
+
+            monkeypatch.setattr(cli, name, spy)
+        out = tmp_path / "s.csv"
+        assert cmd_sweep(spec_path, 3.0, 40.0, steps, out) == 0
+        chunk = cli._SWEEP_CHUNK_STEPS
+        quadratures, cycles = calls["stroke_work_quadrature"], calls["evaluate_cycle"]
+        assert len(quadratures) == math.ceil(steps / chunk) and len(cycles) == steps
+        assert [len(strokes) for strokes, in quadratures] == [1 + 3 * chunk] * (steps // chunk)
+        assert all(len(works) == 4 for _, works in cycles)
+        assert len(out.read_text().splitlines()) == 1 + steps
+
+    @pytest.mark.parametrize("stroke", [1, 2, 3, 4])
+    def test_a_chunk_work_off_by_1e9_exits_2_before_any_output(self, spec_path, tmp_path, monkeypatch,
+                                                              capsys, stroke):
+        # Step 2 of the second chunk gets one of its four works off by 1e-9;
+        # below L3 = 3 the cold isotherm's work is more than Q_H / 10.
+        exact = cli.stroke_work_quadrature
+        chunks = []
+
+        def mutated(strokes):
+            works = exact(strokes)
+            chunks.append(len(strokes))
+            if len(chunks) == 2:
+                works[0 if stroke == 1 else 1 + 3 * 1 + stroke - 2] *= 1.0 + 1e-9
+            return works
+
+        monkeypatch.setattr(cli, "stroke_work_quadrature", mutated)
+        out = tmp_path / "s.csv"
+        assert cmd_sweep(spec_path, 2.5, 3.0, cli._SWEEP_CHUNK_STEPS + 5, out) == 2
+        assert re.fullmatch(rf"error: quadrature_discrepancy \S+ exceeds 1e-10: stroke {stroke} works "
+                            r"\S+ closed form, \S+ quadrature\n", capsys.readouterr().err)
+        assert chunks == [1 + 3 * cli._SWEEP_CHUNK_STEPS, 1 + 3 * 5] and not out.exists()
 
 
 SPECS = Path(__file__).resolve().parents[1] / "specs"

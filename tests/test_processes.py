@@ -164,6 +164,17 @@ def carnot_cycles(draw):
         assume(False)
 
 
+def seeded_sweep(seed):
+    """``(top_level, L1, l3_from, l3_to, steps)`` of a sweep: ``top_level``
+    log-uniform up to ``MAX_TOP_LEVEL``, ``L1`` in ``10^U(-95, 0)``, the ends
+    at ``top_level L1 e^U(0, 200)`` in either order, 2 to 64 steps."""
+    rng = np.random.default_rng(seed)
+    top_level = int(min(2.0 ** rng.uniform(1.0, 63.0), MAX_TOP_LEVEL))
+    L1 = 10.0 ** rng.uniform(-95.0, 0.0)
+    l3_from, l3_to = (top_level * L1 * math.exp(rng.uniform(0.0, 200.0)) for _ in range(2))
+    return top_level, L1, l3_from, l3_to, int(rng.integers(2, 65))
+
+
 def work_outcome(strokes, integrand=None, calls=None):
     """``stroke_work_quadrature(strokes)`` as its bytes, or the type and text
     of its error.  ``integrand(strokes)`` replaces the integrand if given;
@@ -542,6 +553,26 @@ class TestPieces:
         assert a.size == 40 * 437 and calls == 2
         assert sizes == [9 * quadrature._CHUNK, 9 * (a.size - quadrature._CHUNK)]
         assert works == [stroke_work_quadrature(stroke)] * 40
+
+    @pytest.mark.parametrize("top_level, L1, l3_from, l3_to, steps", [
+        (2, 1.0, 2.0, 8.0, 40),
+        (MAX_TOP_LEVEL, 1.0, float(MAX_TOP_LEVEL), 1e95, 40),
+        (30, 1e-95, 1e95, 3e-94, 33),
+        (7, 3.0, 300.0, 21.0, 256),
+    ] + [pytest.param(*seeded_sweep(seed), id=f"seed{seed}") for seed in range(8)])
+    def test_a_sweep_chunk_in_one_call_matches_its_cycles_bit_for_bit(self, top_level, L1, l3_from,
+                                                                      l3_to, steps):
+        # qcarnot sweep integrates stroke 1 of a chunk's first step and
+        # strokes 2-4 of every step in one call; each stroke's pieces are
+        # laid out from its span alone, so each work keeps its bits.
+        cycles = [build_carnot_cycle(CarnotSpec(top_level, L1, L3))
+                  for L3 in np.linspace(l3_from, l3_to, steps).tolist()]
+        hot = cycles[0].strokes[0]
+        assert all(cycle.strokes[0] == hot for cycle in cycles)
+        first, *rest = stroke_work_quadrature([hot] + [s for cycle in cycles for s in cycle.strokes[1:]])
+        chunked = [[first, *rest[3 * j:3 * j + 3]] for j in range(steps)]
+        alone = [stroke_work_quadrature(cycle.strokes) for cycle in cycles]
+        assert np.array(chunked).tobytes() == np.array(alone).tobytes()
 
     @pytest.mark.parametrize("span", [0.01, 0.5, 1.0, 1.0 - 1e-9, 1.0 + 1e-9, 3.0, 8.0,
                                       64.0, -64.0, 100.0, 200.0, -200.0])

@@ -57,10 +57,10 @@ def test_output_digest_is_stable_and_covers_the_grid():
     assert len(set(names)) == len(names)
     specs = len(list((SCRIPTS.parent / "specs").glob("*.spec")))
     # simulate: the run, samples.csv and report.csv per spec and for the
-    # written wide-adiabat spec; two sweeps; verify-identity at 5 levels x 7
+    # written wide-adiabat spec; four sweeps; verify-identity at 5 levels x 7
     # ratios x 3 tolerances, three runs past the default budget and one at
     # its floor cutoff; six expansions.
-    assert len(names) == 3 * (specs + 1) + 2 + 5 * 7 * 3 + 4 + 6
+    assert len(names) == 3 * (specs + 1) + 4 + 5 * 7 * 3 + 4 + 6
 
 
 def test_source_size_totals_the_lines_of_every_module():
@@ -92,7 +92,8 @@ def test_compare_outputs_shows_only_the_lines_that_differ(tmp_path):
     assert done.returncode == 0, done.stderr
     header, *changed = done.stdout.splitlines()
     assert header == "differ (base <, this tree >):"
-    assert [line[:2] for line in changed] == ["< ", "< ", "> ", "> "]
+    sweeps = 4  # every sweep of the digest writes the header
+    assert [line[:2] for line in changed] == ["< "] * sweeps + ["> "] * sweeps
     names = [line[68:] for line in changed]
-    assert names[:2] == names[2:] and all(name.startswith("sweep ") for name in names)
-    assert len(set(names)) == 2
+    assert names[:sweeps] == names[sweeps:] and all(name.startswith("sweep ") for name in names)
+    assert len(set(names)) == sweeps

@@ -26,11 +26,11 @@ The stroke table is the one evaluator of energy and force.  It has one row
 per stroke: start width, base width (``inf`` on an adiabat), ``(pi hbar)^2``
 times the adiabat's level-square sum (1 on an isotherm) and mass.  A
 :class:`Stroke` checks itself once, at construction, so the table just reads
-its fields; the work integrand is one array expression over the widths of
-every key, with no branch on the stroke kind, and :func:`_check_forces`
-checks only that each force lies in (0, inf).
-:meth:`Stroke.force_at` and :func:`sample_stroke` take the one-row table of
-their stroke.
+its fields; :func:`_table_forces`, one array expression over the widths of
+every key with no branch on the stroke kind, checks only that each force
+lies in (0, inf).  :meth:`Stroke.force_at` and :func:`sample_stroke` take
+the one-row table of their stroke.  :func:`_check_window` holds an
+isotherm's window.
 """
 
 from __future__ import annotations
@@ -184,8 +184,7 @@ class Stroke:
         base_scale = _isotherm_base(self.conserved, self.base_scale, self.params)
         object.__setattr__(self, "conserved", float(self.conserved))
         object.__setattr__(self, "base_scale", base_scale)
-        if not (_in_window(self.L_start / base_scale) and _in_window(self.L_end / base_scale)):
-            raise _window_error(np.array([self.L_start, self.L_end]), base_scale)
+        _check_window(base_scale, self.L_start, self.L_end)
 
     def force_at(self, L):
         """Population-weighted wall force at width ``L``, elementwise on arrays.
@@ -198,10 +197,9 @@ class Stroke:
         otherwise.
         """
         L = _check_widths(L)
-        if self.kind is StrokeKind.ISOTHERMAL and not _in_window(L / self.base_scale).all():
-            raise _window_error(L, self.base_scale)
-        _, force = _table_forces(_stroke_table((self,))[0], L)
-        _check_forces(force, np.zeros(L.shape, np.intp), (self.L_start,))
+        if self.kind is StrokeKind.ISOTHERMAL:
+            _check_window(self.base_scale, L)
+        _, force = _table_forces(_stroke_table((self,)), L)
         return float(force) if force.ndim == 0 else force
 
 
@@ -219,25 +217,29 @@ def _isotherm_base(e_fixed, base_scale, params: WellParams) -> float:
     return base_scale
 
 
-def _in_window(ratio):
-    """Whether the width ratio ``L / base_scale`` lies in an isotherm's
-    window ``[1 - 1e-12, 2**63)``; elementwise on arrays."""
-    return (ratio >= 1.0 - 1e-12) & (ratio < 2.0 ** 63)
-
-
-def _window_error(L, base_scale) -> IsothermRangeError:
-    return IsothermRangeError(
-        f"width {L!r} lies outside the isotherm validity window "
-        f"[{base_scale!r}, 2**63 * {base_scale!r})"
-    )
+def _check_window(base_scale, *widths) -> None:
+    """Raise :class:`IsothermRangeError` naming the first of ``widths``
+    whose ratio to ``base_scale`` leaves an isotherm's window ``[1 - 1e-12,
+    2**63)``.  A float is compared as a float, an ndarray elementwise."""
+    for L in widths:
+        ratio = L / base_scale
+        inside = (ratio >= 1.0 - 1e-12) & (ratio < 2.0 ** 63)
+        if not (inside if isinstance(inside, bool) else inside.all()):
+            raise IsothermRangeError(
+                f"width {L!r} lies outside the isotherm validity window "
+                f"[{base_scale!r}, 2**63 * {base_scale!r})"
+            )
 
 
 def _staircase(ratio):
     """Staircase level ``k = floor(r)`` and upper weight ``w = (r^2 - k^2) /
-    (2k + 1)`` at width ratios ``r`` in the window, ``r`` below 1 taken as 1."""
+    (2k + 1)`` at width ratios ``r`` in the window, ``r`` below 1 taken as 1.
+    ``w`` is computed as ``(r - k)(r + k) / (2k + 1)``: ``r - k`` is exact by
+    Sterbenz's lemma (``k <= r < 2k``), so ``w`` is within 1.5 ulps of 1 at
+    every level, where ``r^2 - k^2`` would cancel (5e-9 off at ``k`` = 1e8)."""
     ratio = np.maximum(ratio, 1.0)
     k = np.floor(ratio)
-    return k, (ratio * ratio - k * k) / (2.0 * k + 1.0)
+    return k, (ratio - k) * (ratio + k) / (2.0 * k + 1.0)
 
 
 # Fields of a stroke-table row: start width, base width (inf on an adiabat,
@@ -257,27 +259,26 @@ def _stroke_table(strokes) -> np.ndarray:
     return np.array(rows)
 
 
-def _table_forces(rows, L):
-    """``2 E`` and the force ``2 E / L`` at widths ``L`` on stroke-table
-    ``rows``, one per width or one for all.  The staircase's level-square sum
-    ``(1 - w) k^2 + w (k + 1)^2`` is bit for bit ``MixedState._square_sum`` of
-    the isotherm's state, and exactly 1 on an adiabat, whose ``COEFF`` holds
-    its own sum: ``(c s) * 1`` rounds as ``c * s``."""
+def _table_forces(table, L, owner=0):
+    """``2 E`` and the force ``2 E / L`` at widths ``L``, width ``i`` on row
+    ``owner[i]`` of the stroke ``table`` (all on row ``owner`` for an int).
+    Raises :class:`ScaleError` unless every force lies in (0, inf), naming
+    the first failing stroke, in table order, by its start width.  The
+    staircase's level-square sum ``(1 - w) k^2 + w (k + 1)^2`` is bit for bit
+    ``MixedState._square_sum`` of the isotherm's state, and exactly 1 on an
+    adiabat, whose ``COEFF`` holds its own sum: ``(c s) * 1`` rounds as
+    ``c * s``."""
+    rows = table.take(owner, axis=0)
     with np.errstate(all="ignore"):
         k, w_upper = _staircase(L / rows[..., BASE])
         staircase = (1.0 - w_upper) * (k * k) + w_upper * ((k + 1.0) * (k + 1.0))
         twice_energy = _energy_from_square_sum(staircase, L, rows[..., COEFF], rows[..., MASS])
-        return twice_energy, twice_energy / L
-
-
-def _check_forces(force, owner, starts) -> None:
-    """Raise :class:`ScaleError` unless every force lies in (0, inf).  Force
-    ``i`` lies on stroke ``owner[i]``, which starts at ``starts[owner[i]]``;
-    the message names the first failing stroke, in order, by that width."""
+        force = twice_energy / L
     ok = (force > 0.0) & (force < math.inf)
     if not ok.all():
-        start = float(starts[owner[~ok].min()])
+        start = float(table[np.where(ok, len(table), owner).min(), L_START])
         raise ScaleError(f"wall force over- or underflows binary64 on the stroke from width {start!r}")
+    return twice_energy, force
 
 
 def adiabatic_stroke(state: MixedState, L_from, L_to,
@@ -309,10 +310,8 @@ def isothermal_state_at(e_fixed, L, base_scale, params: WellParams = DEFAULT_PAR
     """
     L = _check_real(L, "L")
     base_scale = _isotherm_base(e_fixed, base_scale, params)
-    ratio = L / base_scale
-    if not _in_window(ratio):
-        raise _window_error(L, base_scale)
-    k, w_upper = _staircase(ratio)
+    _check_window(base_scale, L)
+    k, w_upper = _staircase(L / base_scale)
     k, w_upper = int(k), float(w_upper)
     if w_upper == 0.0:
         return MixedState.pure(k)
@@ -396,20 +395,17 @@ def stroke_work_quadrature(strokes: Stroke | Sequence[Stroke]) -> float | list[f
     spans = [math.log(s.L_end / s.L_start) for s in strokes]
     pieces = np.array([max(_MIN_PIECES, math.ceil(abs(span))) for span in spans])
     table = _stroke_table(strokes)
-    # Key k lies on stroke owner[k]; the i-th of a stroke's n pieces spans
-    # span * (i / n) to span * ((i + 1) / n).
+    # Key k lies on stroke owner[k], which starts at width start[k]; the i-th
+    # of a stroke's n pieces spans span * (i / n) to span * ((i + 1) / n).
     owner = np.repeat(np.arange(len(strokes)), pieces)
+    start = table[owner, L_START]
     span = np.array(spans)[owner]
     n = pieces[owner]
     i = np.arange(owner.size) - (np.cumsum(pieces) - pieces)[owner]
 
     def g(key_u):
         key, u = key_u
-        mine = owner[key]
-        rows = table.take(mine, axis=0)
-        twice_energy, force = _table_forces(rows, rows[:, L_START] * np.exp(u))
-        _check_forces(force, mine, table[:, L_START])
-        return twice_energy
+        return _table_forces(table, start[key] * np.exp(u), owner[key])[0]
 
     values = quadrature.integrate(g, span * (i / n), span * ((i + 1) / n))
     works = np.bincount(owner, values, len(strokes)).tolist()
@@ -422,7 +418,7 @@ def sample_stroke(stroke: Stroke, count: int, stroke_index: int = 1) -> SampleTa
     Force and ``2 E`` come from the stroke's one-row stroke table, as in
     :meth:`Stroke.force_at`, and the energy is half of ``2 E``.  Builds no
     :class:`MixedState` and checks only ``count``, ``stroke_index`` and the
-    forces, with :func:`_check_forces`: the stroke was checked when it was
+    forces, in :func:`_table_forces`: the stroke was checked when it was
     built, and every width lies between its ends.  An adiabat's fixed state
     is broadcast over all rows; an isotherm's populations come from one
     population staircase over all widths, as levels ``k, k + 1`` (``k``
@@ -435,8 +431,7 @@ def sample_stroke(stroke: Stroke, count: int, stroke_index: int = 1) -> SampleTa
     count = _check_int(count, "count", 2, MAX_SAMPLES_PER_STROKE)
     stroke_index = _check_int(stroke_index, "stroke_index")
     widths = np.linspace(stroke.L_start, stroke.L_end, count)
-    twice_energy, force = _table_forces(_stroke_table((stroke,))[0], widths)
-    _check_forces(force, np.zeros(widths.size, np.intp), (stroke.L_start,))
+    twice_energy, force = _table_forces(_stroke_table((stroke,)), widths)
     if stroke.kind is StrokeKind.ADIABATIC:
         state = stroke.state_start
         levels = np.broadcast_to(state.levels, (widths.size, state.support_size))

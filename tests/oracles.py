@@ -147,7 +147,7 @@ def staircase_twice_energy(stroke, L):
     else:
         ratio = np.maximum(L / stroke.base_scale, 1.0)
         k = np.floor(ratio)
-        w = (ratio * ratio - k * k) / (2.0 * k + 1.0)
+        w = (ratio - k) * (ratio + k) / (2.0 * k + 1.0)
         square_sum = (1.0 - w) * (k * k) + w * ((k + 1.0) * (k + 1.0))
     return (math.pi * stroke.params.hbar) ** 2 * square_sum / (stroke.params.mass * L * L)
 

@@ -30,7 +30,7 @@ from qcarnot import (
 )
 from qcarnot.cli import write_samples_csv
 from qcarnot.cycle import MAX_TOP_LEVEL, CarnotSpec, build_carnot_cycle
-from qcarnot.processes import MAX_SAMPLES_PER_STROKE
+from qcarnot.processes import MAX_SAMPLES_PER_STROKE, _staircase
 from oracles import (
     checked_twice_energy,
     masked_work_integrand,
@@ -245,6 +245,50 @@ class TestIsothermalState:
         assert at.populations == ((k, 1.0),)
         assert dict(below.populations)[k] == pytest.approx(1.0, abs=1e-6)
         assert dict(above.populations)[k] == pytest.approx(1.0, abs=1e-6)
+
+
+def exact_upper_weight(ratio):
+    """The staircase's upper weight ``(r^2 - k^2) / (2k + 1)``, ``k = floor(r)``,
+    at the binary64 width ratio ``r`` (taken as 1 below 1), in 50-digit ``mpmath``."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        r = max(mpmath.mpf(ratio), 1)
+        k = mpmath.floor(r)
+        return (r * r - k * k) / (2 * k + 1)
+
+
+class TestStaircaseWeights:
+    """The upper weight at levels from 1 to 2**62, against :func:`exact_upper_weight`.
+    ``(r - k)(r + k) / (2k + 1)`` rounds three times, each by at most u
+    relative, on a weight below 1, and ``r - k`` is exact by Sterbenz's lemma;
+    so the weights, and ``1 - w``, lie within 3 ulps of 1 of the exact values.
+    ``(r^2 - k^2) / (2k + 1)`` cancels: 3.7e-13 off at ``k`` = 1e4, 5.0e-9 at 1e8.
+    Past ``k`` = 2**52 every ratio in ``[k, k + 1)`` is ``k`` itself."""
+
+    TOL = 3 * 2.0 ** -52
+    LEVELS = [1, 2, 3, 10, 10 ** 4, 10 ** 6, 10 ** 8, 10 ** 10, 10 ** 12, 10 ** 15, 2 ** 52, 2 ** 62]
+
+    @pytest.mark.parametrize("k", LEVELS)
+    def test_staircase_against_mpmath(self, k):
+        rng = np.random.default_rng(k % 2 ** 32)
+        ratios = np.concatenate([[k, math.nextafter(k + 1.0, 0.0)], k + rng.random(500)])
+        levels, weights = _staircase(ratios)
+        for ratio, level, w in zip(ratios.tolist(), levels.tolist(), weights.tolist()):
+            assert level == math.floor(ratio)
+            assert abs(w - exact_upper_weight(ratio)) <= self.TOL, ratio
+
+    @pytest.mark.parametrize("k", LEVELS)
+    def test_samples_and_states_against_mpmath(self, k):
+        base = 0.7
+        e_fixed = eigenenergy(1, base)
+        table = sample_stroke(isothermal_stroke(e_fixed, k * base, (k + 1) * base, base), 100)
+        for row in table:
+            exact = exact_upper_weight(row.L / base)
+            weights = dict(row.populations)
+            assert weights == dict(isothermal_state_at(e_fixed, row.L, base).populations)
+            level = math.floor(max(row.L / base, 1.0))
+            assert abs(weights[level] - (1 - exact)) <= self.TOL, row
+            assert abs(weights.get(level + 1, 0.0) - exact) <= self.TOL, row
 
 
 class TestAdiabaticStroke:
@@ -647,6 +691,10 @@ class TestStrokeTable:
         stroke = isothermal_stroke(eigenenergy(1, base), base * start, base, base)
         with pytest.raises(IsothermRangeError, match="validity window"):
             dataclasses.replace(stroke, L_end=base * end)
+        # The message names the end that leaves the window.
+        with pytest.raises(IsothermRangeError) as caught:
+            dataclasses.replace(stroke, L_start=base * end)
+        assert str(caught.value).startswith(f"width {base * end!r} lies outside")
 
     def test_isotherms_onto_the_window_edge_integrate(self):
         # The last probe L_start * exp(ln(L_end / L_start)) can round below

@@ -57,10 +57,11 @@ def test_output_digest_is_stable_and_covers_the_grid():
     assert len(set(names)) == len(names)
     specs = len(list((SCRIPTS.parent / "specs").glob("*.spec")))
     # simulate: the run, samples.csv and report.csv per spec and for the
-    # written wide-adiabat spec; four sweeps; verify-identity at 5 levels x 7
-    # ratios x 3 tolerances, three runs past the default budget and one at
-    # its floor cutoff; six expansions.
-    assert len(names) == 3 * (specs + 1) + 4 + 5 * 7 * 3 + 4 + 6
+    # written wide-adiabat and level-1e12 specs; five sweeps, one failing;
+    # verify-identity at 5 levels x 7 ratios x 3 tolerances, three runs past
+    # the default budget and one at its floor cutoff; six expansions; two
+    # failing simulate and two failing verify-identity runs.
+    assert len(names) == 3 * (specs + 2) + 5 + 5 * 7 * 3 + 4 + 6 + 4
 
 
 def test_source_size_totals_the_lines_of_every_module():
@@ -81,19 +82,39 @@ def test_traced_check_passes_on_cycle_sweep():
     assert done.stdout == "cycle_sweep: ok\n"
 
 
+# (text in cli.py, its replacement, names of the digest lines that change).
+EDITS = [
+    # Every sweep of the digest that passes writes the header.
+    ('SWEEP_HEADER = "L3,', 'SWEEP_HEADER = "l3,', [
+        "sweep two_state.spec --l3-from 2.5 --l3-to 8 --steps 12",
+        "sweep three_state.spec --l3-from 3 --l3-to 300 --steps 50",
+        "sweep two_state.spec --l3-from 2 --l3-to 8 --steps 300",
+        "sweep three_state.spec --l3-from 1e30 --l3-to 9 --steps 40",
+    ]),
+    # Every failing run writes one error: line, and no other run does.
+    ('print(f"error: {message}"', 'print(f"failed: {message}"', [
+        "sweep two_state.spec --l3-from 1 --l3-to 8 --steps 4",
+        "simulate unknown_key.spec",
+        "simulate past_scale.spec",
+        "verify-identity --n 1 --alpha 2 --tol 1e-9",
+        "verify-identity --n 1 --alpha 2",
+    ]),
+]
+
+
 def test_compare_outputs_shows_only_the_lines_that_differ(tmp_path):
     assert run_script("compare_outputs.py", SCRIPTS.parent).stdout == "identical\n"
     src = Path(qcarnot.__file__).resolve().parent
-    copy = tmp_path / "src" / "qcarnot"
-    shutil.copytree(src, copy, ignore=shutil.ignore_patterns("__pycache__"))
-    cli = copy / "cli.py"
-    cli.write_text(cli.read_text().replace('SWEEP_HEADER = "L3,', 'SWEEP_HEADER = "l3,', 1))
-    done = run_script("compare_outputs.py", tmp_path)
-    assert done.returncode == 0, done.stderr
-    header, *changed = done.stdout.splitlines()
-    assert header == "differ (base <, this tree >):"
-    sweeps = 4  # every sweep of the digest writes the header
-    assert [line[:2] for line in changed] == ["< "] * sweeps + ["> "] * sweeps
-    names = [line[68:] for line in changed]
-    assert names[:sweeps] == names[sweeps:] and all(name.startswith("sweep ") for name in names)
-    assert len(set(names)) == sweeps
+    for i, (old, new, names) in enumerate(EDITS):
+        copy = tmp_path / str(i) / "src" / "qcarnot"
+        shutil.copytree(src, copy, ignore=shutil.ignore_patterns("__pycache__"))
+        cli = copy / "cli.py"
+        assert old in cli.read_text()
+        cli.write_text(cli.read_text().replace(old, new, 1))
+        done = run_script("compare_outputs.py", tmp_path / str(i))
+        assert done.returncode == 0, done.stderr
+        header, *changed = done.stdout.splitlines()
+        assert header == "differ (base <, this tree >):"
+        assert all(line[:2] in ("< ", "> ") for line in changed)
+        for mark in ("< ", "> "):
+            assert [line[68:] for line in changed if line[:2] == mark] == names

@@ -361,22 +361,21 @@ def cmd_verify_identity(n, alpha, tol, max_terms: int = IDENTITY_TERM_BUDGET):
 def cmd_sweep(spec_path, l3_from, l3_to, steps, out_path):
     """Efficiency curve over a range of L3 values, one CSV row per step.
 
-    The two ends are checked as the spec's ``L3`` before any cycle runs, and
-    that checks every step: no ``np.linspace`` value lies past an end, and the
-    spec bounds ``L3`` only from below.  The steps run in order, in chunks of
+    Both ends are checked as the spec's ``L3`` before any cycle runs, which
+    checks every step: each rule, the energy scale's included, bounds ``L3``
+    from below or bounds monomials in it, and no ``np.linspace`` value lies
+    past an end (at most 1e300, so none overflows).  The steps run in chunks of
     ``_SWEEP_CHUNK_STEPS``.  A chunk builds the specs and cycles of its steps,
     then integrates their strokes in one :func:`stroke_work_quadrature` call:
     stroke 1, the hot isotherm from ``L1`` to ``top_level * L1``, is the same
     on every step and is integrated once.  :func:`evaluate_cycle` then checks
-    and reports each cycle with its four works.  Each chunk's rows are kept
-    as one string, and the file is written only once every cycle has passed.
+    and reports each cycle with its four works.  Each chunk's rows are kept as
+    one string, and the file is written only once every cycle has passed.
     """
     base = _load_spec(spec_path)
     steps = _check_int(steps, "steps", 2, MAX_SWEEP_STEPS)
     ends = [dataclasses.replace(base, L3=L3).L3 for L3 in (l3_from, l3_to)]
-    # Only np.linspace's last product can overflow, and it is replaced by the end.
-    with np.errstate(over="ignore"):
-        widths = np.linspace(*ends, steps)
+    widths = np.linspace(*ends, steps)
     chunks = []
     for start in range(0, steps, _SWEEP_CHUNK_STEPS):
         chunk = widths[start:start + _SWEEP_CHUNK_STEPS].tolist()

@@ -62,9 +62,10 @@ QUADRATURE_REL_TOL = 1e-10
 class CarnotSpec:
     """Geometry of one cycle: level reached on the hot isotherm and the two
     extreme widths.  ``L3 == top_level * L1`` is the degenerate zero-work
-    boundary; anything smaller is rejected.  The widths are stored as Python
-    floats and the integers as Python ints, whichever real type they are
-    given as."""
+    boundary; anything smaller is rejected, and so is a cycle whose energies
+    or forces would leave binary64 range (:class:`ScaleError`, checked last).
+    The widths are stored as Python floats and the integers as Python ints,
+    whichever real type they are given as."""
 
     top_level: int
     L1: float
@@ -83,6 +84,7 @@ class CarnotSpec:
                 f"L3 must exceed top_level*L1: got L3={self.L3!r}, "
                 f"top_level*L1={self.top_level * self.L1!r}"
             )
+        check_energy_scale(self.params, self.top_level, self.L1, self.L3)
 
 
 _INT_RE = re.compile(r"[+-]?\d+$")
@@ -211,14 +213,12 @@ def build_carnot_cycle(spec: CarnotSpec) -> Cycle:
     """Assemble the four strokes for ``spec``.
 
     The cycle closes by construction: the last adiabat ends at ``L1`` in
-    ``pure(1)``, the first isotherm's state there.  Raises
-    :class:`ScaleError` first if the spec's energies or forces would leave
-    binary64 range anywhere on the cycle.
+    ``pure(1)``, the first isotherm's state there.  ``spec`` has already
+    checked that the cycle's energies and forces stay in binary64 range.
     """
     _check_type(spec, CarnotSpec, "spec")
     n = spec.top_level
     L1, L3, p = spec.L1, spec.L3, spec.params
-    check_energy_scale(p, n, L1, L3)
     L2 = n * L1
     L4 = L3 / n
     e_hot = eigenenergy(1, L1, p)

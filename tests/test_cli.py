@@ -614,31 +614,39 @@ class TestSweep:
            b=st.floats(0.0, exclude_min=True, allow_infinity=False),
            steps=st.integers(2, cli.MAX_SWEEP_STEPS))
     def test_linspace_stays_between_its_ends(self, a, b, steps):
-        # Checking the two ends checks every step: CarnotSpec bounds L3 only
-        # from below, and no np.linspace value lies past an end.  With ends
-        # near the largest double the last product overflows, as cmd_sweep
-        # allows, and np.linspace replaces it by the end.
+        # Checking the two ends checks every step: each rule of CarnotSpec
+        # bounds L3 from below or bounds monomials in it, and no np.linspace
+        # value lies past an end.  With ends near the largest double the last
+        # product overflows and np.linspace replaces it by the end; cmd_sweep
+        # never sees that, as the energy scale keeps a checked end <= 1e300.
         with np.errstate(over="ignore"):
             widths = np.linspace(a, b, steps)
         assert widths.min() == min(a, b) and widths.max() == max(a, b)
 
     @pytest.mark.parametrize("l3_from, l3_to, steps", [
         (2.0, 1.7976931348623157e308, 203687), (1.7976931348623157e308, 2.0, cli.MAX_SWEEP_STEPS),
+        (1e99, 1e101, cli.MAX_SWEEP_STEPS),
     ])
     def test_a_range_up_to_the_largest_double_warns_of_nothing(self, spec_path, tmp_path, monkeypatch,
                                                                 l3_from, l3_to, steps):
-        # np.linspace overflows in its last product here; a RuntimeWarning is
-        # an error under pytest and would otherwise reach stderr.
-        class Reached(Exception):
-            pass
-
+        # The energy scale rejects the upper end before np.linspace runs,
+        # which would overflow in its last product on the first two ranges,
+        # and before any cycle is built; a RuntimeWarning is an error under
+        # pytest and would otherwise reach stderr.
         def build(spec):
-            raise Reached(spec.L3)
+            raise AssertionError("a cycle was built")
 
         monkeypatch.setattr(cli, "build_carnot_cycle", build)
-        with pytest.raises(Reached) as caught:
-            cmd_sweep(spec_path, l3_from, l3_to, steps, tmp_path / "s.csv")
-        assert caught.value.args == (l3_from,)
+        out = tmp_path / "s.csv"
+        started = time.perf_counter()
+        code, err = _run_main(["sweep", str(spec_path), "--l3-from", repr(l3_from),
+                               "--l3-to", repr(l3_to), "--steps", str(steps), "--out", str(out)])
+        assert time.perf_counter() - started < 1.0
+        assert code == 2
+        [line] = err.splitlines()
+        assert line.startswith("error: energy scale out of range: ")
+        assert f"widths 1.0..{max(l3_from, l3_to)!r} " in line
+        assert not out.exists()
 
     def test_sweep_at_the_step_cap_reaches_its_first_cycle_at_once(self, spec_path, tmp_path,
                                                                   monkeypatch):

@@ -232,11 +232,11 @@ class TestEvaluate:
             hbar, mass, L1 = (10.0 ** rng.uniform(-3.0, 3.0, 3)).tolist()
             ratio = (1.0, 1.0 + 1e-15, 1.0 + 1e-9, 10.0 ** rng.uniform(0.0, 3.0),
                      10.0 ** rng.uniform(0.0, 100.0))[i % 5]
-            spec = CarnotSpec(top_level, L1, ratio * (top_level * L1), WellParams(hbar, mass))
             try:
-                cycle = build_carnot_cycle(spec)
+                spec = CarnotSpec(top_level, L1, ratio * (top_level * L1), WellParams(hbar, mass))
             except ScaleError:
                 continue
+            cycle = build_carnot_cycle(spec)
             assert evaluate_cycle(cycle).quadrature_discrepancy <= 1e-13, spec
             evaluated += 1
         assert evaluated >= 290

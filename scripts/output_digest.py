@@ -15,9 +15,11 @@ the trees; the spec files are always this tree's.  The grid:
   300; a 300-step ``two_state.spec`` sweep from the zero-work cycle at L3 = 2
   to 8, past the end of ``qcarnot sweep``'s first chunk of steps; a
   descending 40-step ``three_state.spec`` sweep from L3 = 1e30 to 9, whose
-  adiabats take from 16 to 68 quadrature pieces; and a ``two_state.spec``
-  sweep whose lower end lies below ``top_level * L1``, which fails and
-  writes no CSV: the exit code, stdout, stderr and the CSV, one digest each;
+  adiabats take from 16 to 68 quadrature pieces; a ``two_state.spec``
+  sweep whose lower end lies below ``top_level * L1``; and one whose upper
+  end, L3 = 1e101, leaves the energy scale, which is checked at the ends
+  before any cycle runs.  The last two fail and write no CSV.  Each sweep
+  gives one digest of the exit code, stdout, stderr and the CSV;
 - ``verify-identity`` at every ``(n, alpha, tol)`` of ``N`` x ``ALPHAS`` x
   ``TOLS``, and at each ``(n, alpha, tol, max_terms)`` of
   ``BUDGETED_IDENTITIES``: the exit code with stdout and stderr;
@@ -55,6 +57,7 @@ SWEEPS = (
     ("two_state.spec", "2", "8", "300"),
     ("three_state.spec", "1e30", "9", "40"),
     ("two_state.spec", "1", "8", "4"),
+    ("two_state.spec", "4", "1e101", "8"),
 )
 N = ("1", "2", "3", "5", "8")
 ALPHAS = ("1.05", "1.3", "1.5", "2", "2.5", "3.7", "10")

@@ -41,6 +41,7 @@ from .processes import (
     MAX_SAMPLES_PER_STROKE,
     SampleTable,
     Stroke,
+    StrokeKind,
     adiabatic_stroke,
     isothermal_stroke,
     sample_stroke,
@@ -185,10 +186,29 @@ def parse_spec(text: str) -> CarnotSpec:
 class Cycle:
     """Closed four-stroke sequence and the spec it was built from.  The fixed
     energies of the hot and cold isotherms are the ``conserved`` of strokes 1
-    and 3."""
+    and 3.  Construction raises :class:`DomainError` unless ``strokes`` is a
+    tuple of four :class:`Stroke`, isothermal and adiabatic in turn, each
+    starting where the one before it ends (stroke 4 before stroke 1), and
+    ``spec`` is a :class:`CarnotSpec`."""
 
     strokes: tuple[Stroke, Stroke, Stroke, Stroke]
     spec: CarnotSpec
+
+    def __post_init__(self):
+        _check_type(self.strokes, tuple, "strokes")
+        if len(self.strokes) != 4:
+            raise DomainError(f"strokes must hold 4 strokes, got {len(self.strokes)}")
+        kinds = (StrokeKind.ISOTHERMAL, StrokeKind.ADIABATIC) * 2
+        for i, (stroke, kind) in enumerate(zip(self.strokes, kinds)):
+            _check_type(stroke, Stroke, f"strokes[{i}]")
+            if stroke.kind is not kind:
+                raise DomainError(f"stroke {i + 1} must be {kind.value}, got {stroke.kind.value}")
+        for i, stroke in enumerate(self.strokes):
+            end = self.strokes[i - 1].L_end
+            if stroke.L_start != end:
+                raise DomainError(f"stroke {i + 1} must start at width {end!r}, where stroke "
+                                  f"{i or 4} ends, got {stroke.L_start!r}")
+        _check_type(self.spec, CarnotSpec, "spec")
 
 
 @dataclass(frozen=True)

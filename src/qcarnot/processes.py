@@ -227,7 +227,7 @@ def _check_window(base_scale, *widths) -> None:
         if not (inside if isinstance(inside, bool) else inside.all()):
             raise IsothermRangeError(
                 f"width {L!r} lies outside the isotherm validity window "
-                f"[{base_scale!r}, 2**63 * {base_scale!r})"
+                f"[(1 - 1e-12) * {base_scale!r}, 2**63 * {base_scale!r})"
             )
 
 
@@ -304,9 +304,10 @@ def isothermal_state_at(e_fixed, L, base_scale, params: WellParams = DEFAULT_PAR
 
     Only levels ``k = floor(L / base_scale)`` and ``k + 1`` are populated.
     ``e_fixed`` must equal the ground-state energy at ``base_scale``.  Raises
-    :class:`IsothermRangeError` if ``L`` lies below ``base_scale``, where the
-    required populations would turn negative, or at ``2**63 * base_scale`` or
-    beyond, where level ``k`` leaves the int64 range.
+    :class:`IsothermRangeError` if ``L`` lies below ``(1 - 1e-12) *
+    base_scale``, where the required populations would turn negative (a
+    ratio in the rounding margin below 1 is taken as 1), or at ``2**63 *
+    base_scale`` or beyond, where level ``k`` leaves the int64 range.
     """
     L = _check_real(L, "L")
     base_scale = _isotherm_base(e_fixed, base_scale, params)

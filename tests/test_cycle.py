@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import oracles
 from qcarnot import processes
 from qcarnot import (
     CarnotSpec,
+    Cycle,
     CycleGeometryError,
     DomainError,
     MixedState,
@@ -17,6 +19,7 @@ from qcarnot import (
     SampleTable,
     ScaleError,
     WellParams,
+    adiabatic_stroke,
     build_carnot_cycle,
     eigenenergy,
     evaluate_cycle,
@@ -359,3 +362,25 @@ class TestSampleTableProtocol:
 def test_wrong_type_argument_raises_domain_error_naming_it(call, name):
     with pytest.raises(DomainError, match=f"^{name} must be an? [A-Z]\\w+, got "):
         call()
+
+
+_FLAGSHIP_STROKES = build_carnot_cycle(FLAGSHIP).strokes
+
+
+@pytest.mark.parametrize("run", [evaluate_cycle, sample_cycle])
+@pytest.mark.parametrize("strokes, spec, text", [
+    (_FLAGSHIP_STROKES[:3], FLAGSHIP, "strokes must hold 4 strokes, got 3"),
+    (_FLAGSHIP_STROKES + _FLAGSHIP_STROKES[:1], FLAGSHIP, "strokes must hold 4 strokes, got 5"),
+    (_FLAGSHIP_STROKES[1::-1] + _FLAGSHIP_STROKES[2:], FLAGSHIP,
+     "stroke 1 must be isothermal, got adiabatic"),
+    (_FLAGSHIP_STROKES, "x", "spec must be a CarnotSpec, got 'x'"),
+    (_FLAGSHIP_STROKES[:3] + (adiabatic_stroke(MixedState.pure(1), 1.0, 1.0),), FLAGSHIP,
+     "stroke 4 must start at width 2.0, where stroke 3 ends, got 1.0"),
+], ids=["three-strokes", "five-strokes", "strokes-1-and-2-swapped", "spec-not-a-CarnotSpec",
+        "stroke-4-not-after-stroke-3"])
+def test_a_malformed_cycle_raises_domain_error(run, strokes, spec, text):
+    # Before Cycle checked itself, three strokes gave eta 1.29 and five 1.75,
+    # past the Carnot bound of 0.75; the swap and the spec raised raw
+    # TypeError and AttributeError.
+    with pytest.raises(DomainError, match="^" + re.escape(text) + "$"):
+        run(Cycle(strokes, spec))

@@ -375,8 +375,15 @@ class TestIsothermalStroke:
         # Level floor(L / base) must fit an int64: the window ends at the
         # largest binary64 ratio below 2**63, and every entry point rejects
         # 2**63 * base instead of casting the level to -2**63.
+        # The window's lower edge is the ratio 1 - 1e-12, which absorbs
+        # rounding; the message states it, and the largest width below it
+        # is rejected too.
         e, base = eigenenergy(1, 0.5), 0.5
         edge, beyond = (2.0 ** 63 - 1024) * base, 2.0 ** 63 * base
+        below = base * (1.0 - 1e-12)
+        while below / base >= 1.0 - 1e-12:
+            below = math.nextafter(below, 0.0)
+        assert isothermal_state_at(e, math.nextafter(below, 1.0), base).populations == ((1, 1.0),)
         stroke = isothermal_stroke(e, base, edge, base)
         assert sample_stroke(stroke, 3).levels[-1].tolist() == [2 ** 63 - 1024, 0]
         assert stroke.force_at(edge) > 0.0
@@ -387,9 +394,14 @@ class TestIsothermalStroke:
             lambda: stroke.force_at(np.array([edge, beyond])),
             lambda: dataclasses.replace(stroke, L_end=beyond),
             lambda: isothermal_state_at(e, beyond, base),
+            lambda: isothermal_state_at(e, below, base),
         ):
             with pytest.raises(IsothermRangeError, match="validity window"):
                 call()
+        with pytest.raises(IsothermRangeError) as caught:
+            isothermal_stroke(e, base, below, base)
+        assert str(caught.value) == (f"width {below!r} lies outside the isotherm validity window "
+                                     "[(1 - 1e-12) * 0.5, 2**63 * 0.5)")
 
 
 class TestForceArrayPath:

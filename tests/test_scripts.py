@@ -57,11 +57,11 @@ def test_output_digest_is_stable_and_covers_the_grid():
     assert len(set(names)) == len(names)
     specs = len(list((SCRIPTS.parent / "specs").glob("*.spec")))
     # simulate: the run, samples.csv and report.csv per spec and for the
-    # written wide-adiabat and level-1e12 specs; five sweeps, one failing;
+    # written wide-adiabat and level-1e12 specs; six sweeps, two failing;
     # verify-identity at 5 levels x 7 ratios x 3 tolerances, three runs past
     # the default budget and one at its floor cutoff; six expansions; two
     # failing simulate and two failing verify-identity runs.
-    assert len(names) == 3 * (specs + 2) + 5 + 5 * 7 * 3 + 4 + 6 + 4
+    assert len(names) == 3 * (specs + 2) + 6 + 5 * 7 * 3 + 4 + 6 + 4
 
 
 def test_source_size_totals_the_lines_of_every_module():
@@ -94,6 +94,7 @@ EDITS = [
     # Every failing run writes one error: line, and no other run does.
     ('print(f"error: {message}"', 'print(f"failed: {message}"', [
         "sweep two_state.spec --l3-from 1 --l3-to 8 --steps 4",
+        "sweep two_state.spec --l3-from 4 --l3-to 1e101 --steps 8",
         "simulate unknown_key.spec",
         "simulate past_scale.spec",
         "verify-identity --n 1 --alpha 2 --tol 1e-9",

@@ -14,7 +14,8 @@ starts a comment; sections are ``well`` (``hbar``, ``mass``) and ``cycle``
 decimal numbers or bare integers, except ``type`` which takes the identifier
 ``carnot``.  :func:`parse_spec` returns the :class:`CarnotSpec`; duplicate keys
 or sections, unknown keys, and values that :class:`WellParams` or
-:class:`CarnotSpec` reject are reported with line-numbered diagnostics.
+:class:`CarnotSpec` reject are reported with line-numbered diagnostics; an
+energy scale out of range, which no one key sets, raises :class:`ScaleError`.
 """
 
 from __future__ import annotations
@@ -162,7 +163,8 @@ def parse_spec(text: str) -> CarnotSpec:
 
     The parser checks only the syntax.  :class:`WellParams` and
     :class:`CarnotSpec` check the values; each of their errors starts with
-    the name of a field and is reported at the line of that key.
+    the name of a field and is reported at the line of that key, except the
+    :class:`ScaleError` of a spec past the energy scale, which passes through.
     """
     sections, entries = _scan(text)
     if "cycle" not in sections:

@@ -600,6 +600,19 @@ class TestSweep:
             "error: L3 must exceed top_level*L1: got L3=1.5, top_level*L1=2.0\n"
         )
 
+    def test_spec_past_the_energy_scale_exits_2_at_load(self, tmp_path, monkeypatch):
+        # The sweep would replace the spec's L3, but the spec is checked whole
+        # when it is loaded.
+        self.forbid_evaluation(monkeypatch)
+        path, out = tmp_path / "wide.spec", tmp_path / "s.csv"
+        path.write_text("[cycle]\ntop_level = 2\nL1 = 1\nL3 = 1e200\n")
+        code, err = _run_main(["sweep", str(path), "--l3-from", "3", "--l3-to", "4",
+                               "--steps", "2", "--out", str(out)])
+        assert code == 2
+        [line] = err.splitlines()
+        assert line.startswith("error: energy scale out of range: ") and "1.0..1e+200 " in line
+        assert not out.exists()
+
     def test_descending_range_names_its_lower_end(self, spec_path, tmp_path, monkeypatch, capsys):
         # Steps 3.0, 2.625, 2.25, 1.875, 1.5: the end below the floor is named,
         # not the first step below it.

@@ -69,6 +69,14 @@ class TestBuild:
         with pytest.raises(CycleGeometryError):
             CarnotSpec(top_level=2, L1=1.0, L3=1.0)
 
+    def test_energy_scale_is_checked_when_built_after_the_other_rules(self):
+        with pytest.raises(ScaleError, match=r"^energy scale out of range: .* widths 1\.0\.\.1e\+200 "):
+            CarnotSpec(2, 1.0, 1e200)
+        with pytest.raises(CycleGeometryError):
+            CarnotSpec(2, 1e-170, 1e-171)
+        with pytest.raises(DomainError, match="^samples_per_stroke"):
+            CarnotSpec(2, 1.0, 1e200, samples_per_stroke=1)
+
     def test_spec_validation(self):
         with pytest.raises(Exception):
             CarnotSpec(top_level=1, L1=1.0, L3=4.0)
@@ -376,8 +384,10 @@ _FLAGSHIP_STROKES = build_carnot_cycle(FLAGSHIP).strokes
     (_FLAGSHIP_STROKES, "x", "spec must be a CarnotSpec, got 'x'"),
     (_FLAGSHIP_STROKES[:3] + (adiabatic_stroke(MixedState.pure(1), 1.0, 1.0),), FLAGSHIP,
      "stroke 4 must start at width 2.0, where stroke 3 ends, got 1.0"),
+    (_FLAGSHIP_STROKES[:3] + (adiabatic_stroke(MixedState.pure(1), 2.0, 1.5),), FLAGSHIP,
+     "stroke 1 must start at width 1.5, where stroke 4 ends, got 1.0"),
 ], ids=["three-strokes", "five-strokes", "strokes-1-and-2-swapped", "spec-not-a-CarnotSpec",
-        "stroke-4-not-after-stroke-3"])
+        "stroke-4-not-after-stroke-3", "stroke-1-not-after-stroke-4"])
 def test_a_malformed_cycle_raises_domain_error(run, strokes, spec, text):
     # Before Cycle checked itself, three strokes gave eta 1.29 and five 1.75,
     # past the Carnot bound of 0.75; the swap and the spec raised raw

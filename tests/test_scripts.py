@@ -1,5 +1,6 @@
 """Smoke tests: each script in scripts/ runs end to end in a new interpreter."""
 
+import json
 import os
 import re
 import shutil
@@ -80,6 +81,40 @@ def test_traced_check_passes_on_cycle_sweep():
     done = run_script("traced_check.py", "cycle_sweep")
     assert done.returncode == 0, done.stdout + done.stderr
     assert done.stdout == "cycle_sweep: ok\n"
+
+
+def test_bench_pairs_records_every_run_of_a_tree_against_itself(tmp_path):
+    out = tmp_path / "pairs.json"
+    done = run_script("bench_pairs.py", SCRIPTS.parent, "--workload", "cycle_sweep",
+                      "--pairs", 1, "--seconds", 0.5, "--out", out)
+    assert done.returncode == 0, done.stderr
+    record = json.loads(out.read_text())
+    assert (record["pairs"], record["seconds"]) == (1, 0.5)
+    host = record["host"]
+    assert {"cpu_count", "loadavg_before", "loadavg_after", "python", "numpy",
+            "PYTHONDONTWRITEBYTECODE"} <= host.keys()
+    assert host["trees"]["base"] == host["trees"]["head"]
+    [workload] = record["workloads"].values()
+    [pair] = workload["runs"]
+    assert pair["seed"] == 1 and pair["first"] == "base"
+    for side in ("base", "head"):
+        assert pair[side]["exit"] == 0 and pair[side]["correct"] is True
+        assert pair[side]["failed"] == 0 < pair[side]["attempted"]
+    declared = json.loads((SCRIPTS.parent / "BENCHMARK.json").read_text())["end_to_end"]
+    assert list(workload["metrics"]) == [m["name"] for m in declared]
+    for spec in declared:
+        metric = workload["metrics"][spec["name"]]
+        assert {k: metric[k] for k in ("unit", "better", "bound")} == {
+            k: spec[k] for k in ("unit", "better", "bound")}
+        for side in ("base", "head"):
+            [value] = metric[side]["values"]
+            assert value > 0
+            assert metric[side]["median"] == metric[side]["q1"] == metric[side]["q3"] == value
+            assert metric[side]["iqr"] == 0
+        base, head = metric["base"]["median"], metric["head"]["median"]
+        assert metric["pair_ratio_median"] == pytest.approx(head / base, rel=1e-12)
+        assert metric["pairs"] == 1
+        assert metric["pairs_ahead"] == ((head - base) * (1 if spec["better"] == "higher" else -1) > 0)
 
 
 # (text in cli.py, its replacement, names of the digest lines that change).
